@@ -1,7 +1,7 @@
 """Deterministic writing of ``benchmarks/results/*.json``.
 
-Shared by the benchmark conftest (``summary.json``) and the
-incremental-relearn trajectory recorder: keys sorted, floats rounded to a
+Shared by the benchmark conftest (``summary.json``) and the self-debugging
+benchmark (``metrics_snapshot.json``): keys sorted, floats rounded to a
 fixed number of significant digits, trailing newline — so regenerating a
 result file produces a minimal diff (a metric line changes only when the
 metric meaningfully changed, not because ``time.perf_counter`` churned

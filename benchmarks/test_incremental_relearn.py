@@ -19,18 +19,16 @@ This benchmark drives the real active loop on the SQLite subject (budget
 It asserts a >= 3x median speedup (>= 2x in quick mode, used by CI via
 ``RELEARN_BENCH_QUICK=1``) and that the incremental model is *identical*
 (structural Hamming distance 0) to a cold re-learn over all measurements.
-Per-iteration timings for the x264, SQLite and DeepStream subjects are
-written to ``benchmarks/results/incremental_relearn_timings.json`` so later
-PRs have a perf trajectory to compare against.
+Per-iteration timings for the x264, SQLite and DeepStream subjects go to
+``benchmarks/results/summary.json`` through the ``results_recorder``
+fixture.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,9 +51,6 @@ QUICK = os.environ.get("RELEARN_BENCH_QUICK") == "1"
 TIMED_ITERATIONS = 8 if QUICK else 75
 SECONDARY_ITERATIONS = 4 if QUICK else 15
 REQUIRED_SPEEDUP = 2.0 if QUICK else 3.0
-
-RESULTS_PATH = (Path(__file__).parent / "results"
-                / "incremental_relearn_timings.json")
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +184,12 @@ def _drive_loop(system, iterations: int, seed: int = 0,
     return payload
 
 
-def _record(results: dict) -> None:
-    """Append this run's timing trajectories to the per-system histories.
-
-    The file keeps ``{system: {"runs": [payload, ...]}}`` — append-only,
-    so every PR's perf trajectory stays comparable against all earlier
-    ones instead of being overwritten (the pre-ISSUE-5 format, one
-    payload per system, is migrated into a one-element history).  Writes
-    go through :func:`conftest.write_results_json` for deterministic
-    (sorted, rounded) regeneration.
-    """
-    from _results_io import write_results_json
-
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    existing: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            existing = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    for system, payload in results.items():
-        history = existing.get(system)
-        if not isinstance(history, dict) or "runs" not in history:
-            history = {"runs": [history] if history else []}
-        history["runs"].append(payload)
-        existing[system] = history
-    write_results_json(RESULTS_PATH, existing)
-
-
 # ---------------------------------------------------------------------------
 # Benchmarks
 # ---------------------------------------------------------------------------
 def test_incremental_relearn_speedup_sqlite(results_recorder):
     """SQLite at budget 100: the acceptance benchmark of the refactor."""
     payload = _drive_loop(make_sqlite(), TIMED_ITERATIONS, seed=0)
-    _record({"sqlite": payload})
     results_recorder("incremental_relearn_sqlite", payload)
 
     print(f"\nSQLite budget-100 relearn: incremental "
@@ -243,7 +209,6 @@ def test_incremental_relearn_trajectory(make_system, results_recorder):
     """Record the perf trajectory on the other subjects (no hard gate)."""
     system = make_system()
     payload = _drive_loop(system, SECONDARY_ITERATIONS, seed=0)
-    _record({system.name: payload})
     results_recorder(f"incremental_relearn_{system.name}", payload)
     print(f"\n{system.name} relearn: incremental "
           f"{payload['median_incremental_seconds'] * 1000:.1f} ms vs "

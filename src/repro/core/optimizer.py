@@ -88,7 +88,6 @@ class UnicornOptimizer:
         evaluated = [dict(m.objectives) for m in state.measurements]
         weight_rng = np.random.default_rng(self.config.seed + 1)
 
-        stall = 0
         while self.unicorn.remaining_budget(state) > 0:
             weights = self._scalarisation_weights(objective_names, weight_rng)
             # One batched repair scan: the candidate grid is enumerated once
@@ -121,9 +120,6 @@ class UnicornOptimizer:
                 best_config = dict(measurement.configuration)
                 best_objectives = {o: measurement.objectives[o]
                                    for o in objective_names}
-                stall = 0
-            else:
-                stall += 1
             trace.append(dict(best_objectives))
 
         elapsed = time.perf_counter() - started

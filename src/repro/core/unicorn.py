@@ -188,15 +188,15 @@ class Unicorn:
         By default the first call cold-starts the model and every later call
         routes through the incremental path: measurements not yet reflected
         in the model are appended in place to its dataset, the learner
-        warm-starts discovery from the previous structure, and the existing
-        inference engine is refreshed instead of being reconstructed.  Pass
+        re-runs discovery with its CI-decision cache replaying every
+        non-borderline decision, and the existing inference engine is
+        refreshed instead of being reconstructed.  Pass
         ``incremental=False`` to force the from-scratch path (used by
         benchmarks as the cold baseline).
         """
         started = time.perf_counter()
         if incremental is None:
-            incremental = (state.learned is not None
-                           and state.learned.skeleton_state is not None)
+            incremental = state.learned is not None
         if incremental and state.learned is not None:
             consumed = state.learned.data.n_rows
             new_rows = [m.as_row() for m in state.measurements[consumed:]]

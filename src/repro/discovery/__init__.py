@@ -18,11 +18,7 @@ This package implements Stage II of Unicorn:
 """
 
 from repro.discovery.constraints import StructuralConstraints, VariableRole
-from repro.discovery.skeleton import (
-    learn_skeleton,
-    SkeletonResult,
-    SkeletonState,
-)
+from repro.discovery.skeleton import learn_skeleton, SkeletonResult
 from repro.discovery.fci import fci, orient_colliders, apply_orientation_rules
 from repro.discovery.entropic import (
     EntropicOrienter,
@@ -36,7 +32,6 @@ __all__ = [
     "VariableRole",
     "learn_skeleton",
     "SkeletonResult",
-    "SkeletonState",
     "fci",
     "orient_colliders",
     "apply_orientation_rules",

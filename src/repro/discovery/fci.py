@@ -15,11 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.discovery.constraints import StructuralConstraints
-from repro.discovery.skeleton import (
-    SkeletonResult,
-    SkeletonState,
-    learn_skeleton,
-)
+from repro.discovery.skeleton import SkeletonResult, learn_skeleton
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
 from repro.graph.separation import possible_d_sep
@@ -33,9 +29,6 @@ class FCIResult:
     pag: MixedGraph
     separating_sets: dict[frozenset[str], set[str]]
     tests_performed: int
-    #: snapshot of the final adjacency structure + separating sets, ready to
-    #: warm-start the next incremental run.
-    skeleton_state: SkeletonState | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -222,41 +215,18 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
 # ---------------------------------------------------------------------------
 # Full FCI
 # ---------------------------------------------------------------------------
-def orient_pag(graph: MixedGraph,
-               separating_sets: dict[frozenset[str], set[str]],
-               constraints: StructuralConstraints | None = None) -> None:
-    """Orient a pruned skeleton into a PAG, in place.
-
-    Resets every mark to a circle, orients colliders from the separating
-    sets, applies the R1-R4 rules to a fixed point and forces the marks
-    implied by structural constraints — the orientation tail of :func:`fci`,
-    shared with the incremental path that reuses a validated skeleton.
-    """
-    for edge in graph.edges():
-        graph.set_mark(edge.u, edge.v, Mark.CIRCLE)
-        graph.set_mark(edge.v, edge.u, Mark.CIRCLE)
-    orient_colliders(graph, separating_sets, constraints)
-    apply_orientation_rules(graph, constraints)
-    _apply_constraint_orientations(graph, constraints)
-
-
 def fci(variables: list[str], ci_test: CITest,
         constraints: StructuralConstraints | None = None,
-        max_condition_size: int = 3,
-        previous: SkeletonState | None = None) -> FCIResult:
+        max_condition_size: int = 3) -> FCIResult:
     """Run FCI and return a PAG.
 
     Steps: PC-style skeleton, collider orientation, Possible-D-Sep pruning,
     re-initialisation of marks, collider re-orientation and the R1-R4
     orientation rules, following the standard FCI recipe.
-
-    ``previous`` warm-starts the skeleton phase from an earlier run's
-    :class:`SkeletonState` (the separating sets it carries also feed collider
-    orientation), turning a full re-learn into a revalidation pass.
     """
     skeleton: SkeletonResult = learn_skeleton(
         variables, ci_test, constraints=constraints,
-        max_condition_size=max_condition_size, previous=previous)
+        max_condition_size=max_condition_size)
     graph = skeleton.graph
     sepsets = skeleton.separating_sets
     tests = skeleton.tests_performed
@@ -265,11 +235,16 @@ def fci(variables: list[str], ci_test: CITest,
     tests += _pdsep_prune(graph, ci_test, sepsets, max_condition_size,
                           constraints)
 
-    orient_pag(graph, sepsets, constraints)
+    # Reset all marks to circles, then re-orient on the pruned skeleton.
+    for edge in graph.edges():
+        graph.set_mark(edge.u, edge.v, Mark.CIRCLE)
+        graph.set_mark(edge.v, edge.u, Mark.CIRCLE)
+    orient_colliders(graph, sepsets, constraints)
+    apply_orientation_rules(graph, constraints)
+    _apply_constraint_orientations(graph, constraints)
 
     return FCIResult(pag=graph, separating_sets=sepsets,
-                     tests_performed=tests,
-                     skeleton_state=SkeletonState.from_graph(graph, sepsets))
+                     tests_performed=tests)
 
 
 def _apply_constraint_orientations(graph: MixedGraph,

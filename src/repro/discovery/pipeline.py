@@ -6,32 +6,15 @@ and entropic resolution into the three-step procedure of Fig. 9, and exposes
 
 ``learn`` is the cold-start path: it rebuilds the statistical session
 (sufficient statistics, CI tests, orienter) and runs FCI from the fully
-connected constraint graph.  ``update`` is genuinely incremental: new samples
-are appended *in place* to the model's dataset (bumping its data epoch), and
-CI decisions far from the significance threshold are replayed from the
-:class:`CIDecisionCache` instead of being recomputed.  Three nested fast
-paths re-estimate the structure:
-
-1. *Trace validation* — the previous discovery run's CI-decision sequence is
-   revalidated against the grown data (mostly cache lookups); if every
-   decision still holds, the previous skeleton, separating sets and PAG are
-   what a cold traversal would reproduce and are reused verbatim.  The
-   guarantee is exact up to the cache's margin policy: decisions far from
-   the significance threshold may be served stale for a few epochs, so a
-   confident decision that flips immediately after new rows arrive is
-   caught one retest window later rather than instantly.
-2. *Structural warm start* (models without a recorded trace) — the skeleton
-   search starts from the previous graph, retests each removed edge against
-   its recorded separating set and each survivor against its current
-   neighbourhood, and carries the separating sets into FCI orientation.
-3. *Cached replay* — when the structure moved, the cold traversal re-runs
-   with the CI cache serving every non-borderline decision, which costs
-   dictionary lookups plus the genuinely new tests.
+connected constraint graph.  ``update`` is the incremental path: new samples
+are appended *in place* to the model's dataset (bumping its data epoch) and
+the same FCI traversal re-runs with the :class:`CIDecisionCache` serving
+every decision far from the significance threshold, so a relearn costs
+dictionary lookups plus the genuinely new tests on the borderline fringe.
 
 Because the constraint structure and the CI decisions on the old data are
 largely stable, the learned graph converges as the active loop acquires
-samples (Fig. 11a tracks this via the structural Hamming distance) — and the
-incremental path re-examines only the borderline fringe.
+samples (Fig. 11a tracks this via the structural Hamming distance).
 """
 
 from __future__ import annotations
@@ -42,16 +25,10 @@ from typing import Mapping, Sequence
 
 from repro.discovery.constraints import StructuralConstraints
 from repro.discovery.entropic import EntropicOrienter
-from repro.discovery.fci import FCIResult, fci
-from repro.discovery.skeleton import SkeletonState
+from repro.discovery.fci import fci
 from repro.graph.mixed_graph import MixedGraph
 from repro.stats.dataset import Dataset
-from repro.stats.independence import (
-    CachedCITest,
-    CIDecision,
-    CIDecisionCache,
-    MixedCITest,
-)
+from repro.stats.independence import CachedCITest, CIDecisionCache, MixedCITest
 from repro.stats.sufficient import SufficientStats
 
 
@@ -66,12 +43,8 @@ class LearnedModel:
     ci_tests_performed: int = 0
     discovery_seconds: float = 0.0
     history: list[dict[str, float]] = field(default_factory=list)
-    #: warm-start snapshot for the next incremental update.
-    skeleton_state: SkeletonState | None = None
-    #: the CI-decision sequence of the discovery run that produced this
-    #: model; revalidating it verbatim proves the structure is still the one
-    #: a cold traversal would find (see ``CausalModelLearner.update``).
-    decision_trace: list[CIDecision] | None = field(default=None, repr=False)
+    #: always None (no CI-decision trace is recorded); perfbench/tracing.py reads it.
+    decision_trace: None = None
     #: True when this model came out of the incremental path.
     incremental: bool = False
 
@@ -84,39 +57,21 @@ class LearnedModel:
 
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict:
-        """JSON-safe snapshot of the model and its warm-start machinery.
+        """JSON-safe snapshot of the model.
 
-        Everything a deserialised model needs to keep taking the
-        incremental :meth:`CausalModelLearner.update` fast path is
-        captured: graph and PAG (via :meth:`MixedGraph.to_dict`), the
-        dataset (bitwise, via its base64 codec), the skeleton warm-start
-        state and the CI-decision trace.  Structural constraints are *not*
-        embedded — they are a pure function of the subject spec and the
-        loader passes them back to :meth:`from_dict`.
+        Captures graph and PAG (via :meth:`MixedGraph.to_dict`), the dataset
+        (bitwise, via its base64 codec) and the learning diagnostics — all a
+        deserialised model needs to keep taking the incremental
+        :meth:`CausalModelLearner.update` path.  Structural constraints are
+        *not* embedded — they are a pure function of the subject spec and
+        the loader passes them back to :meth:`from_dict`.
         """
-        skeleton = None
-        if self.skeleton_state is not None:
-            skeleton = {
-                "edges": sorted(sorted(pair)
-                                for pair in self.skeleton_state.edges),
-                "separating_sets": [
-                    [sorted(pair), sorted(members)]
-                    for pair, members in sorted(
-                        self.skeleton_state.separating_sets.items(),
-                        key=lambda item: sorted(item[0]))],
-            }
-        trace = None
-        if self.decision_trace is not None:
-            trace = [[d.x, d.y, list(d.conditioning), bool(d.independent)]
-                     for d in self.decision_trace]
         return {
             "graph": self.graph.to_dict(),
             "pag": self.pag.to_dict(),
             "data": self.data.to_dict(),
             "ci_tests_performed": int(self.ci_tests_performed),
             "history": [dict(h) for h in self.history],
-            "skeleton_state": skeleton,
-            "decision_trace": trace,
             "incremental": bool(self.incremental),
         }
 
@@ -124,6 +79,10 @@ class LearnedModel:
     def from_dict(cls, payload: dict,
                   constraints: StructuralConstraints) -> "LearnedModel":
         """Rebuild the model snapshotted by :meth:`to_dict`.
+
+        Keys this version does not read — e.g. ``skeleton_state`` and
+        ``decision_trace`` in documents written by earlier versions — are
+        ignored.
 
         Parameters
         ----------
@@ -133,20 +92,6 @@ class LearnedModel:
             The structural constraints of the owning subject (derived from
             its spec — see :class:`repro.core.unicorn.Unicorn`).
         """
-        skeleton = None
-        if payload.get("skeleton_state") is not None:
-            doc = payload["skeleton_state"]
-            skeleton = SkeletonState(
-                edges={frozenset(pair) for pair in doc["edges"]},
-                separating_sets={frozenset(pair): set(members)
-                                 for pair, members
-                                 in doc["separating_sets"]})
-        trace = None
-        if payload.get("decision_trace") is not None:
-            trace = [CIDecision(x=x, y=y, conditioning=tuple(conditioning),
-                                independent=bool(independent))
-                     for x, y, conditioning, independent
-                     in payload["decision_trace"]]
         return cls(
             graph=MixedGraph.from_dict(payload["graph"]),
             pag=MixedGraph.from_dict(payload["pag"]),
@@ -154,8 +99,6 @@ class LearnedModel:
             data=Dataset.from_dict(payload["data"]),
             ci_tests_performed=int(payload.get("ci_tests_performed", 0)),
             history=[dict(h) for h in payload.get("history", [])],
-            skeleton_state=skeleton,
-            decision_trace=trace,
             incremental=bool(payload.get("incremental", False)))
 
 
@@ -260,27 +203,9 @@ class CausalModelLearner:
         """
         started = time.perf_counter()
         self._ci_cache.clear()
-        data = data.copy()
-        session = self._bind_session(data)
-        session.ci_test.start_trace()
-        result = fci(session.variables, session.ci_test,
-                     constraints=self._constraints,
-                     max_condition_size=self._max_condition_size)
-        trace = session.ci_test.take_trace()
-        resolved = session.orienter.resolve(result.pag, self._constraints)
-        elapsed = time.perf_counter() - started
-        model = LearnedModel(
-            graph=resolved, pag=result.pag, constraints=self._constraints,
-            data=data, ci_tests_performed=result.tests_performed,
-            discovery_seconds=elapsed, skeleton_state=result.skeleton_state,
-            decision_trace=trace)
-        model.history.append({
-            "n_samples": float(data.n_rows),
-            "n_edges": float(resolved.num_edges()),
-            "seconds": elapsed,
-            "incremental": 0.0,
-        })
-        return model
+        session = self._bind_session(data.copy())
+        return self._discover(session, started, history=[],
+                              incremental=False)
 
     # ----------------------------------------------------------------- update
     def update(self, model: LearnedModel,
@@ -290,123 +215,45 @@ class CausalModelLearner:
         The new samples are appended **in place** to the model's dataset
         (``model.data`` is shared with the returned model, so earlier
         :class:`LearnedModel` handles observe the grown data as well), and
-        only the borderline fringe of the causal structure is re-examined:
-        skeleton and Possible-D-Sep pruning warm-start from the previous
-        :class:`SkeletonState`, far-from-threshold CI decisions replay from
-        the cache, and unchanged PAG edges keep their entropic orientation.
-        The previous history is carried over so callers can plot convergence
+        the cold FCI traversal re-runs with the CI cache serving every
+        decision that is not borderline.  By construction this produces
+        exactly what :meth:`learn` would on the grown data, up to confident
+        decisions the cache's margin policy chose not to retest yet.  The
+        previous history is carried over so callers can plot convergence
         (Fig. 11).
-
-        Models without a warm-start snapshot (or with a dataset that cannot
-        be grown in place) fall back to a cold re-learn over the concatenated
-        data, which is the behaviour of the original from-scratch path.
         """
         if not new_rows:
             return model
-        if model.skeleton_state is None:
-            updated = self.learn(model.data.append_rows(new_rows))
-            updated.history = model.history + updated.history
-            return updated
-
         started = time.perf_counter()
         session = self._session
         if session is None or session.data is not model.data:
-            # Foreign model (e.g. learned by another learner instance):
-            # adopt its dataset.  The cache is keyed by (x, y, Z) and epoch
-            # only, so decisions computed on the previously bound dataset
-            # must not leak into this one.
+            # Foreign model (e.g. learned by another learner instance or
+            # restored from a snapshot): adopt its dataset.  The cache is
+            # keyed by (x, y, Z) and epoch only, so decisions computed on
+            # the previously bound dataset must not leak into this one.
             self._ci_cache.clear()
             session = self._bind_session(model.data)
         model.data.append_rows_inplace(new_rows)
+        return self._discover(session, started, history=model.history,
+                              incremental=True)
 
-        result: FCIResult | None = None
-        trace: list[CIDecision] | None = None
-        validation_tests = 0
-        if model.decision_trace:
-            # Fast path — revalidate the previous run's decision sequence.
-            # A constraint-based search is a deterministic function of its
-            # CI decisions, so if every recorded decision still holds on the
-            # grown data the cold traversal would reproduce the previous
-            # structure verbatim; reuse it.  Most decisions replay from the
-            # cache, so this costs the borderline retests plus lookups —
-            # with the caveat that a confident decision served stale under
-            # the margin policy is only rechecked when its reuse window
-            # closes.
-            valid, validation_tests = self._trace_still_valid(
-                session, model.decision_trace)
-            if valid:
-                result = FCIResult(
-                    pag=model.pag.copy(),
-                    separating_sets=model.skeleton_state.separating_sets,
-                    tests_performed=validation_tests,
-                    skeleton_state=model.skeleton_state)
-                trace = model.decision_trace
-        else:
-            # No trace (e.g. a deserialised model): fall back to the
-            # structural warm start — FCI revalidates removed edges against
-            # their recorded separating sets and survivors against their
-            # current neighbourhoods and Possible-D-Sep sets.  The warm
-            # result is only accepted if it reproduces the previous
-            # structure exactly; any deviation escalates to the cold replay
-            # below, which also records a decision trace so subsequent
-            # updates take the sound fast path.
-            warm = fci(session.variables, session.ci_test,
-                       constraints=self._constraints,
-                       max_condition_size=self._max_condition_size,
-                       previous=model.skeleton_state)
-            validation_tests = warm.tests_performed
-            assert warm.skeleton_state is not None
-            previous = model.skeleton_state
-            if (warm.skeleton_state.edges == previous.edges
-                    and warm.skeleton_state.separating_sets
-                    == previous.separating_sets):
-                result = warm
-        if result is None:
-            # The structure moved, so the order-dependent PC traversal could
-            # settle elsewhere: re-run the cold traversal.  With the CI
-            # cache serving every decision that is not borderline, this
-            # replay costs dictionary lookups plus the genuinely new tests,
-            # and by construction it produces exactly what `learn` would (up
-            # to confident decisions the margin policy chose not to retest).
-            session.ci_test.start_trace()
-            result = fci(session.variables, session.ci_test,
-                         constraints=self._constraints,
-                         max_condition_size=self._max_condition_size)
-            trace = session.ci_test.take_trace()
-            result.tests_performed += validation_tests
+    def _discover(self, session: _LearnerSession, started: float,
+                  history: list[dict[str, float]],
+                  incremental: bool) -> LearnedModel:
+        """Run FCI + entropic resolution over the session's dataset."""
+        result = fci(session.variables, session.ci_test,
+                     constraints=self._constraints,
+                     max_condition_size=self._max_condition_size)
         resolved = session.orienter.resolve(result.pag, self._constraints)
         elapsed = time.perf_counter() - started
-        updated = LearnedModel(
+        model = LearnedModel(
             graph=resolved, pag=result.pag, constraints=self._constraints,
-            data=model.data, ci_tests_performed=result.tests_performed,
-            discovery_seconds=elapsed, skeleton_state=result.skeleton_state,
-            decision_trace=trace, incremental=True)
-        updated.history = model.history + [{
-            "n_samples": float(model.data.n_rows),
+            data=session.data, ci_tests_performed=result.tests_performed,
+            discovery_seconds=elapsed, incremental=incremental)
+        model.history = history + [{
+            "n_samples": float(session.data.n_rows),
             "n_edges": float(resolved.num_edges()),
             "seconds": elapsed,
-            "incremental": 1.0,
+            "incremental": float(incremental),
         }]
-        return updated
-
-    @staticmethod
-    def _trace_still_valid(session: _LearnerSession,
-                           trace: Sequence[CIDecision]) -> tuple[bool, int]:
-        """Check a recorded decision sequence against the current data.
-
-        Decisions are grouped by conditioning set so shared-set groups run
-        through the batch test (one sufficient-statistics pass); returns
-        ``(all decisions unchanged, number of decisions checked)``.
-        """
-        groups: dict[tuple[str, ...], list[CIDecision]] = {}
-        for decision in trace:
-            groups.setdefault(decision.conditioning, []).append(decision)
-        checked = 0
-        for conditioning, decisions in groups.items():
-            outcomes = session.ci_test.test_batch(
-                [(d.x, d.y) for d in decisions], list(conditioning))
-            checked += len(decisions)
-            for decision, outcome in zip(decisions, outcomes):
-                if outcome.independent != decision.independent:
-                    return False, checked
-        return True, checked
+        return model

@@ -6,12 +6,10 @@ with conditional-independence tests of increasing conditioning-set size, in
 the style of the PC/FCI skeleton phase.  The separating sets found along the
 way are recorded because the collider-orientation step of FCI needs them.
 
-For the incremental re-learning of Stage IV the search can also be
-*warm-started* from the previous model's :class:`SkeletonState`: instead of
-the fully connected constraint graph, the initial graph is the previous
-skeleton, each previously removed edge is revalidated against its recorded
-separating set (a single CI test, usually a cache hit), and only the edges
-whose removal no longer holds are reinstated for the full level-wise search.
+The incremental re-learning of Stage IV runs this same search from the
+fully connected graph; what makes it cheap is the
+:class:`~repro.stats.independence.CachedCITest` that replays every
+non-borderline decision from the previous data epoch.
 """
 
 from __future__ import annotations
@@ -37,27 +35,6 @@ class SkeletonResult:
         return self.separating_sets.get(frozenset((x, y)))
 
 
-@dataclass
-class SkeletonState:
-    """Reusable snapshot of a finished skeleton search.
-
-    Carried inside a learned model so the next incremental update can
-    warm-start :func:`learn_skeleton` (and FCI's Possible-D-Sep phase, whose
-    removals are folded into the same state) from where the previous
-    iteration ended.
-    """
-
-    edges: set[frozenset[str]]
-    separating_sets: dict[frozenset[str], set[str]]
-
-    @classmethod
-    def from_graph(cls, graph: MixedGraph,
-                   separating_sets: dict[frozenset[str], set[str]]
-                   ) -> "SkeletonState":
-        return cls(edges={frozenset((e.u, e.v)) for e in graph.edges()},
-                   separating_sets=dict(separating_sets))
-
-
 def initial_graph(variables: list[str],
                   constraints: StructuralConstraints | None) -> MixedGraph:
     """Fully connected circle-circle graph respecting adjacency constraints."""
@@ -68,55 +45,10 @@ def initial_graph(variables: list[str],
     return graph
 
 
-def _warm_start_graph(variables: list[str], ci_test: CITest,
-                      constraints: StructuralConstraints | None,
-                      previous: SkeletonState, required: set[frozenset[str]],
-                      result: SkeletonResult) -> MixedGraph:
-    """Initial graph for an incremental search, seeded from ``previous``.
-
-    Surviving edges are carried over; each removed edge is retested against
-    its recorded separating set and reinstated only when the independence no
-    longer holds (a borderline removal that flipped on new data).  Pairs the
-    previous state knows nothing about (new variables) start connected.
-    Retests sharing one separating set (most share the empty set from the
-    level-0 sweep) are batched into a single sufficient-statistics pass.
-    """
-    graph = MixedGraph(variables)
-    known = set(variables)
-    by_sepset: dict[tuple[str, ...], list[tuple[str, str]]] = {}
-    for u, v in itertools.combinations(variables, 2):
-        if constraints is not None and not constraints.adjacency_allowed(u, v):
-            continue
-        key = frozenset((u, v))
-        if key in required or key in previous.edges:
-            graph.add_edge(u, v, Mark.CIRCLE, Mark.CIRCLE)
-            continue
-        sepset = previous.separating_sets.get(key)
-        if sepset is None or not sepset <= known:
-            graph.add_edge(u, v, Mark.CIRCLE, Mark.CIRCLE)
-            continue
-        by_sepset.setdefault(tuple(sorted(sepset)), []).append((u, v))
-
-    batch_test = getattr(ci_test, "test_batch", None)
-    for sepset, pairs in by_sepset.items():
-        if batch_test is not None:
-            outcomes = batch_test(pairs, list(sepset))
-        else:
-            outcomes = [ci_test.test(u, v, list(sepset)) for u, v in pairs]
-        result.tests_performed += len(pairs)
-        for (u, v), outcome in zip(pairs, outcomes):
-            if outcome.independent:
-                result.separating_sets[frozenset((u, v))] = set(sepset)
-            else:
-                graph.add_edge(u, v, Mark.CIRCLE, Mark.CIRCLE)
-    return graph
-
-
 def learn_skeleton(variables: list[str], ci_test: CITest,
                    constraints: StructuralConstraints | None = None,
                    max_condition_size: int = 3,
-                   max_subsets_per_edge: int = 50,
-                   previous: SkeletonState | None = None) -> SkeletonResult:
+                   max_subsets_per_edge: int = 50) -> SkeletonResult:
     """PC-style skeleton search.
 
     For conditioning-set sizes ``0 .. max_condition_size`` every remaining
@@ -130,24 +62,12 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
     ``max_subsets_per_edge`` caps the number of conditioning subsets examined
     per edge per level, which keeps the search tractable while the graph is
     still dense in the first iterations.
-
-    ``previous`` warm-starts the search from an earlier skeleton (see
-    :class:`SkeletonState`); with a :class:`~repro.stats.independence.CachedCITest`
-    supplying the decisions this turns a full re-learn into a revalidation of
-    the borderline fringe (callers that need to detect deviation from
-    ``previous`` compare the resulting edges and separating sets, as
-    ``CausalModelLearner.update`` does).
     """
-    result = SkeletonResult(graph=MixedGraph(variables))
+    graph = initial_graph(variables, constraints)
+    result = SkeletonResult(graph=graph)
     required = set()
     if constraints is not None:
         required = {frozenset(edge) for edge in constraints.required_edges}
-    if previous is None:
-        graph = initial_graph(variables, constraints)
-    else:
-        graph = _warm_start_graph(variables, ci_test, constraints, previous,
-                                  required, result)
-    result.graph = graph
 
     batch_test = getattr(ci_test, "test_batch", None)
 

@@ -604,17 +604,18 @@ class ModelRegistry:
                              doc: dict) -> ModelEntry:
         """Materialise a fitted entry from a snapshot document.
 
-        The expensive pipeline is skipped entirely: the learned structure,
-        dataset and decision trace come back through
+        The expensive pipeline is skipped entirely: the learned structure
+        and dataset come back through
         :meth:`~repro.discovery.pipeline.LearnedModel.from_dict`, the
         fitted equations through
         :meth:`~repro.scm.fitting.FittedPerformanceModel.from_dict`
         (bitwise, via the array codec), and the engine adopts them as
         ``prefitted`` — so the reload performs no CI test and no
         least-squares solve, yet answers queries byte-identically to the
-        process that published the snapshot.  Later refreshes behave
-        exactly as on a continuously running entry: the restored decision
-        trace drives the learner's warm-start path and the restored drift
+        process that published the snapshot.  Later refreshes take the
+        same incremental path as on a continuously running entry (the
+        learner adopts the restored dataset and re-runs discovery over it,
+        starting with an empty CI-decision cache), and the restored drift
         baseline reproduces the refresh schedule.
         """
         unicorn = unicorn_from_spec(spec, use_batched=self.use_batched)
@@ -703,8 +704,9 @@ class ModelRegistry:
         path: the measurements append to the entry's loop state and the
         model re-learns immediately through :meth:`Unicorn.learn`'s
         incremental route (the dataset grows in place as a new data epoch,
-        discovery warm-starts from the previous structure, and the
-        existing engine is refreshed rather than rebuilt).
+        discovery re-runs with the CI-decision cache replaying every
+        non-borderline decision, and the existing engine is refreshed
+        rather than rebuilt).
 
         With a ``drift_threshold`` set, the measurements instead buffer in
         ``entry.pending`` while their prediction residuals feed the

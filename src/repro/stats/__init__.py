@@ -11,7 +11,6 @@ demand, and the entropy estimators required by the entropic orientation step.
 from repro.stats.dataset import Dataset
 from repro.stats.independence import (
     CachedCITest,
-    CIDecision,
     CIDecisionCache,
     CITest,
     FisherZTest,
@@ -33,7 +32,6 @@ __all__ = [
     "Dataset",
     "SufficientStats",
     "CachedCITest",
-    "CIDecision",
     "CIDecisionCache",
     "CITest",
     "FisherZTest",

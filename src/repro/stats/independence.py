@@ -327,16 +327,6 @@ class CICacheCounters:
         return (self.hits + self.stale_reused) / total
 
 
-@dataclass(frozen=True)
-class CIDecision:
-    """One CI decision in a recorded discovery trace."""
-
-    x: str
-    y: str
-    conditioning: tuple[str, ...]
-    independent: bool
-
-
 @dataclass
 class _CacheEntry:
     epoch: int
@@ -352,8 +342,9 @@ class CIDecisionCache:
     from the significance threshold, is overwhelmingly unlikely to flip from
     a handful of extra samples, and is served stale; a borderline decision is
     evicted so the caller retests it on the fresh data.  This is what makes
-    the warm-started skeleton search incremental — per iteration only the
-    borderline fringe of the previous model is re-examined.
+    the replayed skeleton search of an incremental update cheap — per
+    iteration only the borderline fringe of the previous model is
+    re-examined.
 
     Even a confident decision is only served for ``max_stale_epochs``
     consecutive bumps before it is retested: p-values drift as samples
@@ -440,15 +431,6 @@ class CachedCITest:
     ``epoch_fn`` supplies the current data epoch (normally the backing
     dataset's ``data_epoch``); every decision the inner test produces is
     recorded and replayed according to the cache's margin policy.
-
-    The wrapper can also *trace* the sequence of decisions it serves
-    (:meth:`start_trace` / :meth:`take_trace`).  A constraint-based search is
-    a deterministic function of its CI-decision sequence, so replaying a
-    recorded trace against fresh data and finding every decision unchanged
-    shows the search would reproduce the same graph — the basis of the
-    incremental fast path.  The check is exact up to the cache's margin
-    policy: decisions it serves stale are compared as-cached, not freshly
-    recomputed, until their reuse window closes.
     """
 
     def __init__(self, inner, cache: CIDecisionCache,
@@ -456,7 +438,6 @@ class CachedCITest:
         self._inner = inner
         self._cache = cache
         self._epoch_fn = epoch_fn
-        self._trace: list[CIDecision] | None = None
 
     @property
     def alpha(self) -> float:
@@ -470,17 +451,6 @@ class CachedCITest:
     def inner(self):
         return self._inner
 
-    # ---------------------------------------------------------------- tracing
-    def start_trace(self) -> None:
-        """Begin recording every decision served through this wrapper."""
-        self._trace = []
-
-    def take_trace(self) -> list["CIDecision"]:
-        """Stop recording and return the recorded decision sequence."""
-        trace = self._trace if self._trace is not None else []
-        self._trace = None
-        return trace
-
     # ---------------------------------------------------------------- testing
     def test(self, x: str, y: str,
              conditioning: Sequence[str] = ()) -> CIResult:
@@ -489,9 +459,6 @@ class CachedCITest:
         if result is None:
             result = self._inner.test(x, y, conditioning)
             self._cache.store(x, y, conditioning, epoch, result)
-        if self._trace is not None:
-            self._trace.append(
-                CIDecision(x, y, tuple(conditioning), result.independent))
         return result
 
     def test_batch(self, pairs: Sequence[tuple[str, str]],
@@ -514,8 +481,4 @@ class CachedCITest:
             for (i, (x, y)), result in zip(missing, fresh):
                 self._cache.store(x, y, conditioning, epoch, result)
                 results[i] = result
-        if self._trace is not None:
-            for (x, y), result in zip(pairs, results):
-                self._trace.append(
-                    CIDecision(x, y, tuple(conditioning), result.independent))
         return results  # type: ignore[return-value]

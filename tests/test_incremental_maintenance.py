@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.unicorn import LoopState, Unicorn, UnicornConfig
-from repro.discovery.pipeline import CausalModelLearner
+from repro.discovery.pipeline import CausalModelLearner, LearnedModel
 from repro.graph.distances import structural_hamming_distance
 from repro.stats.independence import (
     CachedCITest,
@@ -159,7 +159,9 @@ def _measure_batches(system, rng, n_batches, batch_size=1):
 def test_incremental_update_equals_cold_learn(make_system, n0, n_updates,
                                               seed, mcs):
     """`update(model, rows)` must land on the same graph as a cold `learn`
-    over all the data, on seeded synthetic systems."""
+    over all the data, on seeded synthetic systems — also when the learned
+    model was round-tripped through `to_dict`/`from_dict` and the updates
+    run on a fresh learner (a model restored from the store)."""
     system = make_system()
     rng = np.random.default_rng(seed)
     _, data0 = system.random_dataset(n0, rng)
@@ -167,8 +169,11 @@ def test_incremental_update_equals_cold_learn(make_system, n0, n_updates,
 
     inc = CausalModelLearner(system.constraints(), max_condition_size=mcs)
     model = inc.learn(data0)
+    restored = LearnedModel.from_dict(model.to_dict(), system.constraints())
+    fresh = CausalModelLearner(system.constraints(), max_condition_size=mcs)
     for rows in batches:
         model = inc.update(model, rows)
+        restored = fresh.update(restored, rows)
 
     cold_learner = CausalModelLearner(system.constraints(),
                                       max_condition_size=mcs)
@@ -177,46 +182,11 @@ def test_incremental_update_equals_cold_learn(make_system, n0, n_updates,
         cold_data = cold_data.append_rows(rows)
     cold = cold_learner.learn(cold_data)
 
-    assert model.n_samples == cold.n_samples == n0 + n_updates
-    assert structural_hamming_distance(model.graph, cold.graph) == 0
-    assert structural_hamming_distance(model.pag, cold.pag) == 0
-    assert model.incremental and not cold.incremental
-
-
-def test_update_without_trace_uses_structural_warm_start():
-    """A model with a skeleton snapshot but no decision trace (e.g. one
-    restored from disk) goes through the warm-started FCI path; once a
-    replay happens the model regains a trace."""
-    system = make_cache_example()
-    rng = np.random.default_rng(17)
-    _, data = system.random_dataset(150, rng)
-    learner = CausalModelLearner(system.constraints(), max_condition_size=1)
-    model = learner.learn(data)
-    model.decision_trace = None
-    assert model.skeleton_state is not None
-    for rows in _measure_batches(system, rng, 3):
-        model = learner.update(model, rows)
-        assert model.incremental
-    # The structure either stayed at its warm-start fixed point (no trace)
-    # or was re-established by a traced cold replay.
-    cold = CausalModelLearner(system.constraints(),
-                              max_condition_size=1).learn(
-        model.data.subset(model.data.columns))
-    assert structural_hamming_distance(model.graph, cold.graph) == 0
-
-
-def test_update_without_snapshot_falls_back_to_cold_path():
-    system = make_cache_example()
-    rng = np.random.default_rng(5)
-    _, data = system.random_dataset(120, rng)
-    learner = CausalModelLearner(system.constraints(), max_condition_size=1)
-    model = learner.learn(data)
-    model.skeleton_state = None  # e.g. a model deserialised from an old run
-    rows = _measure_batches(system, rng, 1, batch_size=5)[0]
-    updated = learner.update(model, rows)
-    assert updated.n_samples == model.n_samples + 5
-    assert not updated.incremental
-    assert len(updated.history) == len(model.history) + 1
+    for learned in (model, restored):
+        assert learned.n_samples == cold.n_samples == n0 + n_updates
+        assert structural_hamming_distance(learned.graph, cold.graph) == 0
+        assert structural_hamming_distance(learned.pag, cold.pag) == 0
+        assert learned.incremental and not cold.incremental
 
 
 def test_update_reports_cache_effectiveness():

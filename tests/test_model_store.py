@@ -13,6 +13,9 @@ Covers the durability contracts the store-backed serving tier promises:
 * **fail-closed loads** — truncated, corrupt, wrong-format or dangling
   snapshots load as ``None`` and the registry falls back to a clean
   refit (then repairs the store by publishing a fresh snapshot);
+* **old layouts** — snapshots that still carry the dropped
+  ``skeleton_state`` / ``decision_trace`` keys load under the same
+  ``STORE_FORMAT`` and answer like new-layout ones;
 * **layout** — versioned snapshot files with an atomic ``LATEST``
   pointer, pruning beyond ``retain``, instant rollback;
 * **eviction flush** — the LRU regression fix: an evicted entry's
@@ -28,6 +31,8 @@ Covers the durability contracts the store-backed serving tier promises:
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -104,6 +109,43 @@ def round_trip(tmp_path_factory):
     restored = restored_registry.get_or_fit(SPEC)
     assert restored_registry.store_loads == 1
     return store, entry, restored, make_cache_example()
+
+
+def test_old_layout_snapshot_with_stale_keys_still_loads(round_trip,
+                                                         tmp_path):
+    """Snapshots written before the CI-decision trace and the skeleton
+    warm-start state were dropped still carry ``skeleton_state`` and
+    ``decision_trace`` inside ``learned``.  Same store format, so they must
+    load — the stale keys ignored, not rejected — and answer exactly like a
+    new-layout snapshot."""
+    store, entry, restored, system = round_trip
+    assert STORE_FORMAT == 1
+    doc = store.load(entry.store_key)
+    assert "skeleton_state" not in doc["learned"]
+    assert "decision_trace" not in doc["learned"]
+    pag = restored.state.learned.pag
+    edges = sorted(sorted((e.u, e.v)) for e in pag.edges())
+    nodes = sorted(pag.nodes)
+    doc["learned"]["skeleton_state"] = {
+        "edges": edges,
+        "separating_sets": [[sorted(pair), []]
+                            for pair in itertools.combinations(nodes, 2)
+                            if sorted(pair) not in edges]}
+    doc["learned"]["decision_trace"] = [[x, y, [], [x, y] not in edges]
+                                        for x, y in
+                                        itertools.combinations(nodes, 2)]
+    old_store = ModelStore(tmp_path)
+    old_store.publish(entry.store_key, doc)
+    loader = ModelRegistry(capacity=4, store=old_store)
+    old = loader.get_or_fit(SPEC)
+    assert loader.store_loads == 1
+    assert old.state.learned.decision_trace is None
+    batcher = RequestBatcher()
+    for seed in range(4):
+        requests = mixed_workload(entry.key, entry.engine, system.objectives,
+                                  10, seed=seed, max_repairs=12)
+        assert canonical_answers(batcher.dispatch(old, requests)) == \
+            canonical_answers(batcher.dispatch(restored, requests))
 
 
 def test_restore_skips_the_fit_but_matches_its_state(round_trip):
