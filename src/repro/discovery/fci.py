@@ -3,10 +3,10 @@
 FCI extends the PC skeleton search to settings with unobserved confounders:
 after the skeleton and collider orientation, a second pruning phase tests
 edges against subsets of the Possible-D-Sep sets, and a set of orientation
-rules (Zhang's rules; we implement R1-R4, which are the complete set for the
-graphs without selection bias that performance data produces) propagates the
-collider information through the graph.  The output is a partial ancestral
-graph (PAG) whose circle marks are later resolved by the entropic orienter.
+rules (Zhang's rules R1-R3; R4, which needs discriminating paths, is not
+implemented) propagates the collider information through the graph.  The
+output is a partial ancestral graph (PAG) whose circle marks are later
+resolved by the entropic orienter.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from repro.discovery.constraints import StructuralConstraints
-from repro.discovery.skeleton import SkeletonResult, learn_skeleton
+from repro.discovery.skeleton import (SkeletonResult, SkeletonSpace,
+                                      learn_skeleton)
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
 from repro.graph.separation import possible_d_sep
@@ -81,12 +82,16 @@ def _tail_allowed(constraints: StructuralConstraints | None,
 
 
 # ---------------------------------------------------------------------------
-# Zhang orientation rules R1 - R4
+# Zhang orientation rules R1 - R3
 # ---------------------------------------------------------------------------
 def apply_orientation_rules(graph: MixedGraph,
                             constraints: StructuralConstraints | None = None,
                             max_iterations: int = 100) -> None:
-    """Apply FCI orientation rules R1-R4 until a fixed point is reached."""
+    """Apply FCI orientation rules R1-R3 until a fixed point is reached.
+
+    Zhang's R4 (discriminating paths) is not implemented, so the PAG can
+    keep circle marks that a complete rule set would orient.
+    """
     for _ in range(max_iterations):
         changed = False
         changed |= _rule_r1(graph, constraints)
@@ -217,16 +222,18 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
 # ---------------------------------------------------------------------------
 def fci(variables: list[str], ci_test: CITest,
         constraints: StructuralConstraints | None = None,
-        max_condition_size: int = 3) -> FCIResult:
+        max_condition_size: int = 3,
+        space: SkeletonSpace | None = None) -> FCIResult:
     """Run FCI and return a PAG.
 
     Steps: PC-style skeleton, collider orientation, Possible-D-Sep pruning,
-    re-initialisation of marks, collider re-orientation and the R1-R4
-    orientation rules, following the standard FCI recipe.
+    re-initialisation of marks, collider re-orientation and the R1-R3
+    orientation rules, following the standard FCI recipe.  ``space`` is
+    handed to :func:`learn_skeleton`.
     """
     skeleton: SkeletonResult = learn_skeleton(
         variables, ci_test, constraints=constraints,
-        max_condition_size=max_condition_size)
+        max_condition_size=max_condition_size, space=space)
     graph = skeleton.graph
     sepsets = skeleton.separating_sets
     tests = skeleton.tests_performed

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 from repro.discovery.constraints import StructuralConstraints
 from repro.discovery.entropic import EntropicOrienter
 from repro.discovery.fci import fci
+from repro.discovery.skeleton import SkeletonSpace
 from repro.graph.mixed_graph import MixedGraph
 from repro.stats.dataset import Dataset
 from repro.stats.independence import CachedCITest, CIDecisionCache, MixedCITest
@@ -107,7 +108,7 @@ class _LearnerSession:
     """Statistical machinery kept alive across incremental updates."""
 
     data: Dataset
-    variables: list[str]
+    space: SkeletonSpace
     stats: SufficientStats
     ci_test: CachedCITest
     orienter: EntropicOrienter
@@ -189,8 +190,10 @@ class CausalModelLearner:
             entropy_threshold_factor=self._threshold_factor,
             seed=self._seed, stats=stats)
         self._session = _LearnerSession(
-            data=data, variables=self._model_variables(data), stats=stats,
-            ci_test=ci_test, orienter=orienter)
+            data=data,
+            space=SkeletonSpace(self._model_variables(data),
+                                self._constraints),
+            stats=stats, ci_test=ci_test, orienter=orienter)
         return self._session
 
     # ------------------------------------------------------------------ learn
@@ -241,9 +244,10 @@ class CausalModelLearner:
                   history: list[dict[str, float]],
                   incremental: bool) -> LearnedModel:
         """Run FCI + entropic resolution over the session's dataset."""
-        result = fci(session.variables, session.ci_test,
+        result = fci(session.space.variables, session.ci_test,
                      constraints=self._constraints,
-                     max_condition_size=self._max_condition_size)
+                     max_condition_size=self._max_condition_size,
+                     space=session.space)
         resolved = session.orienter.resolve(result.pag, self._constraints)
         elapsed = time.perf_counter() - started
         model = LearnedModel(

@@ -10,17 +10,31 @@ The incremental re-learning of Stage IV runs this same search from the
 fully connected graph; what makes it cheap is the
 :class:`~repro.stats.independence.CachedCITest` that replays every
 non-borderline decision from the previous data epoch.
+
+The search runs on integer indices.  :class:`SkeletonSpace` numbers the
+variables in sorted-name order and holds what depends only on the variable
+set and the constraints: the allowed pairs, the required pairs and the
+variables a conditioning set may contain.  A learner builds it once per
+session, not once per relearn.  During the search adjacency is a list of int
+sets, and conditioning sets are tuples of the CI test's column indices, so a
+test reaches :meth:`~repro.stats.independence.CachedCITest.test_index`
+without any name lookups.  The :class:`MixedGraph` is built once, at the
+end, from the surviving pairs.  Pairs are visited in the order
+``MixedGraph.edges()`` visits the fully connected graph, and sorting local
+ids sorts names.  Every CI test is therefore issued in the order, and with
+the conditioning tuple, of a name-based traversal of that graph.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.discovery.constraints import StructuralConstraints
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
-from repro.stats.independence import CITest
+from repro.stats.independence import CIResult, CITest
 
 
 @dataclass
@@ -35,85 +49,202 @@ class SkeletonResult:
         return self.separating_sets.get(frozenset((x, y)))
 
 
+class SkeletonSpace:
+    """A variable set under structural constraints, numbered for the search.
+
+    Local id ``k`` stands for ``names[k]``, the ``k``-th variable in sorted
+    name order.  ``pairs`` lists the constraint-allowed pairs ``(u, v)`` in
+    the order ``MixedGraph.edges()`` visits the fully connected graph over
+    ``variables``: ``u`` by position in ``variables``, then ``v`` by name,
+    with ``u`` before ``v`` in ``variables``.  ``required`` holds the pairs
+    the constraints force into the graph (never tested), ``testable`` the
+    other pairs in visiting order, and ``conditioning`` the ids allowed in a
+    conditioning set (``None`` when every variable is).
+    """
+
+    def __init__(self, variables: Sequence[str],
+                 constraints: StructuralConstraints | None = None) -> None:
+        self.variables = list(variables)
+        self.names = sorted(self.variables)
+        local = {name: k for k, name in enumerate(self.names)}
+        self.position = [0] * len(self.names)
+        for p, name in enumerate(self.variables):
+            self.position[local[name]] = p
+        allowed = (constraints.adjacency_allowed if constraints is not None
+                   else lambda u, v: True)
+        self.pairs = [(local[u], v)
+                      for p, u in enumerate(self.variables)
+                      for v, name in enumerate(self.names)
+                      if self.position[v] > p and allowed(u, name)]
+        required = set() if constraints is None else {
+            frozenset(edge) for edge in constraints.required_edges}
+        self.required = frozenset(
+            (u, v) for u, v in self.pairs
+            if frozenset((self.names[u], self.names[v])) in required)
+        self.testable = [pair for pair in self.pairs
+                         if pair not in self.required]
+        self.conditioning = None if constraints is None else frozenset(
+            k for k, name in enumerate(self.names)
+            if constraints.conditioning_allowed(name))
+        self.adjacency: list[set[int]] = [set() for _ in self.names]
+        for u, v in self.pairs:
+            self.adjacency[u].add(v)
+            self.adjacency[v].add(u)
+        self.pair_names = {(u, v): frozenset((self.names[u], self.names[v]))
+                           for u, v in self.pairs}
+        self._columns: list[int] | None = None
+        self._testable_columns: list[tuple[int, int]] = []
+
+    def testable_columns(self, columns: list[int]) -> list[tuple[int, int]]:
+        """``testable`` as pairs of ``columns`` entries, kept while the
+        column numbering stays the same (one CI test per learner session)."""
+        if columns != self._columns:
+            self._columns = columns
+            self._testable_columns = [(columns[u], columns[v])
+                                      for u, v in self.testable]
+        return self._testable_columns
+
+    def graph(self, pairs: Sequence[tuple[int, int]]) -> MixedGraph:
+        """Circle-circle graph over ``variables`` with the given pairs.
+
+        Edges are added in ``itertools.combinations(variables, 2)`` order,
+        whatever the order of ``pairs``.
+        """
+        position, names = self.position, self.names
+        graph = MixedGraph(self.variables)
+        for u, v in sorted(pairs, key=lambda p: (position[p[0]],
+                                                 position[p[1]])):
+            graph.add_edge(names[u], names[v], Mark.CIRCLE, Mark.CIRCLE)
+        return graph
+
+
 def initial_graph(variables: list[str],
                   constraints: StructuralConstraints | None) -> MixedGraph:
     """Fully connected circle-circle graph respecting adjacency constraints."""
-    graph = MixedGraph(variables)
-    for u, v in itertools.combinations(variables, 2):
-        if constraints is None or constraints.adjacency_allowed(u, v):
-            graph.add_edge(u, v, Mark.CIRCLE, Mark.CIRCLE)
-    return graph
+    space = SkeletonSpace(variables, constraints)
+    return space.graph(space.pairs)
+
+
+class _NameSpaceTest:
+    """Index-space view of a name-based :class:`CITest`.
+
+    Column ``k`` is ``names[k]``; used for tests that have no index-space
+    entry points of their own.
+    """
+
+    def __init__(self, ci_test: CITest, names: list[str]) -> None:
+        self._test = ci_test
+        self._names = names
+
+    def test_index(self, i: int, j: int,
+                   conditioning: Sequence[int] = ()) -> CIResult:
+        names = self._names
+        return self._test.test(names[i], names[j],
+                               [names[k] for k in conditioning])
+
+    def test_batch_index(self, pairs: Sequence[tuple[int, int]],
+                         conditioning: Sequence[int] = ()
+                         ) -> list[CIResult]:
+        names = self._names
+        named = [(names[i], names[j]) for i, j in pairs]
+        batch = getattr(self._test, "test_batch", None)
+        if batch is None:
+            return [self._test.test(x, y, []) for x, y in named]
+        return batch(named, tuple(names[k] for k in conditioning))
 
 
 def learn_skeleton(variables: list[str], ci_test: CITest,
                    constraints: StructuralConstraints | None = None,
                    max_condition_size: int = 3,
-                   max_subsets_per_edge: int = 50) -> SkeletonResult:
+                   max_subsets_per_edge: int = 50,
+                   space: SkeletonSpace | None = None) -> SkeletonResult:
     """PC-style skeleton search.
 
     For conditioning-set sizes ``0 .. max_condition_size`` every remaining
     edge ``x - y`` is tested against subsets of the current adjacency of
     ``x`` (and of ``y``); if any test declares independence the edge is
-    removed and the separating set recorded.
+    removed and the separating set recorded.  Within a level, edges are
+    visited in ``MixedGraph.edges()`` order and subsets in name order, and
+    an edge removed earlier in the level shrinks the adjacency of the edges
+    tested after it.  Level 0 is one ``test_batch`` call.
 
     ``max_condition_size`` bounds the cost; the causal performance models of
     the paper are sparse (average node degree below 4 even for SQLite's 242
     options), so small conditioning sets suffice in practice.
     ``max_subsets_per_edge`` caps the number of conditioning subsets examined
     per edge per level, which keeps the search tractable while the graph is
-    still dense in the first iterations.
+    still dense in the first iterations.  ``space`` is the
+    :class:`SkeletonSpace` of ``variables`` and ``constraints``; callers that
+    relearn over the same variables pass it to skip rebuilding it.
     """
-    graph = initial_graph(variables, constraints)
-    result = SkeletonResult(graph=graph)
-    required = set()
-    if constraints is not None:
-        required = {frozenset(edge) for edge in constraints.required_edges}
+    if space is None:
+        space = SkeletonSpace(variables, constraints)
+    names = space.names
+    if hasattr(ci_test, "test_index"):
+        columns = [ci_test.column_index(name) for name in names]
+        indexed = ci_test
+    else:
+        columns = list(range(len(names)))
+        indexed = _NameSpaceTest(ci_test, names)
+    test = indexed.test_index
+    adjacency = [set(adjacent) for adjacent in space.adjacency]
+    conditioning = space.conditioning
+    # Separating sets as column tuples, in removal order.
+    separating: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    batch_test = getattr(ci_test, "test_batch", None)
+    # Required pairs stay in ``adjacency`` but are never tested, so
+    # ``edges`` holds only the surviving testable pairs, in visiting order.
+    outcomes = indexed.test_batch_index(space.testable_columns(columns), ())
+    tests = len(outcomes)
+    edges = []
+    for pair, outcome in zip(space.testable, outcomes):
+        if outcome.independent:
+            u, v = pair
+            adjacency[u].discard(v)
+            adjacency[v].discard(u)
+            separating[pair] = ()
+        else:
+            edges.append(pair)
 
-    for level in range(max_condition_size + 1):
+    # Level 0 always proceeds to level 1 (the marginal sweep says nothing
+    # about conditional independencies); from level 1 onward an empty level
+    # means no larger conditioning set can succeed either.
+    for level in range(1, max_condition_size + 1):
+        edges = [(u, v) for u, v in edges if v in adjacency[u]]
         removed_any = False
-        if level == 0 and batch_test is not None:
-            # Every level-0 test shares the empty conditioning set, so the
-            # whole sweep collapses into one vectorized batch.
-            pairs = [(e.u, e.v) for e in graph.edges()
-                     if frozenset((e.u, e.v)) not in required]
-            outcomes = batch_test(pairs, ())
-            result.tests_performed += len(pairs)
-            for (x, y), outcome in zip(pairs, outcomes):
-                if outcome.independent:
-                    graph.remove_edge(x, y)
-                    result.separating_sets[frozenset((x, y))] = set()
-                    removed_any = True
-            continue
-        for edge in list(graph.edges()):
-            x, y = edge.u, edge.v
-            if not graph.has_edge(x, y):
+        for u, v in edges:
+            if v not in adjacency[u]:
                 continue
-            if frozenset((x, y)) in required:
-                continue
-            neighbours = ((graph.neighbors(x) - {y})
-                          | (graph.neighbors(y) - {x}))
-            if constraints is not None:
-                neighbours = {n for n in neighbours
-                              if constraints.conditioning_allowed(n)}
+            neighbours = adjacency[u] | adjacency[v]
+            neighbours.discard(u)
+            neighbours.discard(v)
+            if conditioning is not None:
+                neighbours &= conditioning
             if len(neighbours) < level:
                 continue
+            x, y = columns[u], columns[v]
             subsets = itertools.islice(
-                itertools.combinations(sorted(neighbours), level),
+                itertools.combinations([columns[k] for k in sorted(neighbours)],
+                                       level),
                 max_subsets_per_edge)
             for subset in subsets:
-                result.tests_performed += 1
-                outcome = ci_test.test(x, y, list(subset))
-                if outcome.independent:
-                    graph.remove_edge(x, y)
-                    result.separating_sets[frozenset((x, y))] = set(subset)
+                tests += 1
+                if test(x, y, subset).independent:
+                    adjacency[u].discard(v)
+                    adjacency[v].discard(u)
+                    separating[(u, v)] = subset
                     removed_any = True
                     break
-        # Level 0 always proceeds to level 1 even when nothing was removed
-        # (the marginal sweep says nothing about conditional independencies);
-        # from level 1 onward an empty level means no larger conditioning set
-        # can succeed either, so the search stops.
-        if level > 0 and not removed_any:
+        if not removed_any:
             break
-    return result
+
+    column_names = dict(zip(columns, names))
+    pair_names = space.pair_names
+    return SkeletonResult(
+        graph=space.graph([*space.required,
+                           *((u, v) for u, v in edges if v in adjacency[u])]),
+        separating_sets={
+            pair_names[pair]: {column_names[c] for c in subset}
+            if subset else set()
+            for pair, subset in separating.items()},
+        tests_performed=tests)

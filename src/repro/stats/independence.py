@@ -16,6 +16,12 @@ pass, and :class:`CIDecisionCache` / :class:`CachedCITest` let the
 incremental model-maintenance layer reuse decisions across data epochs: a
 decision whose p-value sits far from the significance threshold survives an
 epoch bump untested, while borderline decisions are retested on fresh data.
+
+:class:`FisherZTest`, :class:`MixedCITest` and :class:`CachedCITest` also
+have an *index-space* form, ``test_index(i, j, Z)`` and
+``test_batch_index(pairs, Z)``, over the dataset's column indices (names map
+to indices through ``column_index``).  The skeleton search calls these
+directly; the name-based methods are thin wrappers over them.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from scipy import stats as scipy_stats
 
 from repro.stats.dataset import Dataset
 from repro.stats.entropy import mutual_information
-from repro.stats.sufficient import SufficientStats
+from repro.stats.sufficient import SufficientStats, normalise_pairs
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,26 @@ def _fisher_z_from_correlation(corr: float, n: int, k: int,
                     statistic=float(statistic))
 
 
+def _fisher_z_from_correlations(corr: np.ndarray, n: int, k: int,
+                                alpha: float) -> list[CIResult]:
+    """:func:`_fisher_z_from_correlation` over an array, bit for bit.
+
+    The ratio, the scaling and the division by sqrt(2) run in numpy: each is
+    one IEEE operation, so the array form rounds exactly as the scalar one.
+    ``log`` and ``erfc`` stay per-element ``math`` calls, because numpy's
+    vectorised ``log`` may differ from libm in the last bit.
+    """
+    if n - k - 3 <= 0:
+        return [_fisher_z_from_correlation(0.0, n, k, alpha) for _ in corr]
+    log = math.log
+    ratios = ((1 + corr) / (1 - corr)).tolist()
+    statistics = math.sqrt(n - k - 3) * np.abs(
+        np.array([0.5 * log(q) for q in ratios]))
+    p_values = map(math.erfc, (statistics / math.sqrt(2)).tolist())
+    return [CIResult(p > alpha, p, statistic)
+            for p, statistic in zip(p_values, statistics.tolist())]
+
+
 def fisher_z(data: np.ndarray, i: int, j: int,
              conditioning: Sequence[int] = (), alpha: float = 0.05) -> CIResult:
     """Fisher z conditional-independence test on raw column indices."""
@@ -135,11 +161,18 @@ class FisherZTest:
     def sufficient_stats(self) -> SufficientStats:
         return self._stats
 
+    def column_index(self, name: str) -> int:
+        return self._data.column_index(name)
+
     def test(self, x: str, y: str,
              conditioning: Sequence[str] = ()) -> CIResult:
         idx = self._data.column_index
-        corr = self._stats.partial_correlation(
-            idx(x), idx(y), [idx(c) for c in conditioning])
+        return self.test_index(idx(x), idx(y), [idx(c) for c in conditioning])
+
+    def test_index(self, i: int, j: int,
+                   conditioning: Sequence[int] = ()) -> CIResult:
+        """:meth:`test` on column indices."""
+        corr = self._stats.partial_correlation(i, j, conditioning)
         return _fisher_z_from_correlation(corr, self._data.n_rows,
                                           len(conditioning), self._alpha)
 
@@ -152,17 +185,34 @@ class FisherZTest:
         skeleton level-0 sweep costs one covariance pass.
         """
         idx = self._data.column_index
-        involved = sorted({idx(v) for x, y in pairs for v in (x, y)})
-        position = {column: k for k, column in enumerate(involved)}
-        matrix = self._stats.partial_correlations(
-            involved, [idx(c) for c in conditioning])
-        n, k = self._data.n_rows, len(conditioning)
-        return [
-            _fisher_z_from_correlation(
-                float(matrix[position[idx(x)], position[idx(y)]]), n, k,
-                self._alpha)
-            for x, y in pairs
-        ]
+        return self.test_batch_index([(idx(x), idx(y)) for x, y in pairs],
+                                     [idx(c) for c in conditioning])
+
+    def test_batch_index(self, pairs: Sequence[tuple[int, int]],
+                         conditioning: Sequence[int] = ()
+                         ) -> list[CIResult]:
+        """:meth:`test_batch` on column indices.
+
+        Every pair's correlation is read from the upper triangle of the
+        involved block (``lo = min(i, j)``, ``hi = max(i, j)``); with an
+        empty conditioning set the block is the cached covariance itself, so
+        the whole sweep is three gathers and one vectorised normalisation.
+        """
+        if not pairs:
+            return []
+        first, second = np.array(pairs, dtype=np.intp).T
+        lo = np.minimum(first, second)
+        hi = np.maximum(first, second)
+        if conditioning:
+            involved = np.union1d(lo, hi)
+            matrix = self._stats.partial_correlations(involved, conditioning)
+            corr = matrix[np.searchsorted(involved, lo),
+                          np.searchsorted(involved, hi)]
+        else:
+            cov = self._stats.covariance()
+            corr = normalise_pairs(cov[lo, hi], cov[lo, lo], cov[hi, hi])
+        return _fisher_z_from_correlations(corr, self._data.n_rows,
+                                           len(conditioning), self._alpha)
 
 
 # --------------------------------------------------------------------------
@@ -262,6 +312,8 @@ class MixedCITest:
         self._gsq = GSquareTest(data, alpha=alpha, bins=bins,
                                 stats=self._stats)
         self._max_cells_fraction = max_cells_fraction
+        self._names = data.columns
+        self._discrete = [data.is_discrete(c) for c in self._names]
 
     @property
     def alpha(self) -> float:
@@ -271,37 +323,65 @@ class MixedCITest:
     def sufficient_stats(self) -> SufficientStats:
         return self._stats
 
-    def _use_gsquare(self, x: str, y: str,
-                     conditioning: Sequence[str]) -> bool:
-        involved = [x, y, *conditioning]
-        if not all(self._data.is_discrete(c) for c in involved):
+    def column_index(self, name: str) -> int:
+        return self._data.column_index(name)
+
+    def _use_gsquare(self, i: int, j: int,
+                     conditioning: Sequence[int]) -> bool:
+        """G-test eligibility of one index-space test.
+
+        The discreteness flags are fixed per dataset and the cardinalities
+        are cached per data epoch by the shared :class:`SufficientStats`, so
+        the common mixed case (a continuous event on either side) costs two
+        list reads.
+        """
+        discrete = self._discrete
+        if not (discrete[i] and discrete[j]
+                and all(discrete[k] for k in conditioning)):
             return False
+        cardinality, names = self._stats.cardinality, self._names
         cells = 1
-        for column in involved:
-            cells *= self._stats.cardinality(column)
+        for column in (i, j, *conditioning):
+            cells *= cardinality(names[column])
         return cells <= max(self._max_cells_fraction * self._data.n_rows, 8)
 
     def test(self, x: str, y: str,
              conditioning: Sequence[str] = ()) -> CIResult:
-        if self._use_gsquare(x, y, conditioning):
-            return self._gsq.test(x, y, conditioning)
-        return self._fisher.test(x, y, conditioning)
+        idx = self._data.column_index
+        return self.test_index(idx(x), idx(y), [idx(c) for c in conditioning])
+
+    def test_index(self, i: int, j: int,
+                   conditioning: Sequence[int] = ()) -> CIResult:
+        """:meth:`test` on column indices."""
+        if self._use_gsquare(i, j, conditioning):
+            return self._gsquare(i, j, conditioning)
+        return self._fisher.test_index(i, j, conditioning)
+
+    def _gsquare(self, i: int, j: int, conditioning: Sequence[int]
+                 ) -> CIResult:
+        names = self._names
+        return self._gsq.test(names[i], names[j],
+                              [names[k] for k in conditioning])
 
     def test_batch(self, pairs: Sequence[tuple[str, str]],
                    conditioning: Sequence[str] = ()) -> list[CIResult]:
         """Batch variant of :meth:`test` for one shared conditioning set."""
-        fisher_pairs = [(i, pair) for i, pair in enumerate(pairs)
-                        if not self._use_gsquare(*pair, conditioning)]
-        results: list[CIResult | None] = [None] * len(pairs)
-        if fisher_pairs:
-            batch = self._fisher.test_batch([p for _, p in fisher_pairs],
-                                            conditioning)
-            for (i, _), result in zip(fisher_pairs, batch):
-                results[i] = result
-        for i, (x, y) in enumerate(pairs):
-            if results[i] is None:
-                results[i] = self._gsq.test(x, y, conditioning)
-        return results  # type: ignore[return-value]
+        idx = self._data.column_index
+        return self.test_batch_index([(idx(x), idx(y)) for x, y in pairs],
+                                     [idx(c) for c in conditioning])
+
+    def test_batch_index(self, pairs: Sequence[tuple[int, int]],
+                         conditioning: Sequence[int] = ()
+                         ) -> list[CIResult]:
+        """:meth:`test_batch` on column indices."""
+        gsquare = [self._use_gsquare(i, j, conditioning) for i, j in pairs]
+        if not any(gsquare):
+            return self._fisher.test_batch_index(pairs, conditioning)
+        fisher = iter(self._fisher.test_batch_index(
+            [pair for pair, g in zip(pairs, gsquare) if not g], conditioning))
+        return [self._gsquare(i, j, conditioning) if g
+                else next(fisher)
+                for (i, j), g in zip(pairs, gsquare)]
 
 
 # --------------------------------------------------------------------------
@@ -327,14 +407,24 @@ class CICacheCounters:
         return (self.hits + self.stale_reused) / total
 
 
-@dataclass
-class _CacheEntry:
-    epoch: int
-    result: CIResult
+#: Cache key of one CI decision: ``(i, j, Z)`` over column indices with
+#: ``i < j`` and ``Z`` the sorted tuple of conditioning columns.
+CIKey = tuple[int, int, tuple[int, ...]]
+
+
+def _conditioning_key(conditioning: Sequence[int]) -> tuple[int, ...]:
+    z = tuple(conditioning)
+    return tuple(sorted(z)) if len(z) > 1 else z
 
 
 class CIDecisionCache:
-    """Cache of CI decisions keyed by ``(x, y, frozenset(Z))`` and data epoch.
+    """Cache of CI decisions keyed by :data:`CIKey` and data epoch.
+
+    Keys come from :meth:`key`: the tested pair is unordered and the
+    conditioning set is order-free, so ``test(y, x, [v, u])`` replays the
+    decision ``test(x, y, [u, v])`` stored.  Index-space calls from the
+    skeleton search and name-based calls (Possible-D-Sep pruning, via
+    :meth:`CachedCITest.test`) map onto the same keys and share the entries.
 
     A lookup at the entry's own epoch is always a hit.  After an epoch bump
     (new rows appended) the *margin policy* decides: a decision whose p-value
@@ -366,8 +456,9 @@ class CIDecisionCache:
         self._margin_factor = margin_factor
         self._max_stale_epochs = max_stale_epochs
         self._max_entries = max_entries
-        self._entries: OrderedDict[tuple[str, str, frozenset[str]],
-                                   _CacheEntry] = OrderedDict()
+        # key -> (epoch, result, is_confident(result)), in store order.
+        self._entries: OrderedDict[CIKey, tuple[int, CIResult, bool]] = \
+            OrderedDict()
         self.counters = CICacheCounters()
 
     def __len__(self) -> int:
@@ -378,10 +469,10 @@ class CIDecisionCache:
         return self._alpha
 
     @staticmethod
-    def _key(x: str, y: str,
-             conditioning: Sequence[str]) -> tuple[str, str, frozenset[str]]:
-        a, b = (x, y) if x <= y else (y, x)
-        return (a, b, frozenset(conditioning))
+    def key(i: int, j: int, conditioning: Sequence[int] = ()) -> CIKey:
+        """Canonical key of testing columns ``i``, ``j`` given ``conditioning``."""
+        z = _conditioning_key(conditioning)
+        return (i, j, z) if i < j else (j, i, z)
 
     def is_confident(self, result: CIResult) -> bool:
         """True when the decision is far enough from alpha to survive epochs."""
@@ -393,30 +484,26 @@ class CIDecisionCache:
         return (result.p_value >= self._alpha * self._margin_factor
                 or result.p_value <= self._alpha / self._margin_factor)
 
-    def lookup(self, x: str, y: str, conditioning: Sequence[str],
-               epoch: int) -> CIResult | None:
-        key = self._key(x, y, conditioning)
+    def lookup(self, key: CIKey, epoch: int) -> CIResult | None:
         entry = self._entries.get(key)
         if entry is None:
             self.counters.misses += 1
             return None
-        if entry.epoch == epoch:
+        stored, result, confident = entry
+        if stored == epoch:
             self.counters.hits += 1
-            return entry.result
-        if (self.is_confident(entry.result)
-                and 0 < epoch - entry.epoch <= self._max_stale_epochs):
+            return result
+        if confident and 0 < epoch - stored <= self._max_stale_epochs:
             # Survives the epoch bump; deliberately NOT re-stamped, so the
             # decision is recomputed once its reuse window closes.
             self.counters.stale_reused += 1
-            return entry.result
+            return result
         del self._entries[key]
         self.counters.retests += 1
         return None
 
-    def store(self, x: str, y: str, conditioning: Sequence[str],
-              epoch: int, result: CIResult) -> None:
-        key = self._key(x, y, conditioning)
-        self._entries[key] = _CacheEntry(epoch=epoch, result=result)
+    def store(self, key: CIKey, epoch: int, result: CIResult) -> None:
+        self._entries[key] = (epoch, result, self.is_confident(result))
         self._entries.move_to_end(key)
         while len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
@@ -426,8 +513,10 @@ class CIDecisionCache:
 
 
 class CachedCITest:
-    """Wrap any :class:`CITest` with a :class:`CIDecisionCache`.
+    """Wrap an index-space CI test with a :class:`CIDecisionCache`.
 
+    ``inner`` is a :class:`FisherZTest` or :class:`MixedCITest` (anything
+    with ``column_index``, ``test_index`` and ``test_batch_index``).
     ``epoch_fn`` supplies the current data epoch (normally the backing
     dataset's ``data_epoch``); every decision the inner test produces is
     recorded and replayed according to the cache's margin policy.
@@ -451,34 +540,46 @@ class CachedCITest:
     def inner(self):
         return self._inner
 
+    def column_index(self, name: str) -> int:
+        return self._inner.column_index(name)
+
     # ---------------------------------------------------------------- testing
     def test(self, x: str, y: str,
              conditioning: Sequence[str] = ()) -> CIResult:
+        idx = self._inner.column_index
+        return self.test_index(idx(x), idx(y), [idx(c) for c in conditioning])
+
+    def test_index(self, i: int, j: int,
+                   conditioning: Sequence[int] = ()) -> CIResult:
+        """:meth:`test` on column indices."""
+        key = CIDecisionCache.key(i, j, conditioning)
         epoch = self._epoch_fn()
-        result = self._cache.lookup(x, y, conditioning, epoch)
+        result = self._cache.lookup(key, epoch)
         if result is None:
-            result = self._inner.test(x, y, conditioning)
-            self._cache.store(x, y, conditioning, epoch, result)
+            result = self._inner.test_index(i, j, conditioning)
+            self._cache.store(key, epoch, result)
         return result
 
     def test_batch(self, pairs: Sequence[tuple[str, str]],
                    conditioning: Sequence[str] = ()) -> list[CIResult]:
+        idx = self._inner.column_index
+        return self.test_batch_index([(idx(x), idx(y)) for x, y in pairs],
+                                     [idx(c) for c in conditioning])
+
+    def test_batch_index(self, pairs: Sequence[tuple[int, int]],
+                         conditioning: Sequence[int] = ()
+                         ) -> list[CIResult]:
+        """:meth:`test_batch` on column indices; only misses reach ``inner``."""
         epoch = self._epoch_fn()
-        results: list[CIResult | None] = []
-        missing: list[tuple[int, tuple[str, str]]] = []
-        for i, (x, y) in enumerate(pairs):
-            cached = self._cache.lookup(x, y, conditioning, epoch)
-            results.append(cached)
-            if cached is None:
-                missing.append((i, (x, y)))
+        z = _conditioning_key(conditioning)
+        lookup = self._cache.lookup
+        keys = [(i, j, z) if i < j else (j, i, z) for i, j in pairs]
+        results = [lookup(key, epoch) for key in keys]
+        missing = [k for k, result in enumerate(results) if result is None]
         if missing:
-            inner_batch = getattr(self._inner, "test_batch", None)
-            if inner_batch is not None:
-                fresh = inner_batch([p for _, p in missing], conditioning)
-            else:
-                fresh = [self._inner.test(x, y, conditioning)
-                         for _, (x, y) in missing]
-            for (i, (x, y)), result in zip(missing, fresh):
-                self._cache.store(x, y, conditioning, epoch, result)
-                results[i] = result
+            fresh = self._inner.test_batch_index(
+                [pairs[k] for k in missing], conditioning)
+            for k, result in zip(missing, fresh):
+                self._cache.store(keys[k], epoch, result)
+                results[k] = result
         return results  # type: ignore[return-value]

@@ -35,6 +35,50 @@ _CORR_CLAMP = 0.9999999
 _VAR_EPS = 1e-24
 
 
+def normalise(cov_ij: float, var_i: float, var_j: float) -> float:
+    """Correlation from a covariance and two variances, clamped for Fisher z.
+
+    A (near-)constant column has zero correlation with everything, and a NaN
+    (from an overflowing or degenerate covariance) is read as zero as well.
+    """
+    if var_i < _VAR_EPS or var_j < _VAR_EPS:
+        return 0.0
+    r = cov_ij / math.sqrt(var_i * var_j)
+    if math.isnan(r):
+        return 0.0
+    return max(-_CORR_CLAMP, min(_CORR_CLAMP, r))
+
+
+def normalise_pairs(cov_ij: np.ndarray, var_i: np.ndarray,
+                    var_j: np.ndarray) -> np.ndarray:
+    """:func:`normalise` over arrays, bit for bit.
+
+    Product, square root and quotient are single IEEE operations in both
+    forms, so every element equals the scalar result exactly.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = cov_ij / np.sqrt(var_i * var_j)
+    r[(var_i < _VAR_EPS) | (var_j < _VAR_EPS) | np.isnan(r)] = 0.0
+    return np.clip(r, -_CORR_CLAMP, _CORR_CLAMP, out=r)
+
+
+def normalise_block(block: np.ndarray) -> np.ndarray:
+    """Correlation matrix of a (conditional) covariance block.
+
+    Entry ``[a, b]`` and its mirror ``[b, a]`` both come from the upper
+    triangle ``block[a, b]`` with ``a < b``, as :func:`normalise` gives it;
+    the diagonal is 1.
+    """
+    t = len(block)
+    rows, cols = np.triu_indices(t, 1)
+    diag = np.diag(block)
+    r = normalise_pairs(block[rows, cols], diag[rows], diag[cols])
+    out = np.eye(t)
+    out[rows, cols] = r
+    out[cols, rows] = r
+    return out
+
+
 class SufficientStats:
     """Incrementally maintained sufficient statistics over a dataset."""
 
@@ -53,6 +97,7 @@ class SufficientStats:
         self._codes: dict[str, np.ndarray] = {}
         self._cardinality: dict[str, int] = {}
         self._cov: np.ndarray | None = None
+        self._cov_rows: list[list[float]] | None = None
         self.refresh()
 
     # --------------------------------------------------------------- syncing
@@ -99,6 +144,7 @@ class SufficientStats:
         self._codes.clear()
         self._cardinality.clear()
         self._cov = None
+        self._cov_rows = None
 
     # ------------------------------------------------------------- moments
     def means(self) -> np.ndarray:
@@ -121,9 +167,20 @@ class SufficientStats:
             self._cov = self._cross / n - np.outer(mean, mean)
         return self._cov
 
+    def _covariance_rows(self) -> list[list[float]]:
+        """:meth:`covariance` as nested Python floats, cached per epoch.
+
+        Scalar arithmetic on Python floats is several times cheaper than on
+        numpy scalars and rounds identically (both are IEEE doubles).
+        """
+        self.refresh()
+        if self._cov_rows is None:
+            self._cov_rows = self.covariance().tolist()
+        return self._cov_rows
+
     def correlation(self, i: int, j: int) -> float:
         cov = self.covariance()
-        return self._normalise(cov[i, j], cov[i, i], cov[j, j])
+        return normalise(cov[i, j], cov[i, i], cov[j, j])
 
     # ------------------------------------------- partial correlations (Schur)
     def partial_correlations(self, targets: Sequence[int],
@@ -150,14 +207,7 @@ class SufficientStats:
             except np.linalg.LinAlgError:
                 solved = np.linalg.pinv(czz) @ ctz.T
             block = block - ctz @ solved
-        out = np.empty((len(t), len(t)))
-        diag = np.diag(block)
-        for a in range(len(t)):
-            out[a, a] = 1.0
-            for b in range(a + 1, len(t)):
-                r = self._normalise(block[a, b], diag[a], diag[b])
-                out[a, b] = out[b, a] = r
-        return out
+        return normalise_block(block)
 
     def partial_correlation(self, i: int, j: int,
                             conditioning: Sequence[int] = ()) -> float:
@@ -166,27 +216,19 @@ class SufficientStats:
             # Scalar fast path for the dominant cases of the skeleton search
             # (empty and singleton conditioning sets): plain arithmetic on
             # cached covariance entries, no submatrix assembly or solve.
-            cov = self.covariance()
+            cov = self._covariance_rows()
+            cov_i, cov_j = cov[i], cov[j]
             if not z:
-                return self._normalise(cov[i, j], cov[i, i], cov[j, j])
+                return normalise(cov_i[j], cov_i[i], cov_j[j])
             k = z[0]
-            ckk = cov[k, k]
+            ckk = cov[k][k]
             if ckk < _VAR_EPS:
-                return self._normalise(cov[i, j], cov[i, i], cov[j, j])
-            s_ij = cov[i, j] - cov[i, k] * cov[j, k] / ckk
-            s_ii = cov[i, i] - cov[i, k] ** 2 / ckk
-            s_jj = cov[j, j] - cov[j, k] ** 2 / ckk
-            return self._normalise(s_ij, s_ii, s_jj)
+                return normalise(cov_i[j], cov_i[i], cov_j[j])
+            s_ij = cov_i[j] - cov_i[k] * cov_j[k] / ckk
+            s_ii = cov_i[i] - cov_i[k] ** 2 / ckk
+            s_jj = cov_j[j] - cov_j[k] ** 2 / ckk
+            return normalise(s_ij, s_ii, s_jj)
         return float(self.partial_correlations([i, j], z)[0, 1])
-
-    @staticmethod
-    def _normalise(cov_ij: float, var_i: float, var_j: float) -> float:
-        if var_i < _VAR_EPS or var_j < _VAR_EPS:
-            return 0.0
-        r = cov_ij / math.sqrt(var_i * var_j)
-        if math.isnan(r):
-            return 0.0
-        return max(-_CORR_CLAMP, min(_CORR_CLAMP, r))
 
     # ----------------------------------------------------- discrete summaries
     def codes(self, column: str, bins: int = 8) -> np.ndarray:

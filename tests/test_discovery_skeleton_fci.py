@@ -9,7 +9,7 @@ from repro.discovery.skeleton import initial_graph, learn_skeleton
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
 from repro.stats.dataset import Dataset
-from repro.stats.independence import FisherZTest
+from repro.stats.independence import CIResult, FisherZTest
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +107,82 @@ def test_required_edges_survive_pruning(chain_data):
     result = learn_skeleton(["a", "b", "c"], FisherZTest(chain_data),
                             constraints=constraints)
     assert result.graph.has_edge("a", "c")
+
+
+# ---------------------------------------------------------------------------
+# Traversal-order semantics, pinned with a scripted CI test
+# ---------------------------------------------------------------------------
+class ScriptedCITest:
+    """Name-based CI test that answers from a script and records each call.
+
+    ``independent`` holds ``(pair, conditioning)`` keys, both frozensets of
+    names, that the test declares independent; everything else is
+    dependent.  ``calls`` lists ``(x, y, conditioning)`` in call order.
+    """
+
+    def __init__(self, independent=(), everything_independent=False):
+        self.independent = {(frozenset(pair), frozenset(z))
+                            for pair, z in independent}
+        self.everything_independent = everything_independent
+        self.calls: list[tuple[str, str, tuple[str, ...]]] = []
+
+    def test(self, x, y, conditioning=()):
+        z = tuple(conditioning)
+        self.calls.append((x, y, z))
+        independent = (self.everything_independent
+                       or (frozenset((x, y)), frozenset(z)) in self.independent)
+        return CIResult(independent=independent,
+                        p_value=0.5 if independent else 1e-6, statistic=1.0)
+
+    def conditioning_sets(self, x, y):
+        return [z for a, b, z in self.calls if {a, b} == {x, y}]
+
+
+def test_first_separating_set_in_name_order_is_recorded():
+    # Both {a} and {b} separate x and y; "a" sorts first, so it is the
+    # recorded separating set and {b} is never tried.
+    ci_test = ScriptedCITest(independent=[(("x", "y"), ("b",)),
+                                          (("x", "y"), ("a",))])
+    result = learn_skeleton(["x", "y", "b", "a"], ci_test,
+                            max_condition_size=1)
+    assert not result.graph.has_edge("x", "y")
+    assert result.separating_set("x", "y") == {"a"}
+    assert ci_test.conditioning_sets("x", "y") == [(), ("a",)]
+
+
+def test_edge_removed_earlier_in_a_level_shrinks_later_neighbourhoods():
+    # Level 0 removes a - c.  At level 1, a - b (visited before b - c) is
+    # separated by {d}; b - c is then tested against {d} only, because
+    # "a" is no longer adjacent to b or to c.
+    ci_test = ScriptedCITest(independent=[(("a", "c"), ()),
+                                          (("a", "b"), ("d",))])
+    result = learn_skeleton(["a", "b", "c", "d"], ci_test,
+                            max_condition_size=1)
+    assert result.separating_set("a", "c") == set()
+    assert result.separating_set("a", "b") == {"d"}
+    assert ci_test.conditioning_sets("a", "b") == [(), ("c",), ("d",)]
+    assert ci_test.conditioning_sets("b", "c") == [(), ("d",)]
+
+
+def test_required_edges_are_never_tested():
+    constraints = StructuralConstraints.from_variable_lists(
+        options=[], events=["x", "y", "z"], objectives=[],
+        required_edges={("x", "y")})
+    ci_test = ScriptedCITest(everything_independent=True)
+    result = learn_skeleton(["x", "y", "z"], ci_test,
+                            constraints=constraints)
+    assert result.graph.has_edge("x", "y")
+    assert ci_test.conditioning_sets("x", "y") == []
+    assert result.tests_performed == len(ci_test.calls) == 2
+
+
+def test_objectives_never_enter_a_conditioning_set():
+    constraints = StructuralConstraints.from_variable_lists(
+        options=["o"], events=["e1", "e2"], objectives=["t"])
+    # Separating e1 - e2 at level 1 forces a second pass at level 2.
+    ci_test = ScriptedCITest(independent=[(("e1", "e2"), ("o",))])
+    learn_skeleton(["o", "e1", "e2", "t"], ci_test, constraints=constraints,
+                   max_condition_size=2)
+    assert any("t" in (x, y) for x, y, _ in ci_test.calls)
+    assert all("t" not in z for _, _, z in ci_test.calls)
+    assert any(len(z) == 2 for _, _, z in ci_test.calls)

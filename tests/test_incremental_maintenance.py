@@ -25,48 +25,51 @@ from repro.systems.sqlite import make_sqlite
 # ---------------------------------------------------------------------------
 # CIDecisionCache unit tests
 # ---------------------------------------------------------------------------
+key = CIDecisionCache.key
+
+
 def _result(p: float, alpha: float = 0.05) -> CIResult:
     return CIResult(independent=p > alpha, p_value=p, statistic=1.0)
 
 
 def test_cache_hit_at_same_epoch():
     cache = CIDecisionCache(alpha=0.05, margin_factor=2.5)
-    cache.store("a", "b", ["z"], epoch=0, result=_result(0.5))
-    assert cache.lookup("a", "b", ["z"], epoch=0) is not None
+    cache.store(key(0, 1, [6]), epoch=0, result=_result(0.5))
+    assert cache.lookup(key(0, 1, [6]), epoch=0) is not None
     assert cache.counters.hits == 1
 
 
 def test_cache_key_is_symmetric_in_x_y_and_order_free_in_z():
     cache = CIDecisionCache()
-    cache.store("a", "b", ["u", "v"], epoch=0, result=_result(0.5))
-    assert cache.lookup("b", "a", ["v", "u"], epoch=0) is not None
+    cache.store(key(0, 1, [8, 9]), epoch=0, result=_result(0.5))
+    assert cache.lookup(key(1, 0, [9, 8]), epoch=0) is not None
 
 
 def test_confident_decision_survives_epoch_bump():
     cache = CIDecisionCache(alpha=0.05, margin_factor=2.5)
-    cache.store("a", "b", [], epoch=0, result=_result(0.9))      # confident
-    cache.store("c", "d", [], epoch=0, result=_result(1e-8))     # confident
-    assert cache.lookup("a", "b", [], epoch=1) is not None
-    assert cache.lookup("c", "d", [], epoch=1) is not None
+    cache.store(key(0, 1), epoch=0, result=_result(0.9))   # confident
+    cache.store(key(2, 3), epoch=0, result=_result(1e-8))  # confident
+    assert cache.lookup(key(0, 1), epoch=1) is not None
+    assert cache.lookup(key(2, 3), epoch=1) is not None
     assert cache.counters.stale_reused == 2
 
 
 def test_borderline_decision_is_retested_after_epoch_bump():
     cache = CIDecisionCache(alpha=0.05, margin_factor=2.5)
     # p in [alpha / 2.5, alpha * 2.5] = [0.02, 0.125] is borderline.
-    cache.store("a", "b", [], epoch=0, result=_result(0.06))
-    assert cache.lookup("a", "b", [], epoch=0) is not None        # same epoch
-    assert cache.lookup("a", "b", [], epoch=1) is None            # evicted
+    cache.store(key(0, 1), epoch=0, result=_result(0.06))
+    assert cache.lookup(key(0, 1), epoch=0) is not None  # same epoch
+    assert cache.lookup(key(0, 1), epoch=1) is None  # evicted
     assert cache.counters.retests == 1
     # The entry is gone entirely, not just skipped once.
-    assert cache.lookup("a", "b", [], epoch=0) is None
+    assert cache.lookup(key(0, 1), epoch=0) is None
 
 
 def test_confident_decision_expires_after_max_stale_epochs():
     cache = CIDecisionCache(alpha=0.05, margin_factor=2.5, max_stale_epochs=3)
-    cache.store("a", "b", [], epoch=0, result=_result(0.9))
-    assert cache.lookup("a", "b", [], epoch=3) is not None
-    assert cache.lookup("a", "b", [], epoch=4) is None
+    cache.store(key(0, 1), epoch=0, result=_result(0.9))
+    assert cache.lookup(key(0, 1), epoch=3) is not None
+    assert cache.lookup(key(0, 1), epoch=4) is None
 
 
 def test_undecidable_sample_sentinel_is_never_served_stale():
@@ -76,17 +79,17 @@ def test_undecidable_sample_sentinel_is_never_served_stale():
     sentinel = CIResult(independent=False, p_value=0.0,
                         statistic=float("inf"))
     assert not cache.is_confident(sentinel)
-    cache.store("a", "b", ["z", "w"], epoch=0, result=sentinel)
-    assert cache.lookup("a", "b", ["z", "w"], epoch=0) is not None
-    assert cache.lookup("a", "b", ["z", "w"], epoch=1) is None
+    cache.store(key(0, 1, [6, 7]), epoch=0, result=sentinel)
+    assert cache.lookup(key(0, 1, [6, 7]), epoch=0) is not None
+    assert cache.lookup(key(0, 1, [6, 7]), epoch=1) is None
 
 
 def test_decisions_from_later_epochs_never_served_backwards():
     """An entry stored at a high epoch (e.g. another dataset's counter) must
     not be replayed at a lower epoch."""
     cache = CIDecisionCache(alpha=0.05, margin_factor=2.5, max_stale_epochs=3)
-    cache.store("a", "b", [], epoch=10, result=_result(0.9))
-    assert cache.lookup("a", "b", [], epoch=2) is None
+    cache.store(key(0, 1), epoch=10, result=_result(0.9))
+    assert cache.lookup(key(0, 1), epoch=2) is None
 
 
 def test_adopting_a_foreign_model_drops_stale_cache_entries():
@@ -108,12 +111,12 @@ def test_adopting_a_foreign_model_drops_stale_cache_entries():
 
 def test_cache_eviction_keeps_most_recent_entries():
     cache = CIDecisionCache(max_entries=2)
-    cache.store("a", "b", [], epoch=0, result=_result(0.9))
-    cache.store("c", "d", [], epoch=0, result=_result(0.9))
-    cache.store("e", "f", [], epoch=0, result=_result(0.9))
+    cache.store(key(0, 1), epoch=0, result=_result(0.9))
+    cache.store(key(2, 3), epoch=0, result=_result(0.9))
+    cache.store(key(4, 5), epoch=0, result=_result(0.9))
     assert len(cache) == 2
-    assert cache.lookup("a", "b", [], epoch=0) is None
-    assert cache.lookup("e", "f", [], epoch=0) is not None
+    assert cache.lookup(key(0, 1), epoch=0) is None
+    assert cache.lookup(key(4, 5), epoch=0) is not None
 
 
 def test_margin_factor_must_be_at_least_one():

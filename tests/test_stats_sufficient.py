@@ -5,7 +5,7 @@ import pytest
 
 from repro.stats.dataset import Dataset
 from repro.stats.independence import FisherZTest, _partial_correlation
-from repro.stats.sufficient import SufficientStats
+from repro.stats.sufficient import SufficientStats, normalise, normalise_block
 
 
 @pytest.fixture
@@ -102,3 +102,58 @@ def test_fisher_test_tracks_inplace_appends():
     t = rng.normal(size=300)
     data.append_rows_inplace([{"x": float(v), "y": float(v)} for v in t])
     assert not test.test("x", "y").independent
+
+
+# ---------------------------------------------------------------------------
+# Vectorised normalisation is bit-equal to the scalar form
+# ---------------------------------------------------------------------------
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_normalise_block_matches_scalar_normalise_bit_for_bit():
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(7, 7)) * 10.0 ** rng.integers(-8, 8, (7, 7))
+    np.fill_diagonal(block, np.abs(np.diag(block)))
+    block[1, 1] = 0.0            # constant column
+    block[2, 2] = 1e-30          # variance below the epsilon
+    block[3, 4] = np.nan         # NaN covariance
+    block[5, 6] = 1e300          # |r| far above the clamp
+    block[0, 6] = -0.0           # signed zero survives
+    out = normalise_block(block)
+    diag = np.diag(block)
+    expected = np.eye(7)
+    for a in range(7):
+        for b in range(a + 1, 7):
+            expected[a, b] = expected[b, a] = normalise(
+                block[a, b], diag[a], diag[b])
+    np.testing.assert_array_equal(_bits(out), _bits(expected))
+
+
+def test_partial_correlations_match_scalar_partial_correlation_bit_for_bit():
+    rng = np.random.default_rng(12)
+    n = 60
+    base = rng.normal(size=n)
+    values = np.column_stack([
+        base + rng.normal(scale=0.5, size=n),
+        -base + rng.normal(scale=0.5, size=n),
+        np.full(n, 3.0),                              # constant column
+        np.where(rng.random(n) < 0.5, 1e200, -1e200),  # covariance -> NaN
+        rng.normal(size=n),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = SufficientStats(Dataset(["a", "b", "c", "d", "e"], values))
+        assert np.isnan(stats.covariance()).any()
+    targets = [0, 1, 2, 3, 4]
+    matrix = stats.partial_correlations(targets)
+    for a in targets:
+        for b in targets:
+            if a != b:
+                assert _bits(matrix[a, b]) == _bits(
+                    stats.partial_correlation(a, b))
+
+
+def test_fisher_batch_matches_single_tests_exactly(data):
+    test = FisherZTest(data)
+    pairs = [("x", "y"), ("w", "x"), ("z", "y"), ("w", "z")]
+    assert test.test_batch(pairs) == [test.test(x, y) for x, y in pairs]
