@@ -34,7 +34,7 @@ from typing import Sequence
 from repro.discovery.constraints import StructuralConstraints
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
-from repro.stats.independence import CIResult, CITest
+from repro.stats.independence import CITest
 
 
 @dataclass
@@ -59,7 +59,8 @@ class SkeletonSpace:
     with ``u`` before ``v`` in ``variables``.  ``required`` holds the pairs
     the constraints force into the graph (never tested), ``testable`` the
     other pairs in visiting order, and ``conditioning`` the ids allowed in a
-    conditioning set (``None`` when every variable is).
+    conditioning set (``None`` when every variable is).  ``pair_names`` maps
+    each pair to its separating-set key, ``frozenset`` of the two names.
     """
 
     def __init__(self, variables: Sequence[str],
@@ -76,11 +77,12 @@ class SkeletonSpace:
                       for p, u in enumerate(self.variables)
                       for v, name in enumerate(self.names)
                       if self.position[v] > p and allowed(u, name)]
+        self.pair_names = {(u, v): frozenset((self.names[u], self.names[v]))
+                           for u, v in self.pairs}
         required = set() if constraints is None else {
             frozenset(edge) for edge in constraints.required_edges}
-        self.required = frozenset(
-            (u, v) for u, v in self.pairs
-            if frozenset((self.names[u], self.names[v])) in required)
+        self.required = frozenset(pair for pair, key in self.pair_names.items()
+                                  if key in required)
         self.testable = [pair for pair in self.pairs
                          if pair not in self.required]
         self.conditioning = None if constraints is None else frozenset(
@@ -90,19 +92,6 @@ class SkeletonSpace:
         for u, v in self.pairs:
             self.adjacency[u].add(v)
             self.adjacency[v].add(u)
-        self.pair_names = {(u, v): frozenset((self.names[u], self.names[v]))
-                           for u, v in self.pairs}
-        self._columns: list[int] | None = None
-        self._testable_columns: list[tuple[int, int]] = []
-
-    def testable_columns(self, columns: list[int]) -> list[tuple[int, int]]:
-        """``testable`` as pairs of ``columns`` entries, kept while the
-        column numbering stays the same (one CI test per learner session)."""
-        if columns != self._columns:
-            self._columns = columns
-            self._testable_columns = [(columns[u], columns[v])
-                                      for u, v in self.testable]
-        return self._testable_columns
 
     def graph(self, pairs: Sequence[tuple[int, int]]) -> MixedGraph:
         """Circle-circle graph over ``variables`` with the given pairs.
@@ -123,34 +112,6 @@ def initial_graph(variables: list[str],
     """Fully connected circle-circle graph respecting adjacency constraints."""
     space = SkeletonSpace(variables, constraints)
     return space.graph(space.pairs)
-
-
-class _NameSpaceTest:
-    """Index-space view of a name-based :class:`CITest`.
-
-    Column ``k`` is ``names[k]``; used for tests that have no index-space
-    entry points of their own.
-    """
-
-    def __init__(self, ci_test: CITest, names: list[str]) -> None:
-        self._test = ci_test
-        self._names = names
-
-    def test_index(self, i: int, j: int,
-                   conditioning: Sequence[int] = ()) -> CIResult:
-        names = self._names
-        return self._test.test(names[i], names[j],
-                               [names[k] for k in conditioning])
-
-    def test_batch_index(self, pairs: Sequence[tuple[int, int]],
-                         conditioning: Sequence[int] = ()
-                         ) -> list[CIResult]:
-        names = self._names
-        named = [(names[i], names[j]) for i, j in pairs]
-        batch = getattr(self._test, "test_batch", None)
-        if batch is None:
-            return [self._test.test(x, y, []) for x, y in named]
-        return batch(named, tuple(names[k] for k in conditioning))
 
 
 def learn_skeleton(variables: list[str], ci_test: CITest,
@@ -182,11 +143,11 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
     names = space.names
     if hasattr(ci_test, "test_index"):
         columns = [ci_test.column_index(name) for name in names]
-        indexed = ci_test
+        test, test_batch = ci_test.test_index, ci_test.test_batch_index
     else:
-        columns = list(range(len(names)))
-        indexed = _NameSpaceTest(ci_test, names)
-    test = indexed.test_index
+        # A name-based test: its "columns" are the names themselves.
+        columns = names
+        test, test_batch = ci_test.test, getattr(ci_test, "test_batch", None)
     adjacency = [set(adjacent) for adjacent in space.adjacency]
     conditioning = space.conditioning
     # Separating sets as column tuples, in removal order.
@@ -194,7 +155,9 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
 
     # Required pairs stay in ``adjacency`` but are never tested, so
     # ``edges`` holds only the surviving testable pairs, in visiting order.
-    outcomes = indexed.test_batch_index(space.testable_columns(columns), ())
+    pairs = [(columns[u], columns[v]) for u, v in space.testable]
+    outcomes = (test_batch(pairs, ()) if test_batch is not None
+                else [test(x, y, ()) for x, y in pairs])
     tests = len(outcomes)
     edges = []
     for pair, outcome in zip(space.testable, outcomes):
@@ -245,6 +208,5 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
                            *((u, v) for u, v in edges if v in adjacency[u])]),
         separating_sets={
             pair_names[pair]: {column_names[c] for c in subset}
-            if subset else set()
             for pair, subset in separating.items()},
         tests_performed=tests)

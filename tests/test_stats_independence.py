@@ -8,6 +8,8 @@ from repro.stats.independence import (
     FisherZTest,
     GSquareTest,
     MixedCITest,
+    _fisher_z_from_correlation,
+    _fisher_z_from_correlations,
     fisher_z,
     g_square,
 )
@@ -92,3 +94,30 @@ def test_ci_result_truthiness(continuous_data):
     test = FisherZTest(continuous_data)
     assert bool(test.test("x", "w"))
     assert not bool(test.test("x", "z"))
+
+
+def test_vectorised_fisher_z_matches_scalar_form_exactly():
+    corr = np.array([0.0, -0.0, 0.5, -0.3, 1e-17, 0.9999999, -0.9999999])
+    for n, k in [(50, 0), (50, 2), (3, 0)]:   # (3, 0): too few samples
+        assert _fisher_z_from_correlations(corr, n, k, 0.05) == [
+            _fisher_z_from_correlation(c, n, k, 0.05) for c in corr.tolist()]
+
+
+def test_mixed_batch_matches_single_tests_across_both_dispatch_paths(
+        discrete_data):
+    rng = np.random.default_rng(5)
+    values = np.column_stack([discrete_data.values,
+                              rng.normal(size=discrete_data.n_rows)])
+    data = Dataset(["x", "y", "z", "w", "c"], values,
+                   discrete=["x", "y", "z", "w"])
+    mixed = MixedCITest(data)
+    pairs = [("x", "z"), ("x", "c"), ("w", "y"), ("c", "z"), ("x", "w")]
+    # Without conditioning both forms read the same covariance entries, so
+    # they agree exactly; with it the batch goes through one Schur solve.
+    assert mixed.test_batch(pairs) == [mixed.test(x, y) for x, y in pairs]
+    for conditioning in (["z"], ["c"]):
+        batch = mixed.test_batch(pairs, conditioning)
+        single = [mixed.test(x, y, conditioning) for x, y in pairs]
+        assert [r.independent for r in batch] == [r.independent for r in single]
+        assert [r.p_value for r in batch] == pytest.approx(
+            [r.p_value for r in single], rel=1e-9, abs=1e-12)
