@@ -176,8 +176,6 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
         edges = [(u, v) for u, v in edges if v in adjacency[u]]
         removed_any = False
         for u, v in edges:
-            if v not in adjacency[u]:
-                continue
             neighbours = adjacency[u] | adjacency[v]
             neighbours.discard(u)
             neighbours.discard(v)
