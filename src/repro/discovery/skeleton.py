@@ -14,11 +14,15 @@ non-borderline decision from the previous data epoch.
 The search runs on integer indices.  :class:`SkeletonSpace` numbers the
 variables in sorted-name order and holds what depends only on the variable
 set and the constraints: the allowed pairs, the required pairs and the
-variables a conditioning set may contain.  A learner builds it once per
-session, not once per relearn.  During the search adjacency is a list of int
-sets, and conditioning sets are tuples of the CI test's column indices, so a
-test reaches :meth:`~repro.stats.independence.CachedCITest.test_index`
-without any name lookups.  The :class:`MixedGraph` is built once, at the
+variables a conditioning set may contain, and the testable pairs as
+column-index arrays.  A learner builds it once per session, not once per
+relearn.  Level 0 is one array call,
+:meth:`~repro.stats.independence.CachedCITest.marginal_arrays`, which
+replays the marginal decisions from a dense per-pair table.  From level 1
+on, adjacency is a list of int sets, and conditioning sets are tuples of the
+CI test's column indices, so a test reaches
+:meth:`~repro.stats.independence.CachedCITest.test_index` without any name
+lookups.  The :class:`MixedGraph` is built once, at the
 end, from the surviving pairs.  Pairs are visited in the order
 ``MixedGraph.edges()`` visits the fully connected graph, and sorting local
 ids sorts names.  Every CI test is therefore issued in the order, and with
@@ -30,6 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from repro.discovery.constraints import StructuralConstraints
 from repro.graph.edges import Mark
@@ -60,7 +66,8 @@ class SkeletonSpace:
     the constraints force into the graph (never tested), ``testable`` the
     other pairs in visiting order, and ``conditioning`` the ids allowed in a
     conditioning set (``None`` when every variable is).  ``pair_names`` maps
-    each pair to its separating-set key, ``frozenset`` of the two names.
+    each pair to its separating-set key, ``frozenset`` of the two names, and
+    ``testable_names`` lists those keys in ``testable`` order.
     """
 
     def __init__(self, variables: Sequence[str],
@@ -85,13 +92,25 @@ class SkeletonSpace:
                                   if key in required)
         self.testable = [pair for pair in self.pairs
                          if pair not in self.required]
+        self.testable_names = [self.pair_names[pair]
+                               for pair in self.testable]
+        self._testable_columns: tuple | None = None
         self.conditioning = None if constraints is None else frozenset(
             k for k, name in enumerate(self.names)
             if constraints.conditioning_allowed(name))
-        self.adjacency: list[set[int]] = [set() for _ in self.names]
-        for u, v in self.pairs:
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
+
+    def testable_columns(self, columns: Sequence[int]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """``testable`` as two column-index arrays, given each local id's
+        column.  Kept for the last ``columns`` seen, so a learner session
+        builds them once."""
+        key = tuple(columns)
+        if self._testable_columns is None or self._testable_columns[0] != key:
+            ids = np.array(self.testable, dtype=np.intp).reshape(-1, 2)
+            column = np.array(columns, dtype=np.intp)
+            self._testable_columns = (key, column[ids[:, 0]],
+                                      column[ids[:, 1]])
+        return self._testable_columns[1], self._testable_columns[2]
 
     def graph(self, pairs: Sequence[tuple[int, int]]) -> MixedGraph:
         """Circle-circle graph over ``variables`` with the given pairs.
@@ -127,7 +146,10 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
     removed and the separating set recorded.  Within a level, edges are
     visited in ``MixedGraph.edges()`` order and subsets in name order, and
     an edge removed earlier in the level shrinks the adjacency of the edges
-    tested after it.  Level 0 is one ``test_batch`` call.
+    tested after it.  Level 0 is one ``marginal_arrays`` call over the
+    testable pairs (``test_batch`` for a name-based test): a boolean array
+    whose false entries are the surviving edges, in visiting order, and
+    whose true entries get the empty separating set.
 
     ``max_condition_size`` bounds the cost; the causal performance models of
     the paper are sparse (average node degree below 4 even for SQLite's 242
@@ -141,33 +163,34 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
     if space is None:
         space = SkeletonSpace(variables, constraints)
     names = space.names
-    if hasattr(ci_test, "test_index"):
+    if hasattr(ci_test, "marginal_arrays"):
         columns = [ci_test.column_index(name) for name in names]
-        test, test_batch = ci_test.test_index, ci_test.test_batch_index
+        test = ci_test.test_index
+        p_values, _ = ci_test.marginal_arrays(
+            *space.testable_columns(columns))
+        independent = p_values > ci_test.alpha
     else:
         # A name-based test: its "columns" are the names themselves.
         columns = names
-        test, test_batch = ci_test.test, getattr(ci_test, "test_batch", None)
-    adjacency = [set(adjacent) for adjacent in space.adjacency]
+        test = ci_test.test
+        pairs = [(names[u], names[v]) for u, v in space.testable]
+        test_batch = getattr(ci_test, "test_batch", None)
+        outcomes = (test_batch(pairs, ()) if test_batch is not None
+                    else [test(x, y, ()) for x, y in pairs])
+        independent = np.array([outcome.independent for outcome in outcomes],
+                               dtype=bool)
+    tests = len(space.testable)
+    removed = np.flatnonzero(independent).tolist()
+    # Required pairs are never tested, so ``edges`` holds only the
+    # surviving testable pairs, in visiting order.
+    edges = [space.testable[k] for k in np.flatnonzero(~independent).tolist()]
+    adjacency: list[set[int]] = [set() for _ in names]
+    for u, v in (*space.required, *edges):
+        adjacency[u].add(v)
+        adjacency[v].add(u)
     conditioning = space.conditioning
-    # Separating sets as column tuples, in removal order.
+    # Separating sets of levels >= 1 as column tuples, in removal order.
     separating: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    # Required pairs stay in ``adjacency`` but are never tested, so
-    # ``edges`` holds only the surviving testable pairs, in visiting order.
-    pairs = [(columns[u], columns[v]) for u, v in space.testable]
-    outcomes = (test_batch(pairs, ()) if test_batch is not None
-                else [test(x, y, ()) for x, y in pairs])
-    tests = len(outcomes)
-    edges = []
-    for pair, outcome in zip(space.testable, outcomes):
-        if outcome.independent:
-            u, v = pair
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
-            separating[pair] = ()
-        else:
-            edges.append(pair)
 
     # Level 0 always proceeds to level 1 (the marginal sweep says nothing
     # about conditional independencies); from level 1 onward an empty level
@@ -200,11 +223,12 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
             break
 
     column_names = dict(zip(columns, names))
-    pair_names = space.pair_names
+    separating_sets = {space.testable_names[k]: set() for k in removed}
+    for pair, subset in separating.items():
+        separating_sets[space.pair_names[pair]] = {column_names[c]
+                                                   for c in subset}
     return SkeletonResult(
         graph=space.graph([*space.required,
                            *((u, v) for u, v in edges if v in adjacency[u])]),
-        separating_sets={
-            pair_names[pair]: {column_names[c] for c in subset}
-            for pair, subset in separating.items()},
+        separating_sets=separating_sets,
         tests_performed=tests)

@@ -21,7 +21,11 @@ epoch bump untested, while borderline decisions are retested on fresh data.
 have an *index-space* form, ``test_index(i, j, Z)`` and
 ``test_batch_index(pairs, Z)``, over the dataset's column indices (names map
 to indices through ``column_index``).  The skeleton search calls these
-directly; the name-based methods are thin wrappers over them.
+directly; the name-based methods are thin wrappers over them.  The marginal
+(empty conditioning set) case has an array form as well,
+``marginal_arrays(first, second)``, which returns ``(p_value, statistic)``
+arrays without building a :class:`CIResult` per pair; the skeleton's level-0
+sweep is one such call.
 """
 
 from __future__ import annotations
@@ -110,24 +114,41 @@ def _fisher_z_from_correlation(corr: float, n: int, k: int,
                     statistic=float(statistic))
 
 
-def _fisher_z_from_correlations(corr: np.ndarray, n: int, k: int,
-                                alpha: float) -> list[CIResult]:
-    """:func:`_fisher_z_from_correlation` over an array, bit for bit.
+def _fisher_z_arrays(corr: np.ndarray, n: int, k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """p-values and statistics of :func:`_fisher_z_from_correlation` over
+    an array, bit for bit.
 
     The ratio, the scaling and the division by sqrt(2) run in numpy: each is
     one IEEE operation, so the array form rounds exactly as the scalar one.
     ``log`` and ``erfc`` stay per-element ``math`` calls, because numpy's
     vectorised ``log`` may differ from libm in the last bit.
     """
-    if n - k - 3 <= 0:
-        return [_fisher_z_from_correlation(0.0, n, k, alpha) for _ in corr]
+    dof = n - k - 3
+    if dof <= 0:
+        return np.zeros(len(corr)), np.full(len(corr), np.inf)
     log = math.log
     ratios = ((1 + corr) / (1 - corr)).tolist()
-    statistics = math.sqrt(n - k - 3) * np.abs(
+    statistics = math.sqrt(dof) * np.abs(
         np.array([0.5 * log(q) for q in ratios]))
-    p_values = map(math.erfc, (statistics / math.sqrt(2)).tolist())
+    p_values = np.fromiter(
+        map(math.erfc, (statistics / math.sqrt(2)).tolist()), float,
+        len(ratios))
+    return p_values, statistics
+
+
+def _results(p_values: np.ndarray, statistics: np.ndarray,
+             alpha: float) -> list[CIResult]:
+    """One :class:`CIResult` per element of the decision arrays."""
     return [CIResult(p > alpha, p, statistic)
-            for p, statistic in zip(p_values, statistics.tolist())]
+            for p, statistic in zip(p_values.tolist(), statistics.tolist())]
+
+
+def _pair_arrays(pairs: Sequence[tuple[int, int]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second columns of ``pairs`` as index arrays."""
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return first, second
 
 
 def fisher_z(data: np.ndarray, i: int, j: int,
@@ -160,6 +181,10 @@ class FisherZTest:
     @property
     def sufficient_stats(self) -> SufficientStats:
         return self._stats
+
+    @property
+    def n_columns(self) -> int:
+        return self._data.n_columns
 
     def column_index(self, name: str) -> int:
         return self._data.column_index(name)
@@ -194,25 +219,37 @@ class FisherZTest:
         """:meth:`test_batch` on column indices.
 
         Every pair's correlation is read from the upper triangle of the
-        involved block (``lo = min(i, j)``, ``hi = max(i, j)``); with an
-        empty conditioning set the block is the cached covariance itself, so
-        the whole sweep is three gathers and one vectorised normalisation.
+        involved block (``lo = min(i, j)``, ``hi = max(i, j)``); without
+        conditioning this is :meth:`marginal_arrays`.
         """
         if not pairs:
             return []
-        first, second = np.array(pairs, dtype=np.intp).T
+        first, second = _pair_arrays(pairs)
+        if not conditioning:
+            return _results(*self.marginal_arrays(first, second), self._alpha)
         lo = np.minimum(first, second)
         hi = np.maximum(first, second)
-        if conditioning:
-            involved = np.union1d(lo, hi)
-            matrix = self._stats.partial_correlations(involved, conditioning)
-            corr = matrix[np.searchsorted(involved, lo),
-                          np.searchsorted(involved, hi)]
-        else:
-            cov = self._stats.covariance()
-            corr = normalise_pairs(cov[lo, hi], cov[lo, lo], cov[hi, hi])
-        return _fisher_z_from_correlations(corr, self._data.n_rows,
-                                           len(conditioning), self._alpha)
+        involved = np.union1d(lo, hi)
+        matrix = self._stats.partial_correlations(involved, conditioning)
+        corr = matrix[np.searchsorted(involved, lo),
+                      np.searchsorted(involved, hi)]
+        return _results(*_fisher_z_arrays(corr, self._data.n_rows,
+                                          len(conditioning)), self._alpha)
+
+    def marginal_arrays(self, first: np.ndarray, second: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """``(p_value, statistic)`` arrays of the marginal tests of
+        ``first[k]`` and ``second[k]``.
+
+        The correlations are three gathers from the cached covariance and
+        one vectorised normalisation; each element equals
+        :meth:`test_index` without conditioning, bit for bit.
+        """
+        lo = np.minimum(first, second)
+        hi = np.maximum(first, second)
+        cov = self._stats.covariance()
+        corr = normalise_pairs(cov[lo, hi], cov[lo, lo], cov[hi, hi])
+        return _fisher_z_arrays(corr, self._data.n_rows, 0)
 
 
 # --------------------------------------------------------------------------
@@ -314,6 +351,7 @@ class MixedCITest:
         self._max_cells_fraction = max_cells_fraction
         self._names = data.columns
         self._discrete = [data.is_discrete(c) for c in self._names]
+        self._discrete_flags = np.array(self._discrete, dtype=bool)
 
     @property
     def alpha(self) -> float:
@@ -322,6 +360,10 @@ class MixedCITest:
     @property
     def sufficient_stats(self) -> SufficientStats:
         return self._stats
+
+    @property
+    def n_columns(self) -> int:
+        return self._data.n_columns
 
     def column_index(self, name: str) -> int:
         return self._data.column_index(name)
@@ -374,6 +416,9 @@ class MixedCITest:
                          conditioning: Sequence[int] = ()
                          ) -> list[CIResult]:
         """:meth:`test_batch` on column indices."""
+        if not conditioning:
+            return _results(*self.marginal_arrays(*_pair_arrays(pairs)),
+                            self._alpha)
         gsquare = [self._use_gsquare(i, j, conditioning) for i, j in pairs]
         if not any(gsquare):
             return self._fisher.test_batch_index(pairs, conditioning)
@@ -382,6 +427,23 @@ class MixedCITest:
         return [self._gsquare(i, j, conditioning) if g
                 else next(fisher)
                 for (i, j), g in zip(pairs, gsquare)]
+
+    def marginal_arrays(self, first: np.ndarray, second: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`FisherZTest.marginal_arrays` with the G-test dispatch.
+
+        Pairs of two discrete columns are checked one by one and, when
+        eligible, G-tested in their given orientation; every other pair
+        keeps its Fisher z element.
+        """
+        p_values, statistics = self._fisher.marginal_arrays(first, second)
+        flags = self._discrete_flags
+        for k in np.flatnonzero(flags[first] & flags[second]).tolist():
+            i, j = int(first[k]), int(second[k])
+            if self._use_gsquare(i, j, ()):
+                result = self._gsquare(i, j, ())
+                p_values[k], statistics[k] = result.p_value, result.statistic
+        return p_values, statistics
 
 
 # --------------------------------------------------------------------------
@@ -443,6 +505,13 @@ class CIDecisionCache:
     spread across epochs (entries age at different times), so the
     per-iteration cost stays a fraction ``1 / max_stale_epochs`` of a full
     re-learn.
+
+    The entries here are the *conditional* decisions, LRU-evicted beyond
+    ``max_entries``.  :class:`CachedCITest` keeps marginal decisions
+    (``Z = ∅``) in a dense per-column-pair table instead, bounded by the
+    square of the column count and never evicted; it applies this margin
+    policy to them with :meth:`lookup_many`, which counts in the same
+    :attr:`counters`, and :meth:`clear` invalidates those tables too.
     """
 
     def __init__(self, alpha: float = 0.05, margin_factor: float = 8.0,
@@ -459,6 +528,8 @@ class CIDecisionCache:
         # key -> (epoch, result, is_confident(result)), in store order.
         self._entries: OrderedDict[CIKey, tuple[int, CIResult, bool]] = \
             OrderedDict()
+        # Bumped by clear(); a marginal table older than this is invalid.
+        self._generation = 0
         self.counters = CICacheCounters()
 
     def __len__(self) -> int:
@@ -467,6 +538,11 @@ class CIDecisionCache:
     @property
     def alpha(self) -> float:
         return self._alpha
+
+    @property
+    def generation(self) -> int:
+        """Number of :meth:`clear` calls so far."""
+        return self._generation
 
     @staticmethod
     def key(i: int, j: int, conditioning: Sequence[int] = ()) -> CIKey:
@@ -483,6 +559,13 @@ class CIDecisionCache:
             return False
         return (result.p_value >= self._alpha * self._margin_factor
                 or result.p_value <= self._alpha / self._margin_factor)
+
+    def confident_mask(self, p_values: np.ndarray,
+                       statistics: np.ndarray) -> np.ndarray:
+        """:meth:`is_confident` over decision arrays."""
+        return np.isfinite(statistics) & (
+            (p_values >= self._alpha * self._margin_factor)
+            | (p_values <= self._alpha / self._margin_factor))
 
     def lookup(self, key: CIKey, epoch: int) -> CIResult | None:
         entry = self._entries.get(key)
@@ -502,6 +585,31 @@ class CIDecisionCache:
         self.counters.retests += 1
         return None
 
+    def lookup_many(self, keys: np.ndarray, present: np.ndarray,
+                    stored: np.ndarray, confident: np.ndarray,
+                    epoch: int) -> np.ndarray:
+        """:meth:`lookup` over the entries of a dense decision table.
+
+        ``present``, ``stored`` and ``confident`` describe the table entry
+        of each of ``keys``: whether it exists, its epoch and its confidence.
+        Returns the mask of keys to (re)test.  The counters move as
+        sequential :meth:`lookup` calls would move them, evictions included:
+        a key repeated in one call is retested once and misses after that.
+        """
+        age = epoch - stored
+        hit = present & (age == 0)
+        reused = present & confident & (age > 0) & \
+            (age <= self._max_stale_epochs)
+        fresh = ~(hit | reused)
+        retest = fresh & present
+        retests = int(np.unique(keys[retest]).size) if retest.any() else 0
+        counters = self.counters
+        counters.hits += int(np.count_nonzero(hit))
+        counters.stale_reused += int(np.count_nonzero(reused))
+        counters.retests += retests
+        counters.misses += int(np.count_nonzero(fresh)) - retests
+        return fresh
+
     def store(self, key: CIKey, epoch: int, result: CIResult) -> None:
         self._entries[key] = (epoch, result, self.is_confident(result))
         self._entries.move_to_end(key)
@@ -509,17 +617,29 @@ class CIDecisionCache:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
+        """Drop every decision, the marginal tables' included."""
         self._entries.clear()
+        self._generation += 1
 
 
 class CachedCITest:
     """Wrap an index-space CI test with a :class:`CIDecisionCache`.
 
     ``inner`` is a :class:`FisherZTest` or :class:`MixedCITest` (anything
-    with ``column_index``, ``test_index`` and ``test_batch_index``).
-    ``epoch_fn`` supplies the current data epoch (normally the backing
-    dataset's ``data_epoch``); every decision the inner test produces is
-    recorded and replayed according to the cache's margin policy.
+    with ``alpha``, ``n_columns``, ``column_index``, ``test_index``,
+    ``test_batch_index`` and ``marginal_arrays``, whose decisions are
+    ``p_value > alpha``).  ``epoch_fn`` supplies the current data epoch
+    (normally the backing dataset's ``data_epoch``); every decision the
+    inner test produces is recorded and replayed according to the cache's
+    margin policy.
+
+    Conditional decisions live in the cache's dict.  Marginal decisions
+    live in a dense table indexed by the column pair ``(lo, hi)``: arrays
+    of presence, epoch, p-value, statistic and confidence, about 1.2 MB at
+    213 columns.  :meth:`marginal_arrays` replays a whole level-0 sweep
+    from it with array operations and hands only the misses to ``inner``;
+    ``test_index(i, j, ())`` and ``test_batch_index(pairs, ())`` go through
+    the same table.
     """
 
     def __init__(self, inner, cache: CIDecisionCache,
@@ -527,6 +647,14 @@ class CachedCITest:
         self._inner = inner
         self._cache = cache
         self._epoch_fn = epoch_fn
+        self._n_columns = inner.n_columns
+        size = self._n_columns ** 2
+        self._present = np.zeros(size, dtype=bool)
+        self._epoch = np.zeros(size, dtype=np.int64)
+        self._p_value = np.zeros(size)
+        self._statistic = np.zeros(size)
+        self._confident = np.zeros(size, dtype=bool)
+        self._generation = cache.generation
 
     @property
     def alpha(self) -> float:
@@ -552,6 +680,8 @@ class CachedCITest:
     def test_index(self, i: int, j: int,
                    conditioning: Sequence[int] = ()) -> CIResult:
         """:meth:`test` on column indices."""
+        if not conditioning:
+            return self.test_batch_index([(i, j)])[0]
         key = CIDecisionCache.key(i, j, conditioning)
         epoch = self._epoch_fn()
         result = self._cache.lookup(key, epoch)
@@ -569,7 +699,14 @@ class CachedCITest:
     def test_batch_index(self, pairs: Sequence[tuple[int, int]],
                          conditioning: Sequence[int] = ()
                          ) -> list[CIResult]:
-        """:meth:`test_batch` on column indices; only misses reach ``inner``."""
+        """:meth:`test_batch` on column indices; only misses reach ``inner``.
+
+        All pairs are looked up before any miss is tested and stored, so a
+        pair repeated in one batch replays nothing from its own batch.
+        """
+        if not conditioning:
+            return _results(*self.marginal_arrays(*_pair_arrays(pairs)),
+                            self.alpha)
         epoch = self._epoch_fn()
         z = _conditioning_key(conditioning)
         lookup = self._cache.lookup
@@ -583,3 +720,41 @@ class CachedCITest:
                 self._cache.store(keys[k], epoch, result)
                 results[k] = result
         return results  # type: ignore[return-value]
+
+    def marginal_arrays(self, first: np.ndarray, second: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """``(p_value, statistic)`` arrays of the marginal tests of
+        ``first[k]`` and ``second[k]``, replayed from the table.
+
+        The margin policy runs as one :meth:`CIDecisionCache.lookup_many`
+        mask; the keys it rejects go to ``inner.marginal_arrays`` in one
+        call and are stored back, the last result of a repeated pair
+        winning, as sequential stores would have it.
+        """
+        if self._generation != self._cache.generation:
+            self._present[:] = False
+            self._generation = self._cache.generation
+        epoch = self._epoch_fn()
+        keys = (np.minimum(first, second) * self._n_columns
+                + np.maximum(first, second))
+        p_values = self._p_value[keys]
+        statistics = self._statistic[keys]
+        fresh = self._cache.lookup_many(
+            keys, self._present[keys], self._epoch[keys],
+            self._confident[keys], epoch)
+        if fresh.any():
+            new_p, new_statistic = self._inner.marginal_arrays(
+                first[fresh], second[fresh])
+            p_values[fresh] = new_p
+            statistics[fresh] = new_statistic
+            keys = keys[fresh]
+            last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
+            keys, new_p, new_statistic = \
+                keys[last], new_p[last], new_statistic[last]
+            self._present[keys] = True
+            self._epoch[keys] = epoch
+            self._p_value[keys] = new_p
+            self._statistic[keys] = new_statistic
+            self._confident[keys] = self._cache.confident_mask(
+                new_p, new_statistic)
+        return p_values, statistics

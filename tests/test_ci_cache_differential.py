@@ -4,7 +4,7 @@ The reference below routes every call through ``CIDecisionCache.lookup`` /
 ``store`` and the inner test's scalar ``test_index``, one pair at a time, in
 call order.  Random interleavings of scalar and batched marginal tests
 (with repeated and reversed pairs), conditional tests, in-place appends
-(data-epoch bumps) and ``cache.clear()`` must give the same
+(data-epoch bumps), epoch jumps and ``cache.clear()`` must give the same
 :class:`CIResult` for every call and the same :class:`CICacheCounters`
 after every call.  The dataset mixes continuous columns with
 small-cardinality discrete ones, so marginal pairs take both the Fisher z
@@ -24,6 +24,7 @@ from repro.stats.dataset import Dataset
 from repro.stats.independence import (
     CachedCITest,
     CIDecisionCache,
+    CIResult,
     FisherZTest,
     GSquareTest,
     MixedCITest,
@@ -74,6 +75,25 @@ class _ReferenceCachedTest:
         return results
 
 
+class _OrientedMixedCITest(MixedCITest):
+    """A mixed test whose marginal p-value moves by one ulp when the pair
+    is given as ``(hi, lo)``, so that which of two fresh results of a
+    repeated pair gets stored shows in later replays."""
+
+    def test_index(self, i, j, conditioning=()):
+        result = super().test_index(i, j, conditioning)
+        if conditioning or i < j:
+            return result
+        p_value = float(np.nextafter(result.p_value, 2.0))
+        return CIResult(p_value > self.alpha, p_value, result.statistic)
+
+    def marginal_arrays(self, first, second):
+        p_values, statistics = super().marginal_arrays(first, second)
+        flipped = first > second
+        p_values[flipped] = np.nextafter(p_values[flipped], 2.0)
+        return p_values, statistics
+
+
 _index = st.integers(min_value=0, max_value=len(COLUMNS) - 1)
 _pair = st.tuples(_index, _index).filter(lambda p: p[0] != p[1])
 
@@ -92,33 +112,42 @@ _sweep = st.tuples(st.just("batch"), st.lists(_pair, min_size=12, max_size=24))
 _append = st.tuples(st.just("append"), st.integers(min_value=1, max_value=4))
 # Sweeps (long batches) and a doubled append weight make most pairs be
 # looked up again at later epochs: hits, stale reuse and forced retests.
+# "shift" moves the epoch the cache sees without touching the data: the
+# epoch supplier may skip ahead or go back, and a decision stored at a
+# later epoch must never be replayed.
 _operations = st.lists(st.one_of(
     st.tuples(st.just("scalar"), _pair), _batch, _sweep, _conditional(),
     _append, _append, st.tuples(st.just("clear")),
+    st.tuples(st.just("shift"), st.sampled_from([-2, -1, 1])),
 ), min_size=8, max_size=40)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n_initial=st.integers(min_value=3, max_value=12),
        margin_factor=st.sampled_from([1.0, 2.0, 8.0]),
        max_stale_epochs=st.integers(min_value=1, max_value=3),
+       oriented=st.booleans(),
        operations=_operations)
 def test_cached_ci_test_matches_per_pair_cache_replay(
-        seed, n_initial, margin_factor, max_stale_epochs, operations):
+        seed, n_initial, margin_factor, max_stale_epochs, oriented,
+        operations):
     pool = _rows(seed, n_initial + 4 * len(operations))
     data = Dataset(COLUMNS, pool[:n_initial], discrete=DISCRETE)
     used = n_initial
+    shift = 0
+    inner = _OrientedMixedCITest if oriented else MixedCITest
+
+    def epoch():
+        return data.data_epoch + shift
 
     def make_cache():
         return CIDecisionCache(alpha=0.05, margin_factor=margin_factor,
                                max_stale_epochs=max_stale_epochs)
 
     subject_cache, reference_cache = make_cache(), make_cache()
-    subject = CachedCITest(MixedCITest(data), subject_cache,
-                           lambda: data.data_epoch)
-    reference = _ReferenceCachedTest(MixedCITest(data), reference_cache,
-                                     lambda: data.data_epoch)
+    subject = CachedCITest(inner(data), subject_cache, epoch)
+    reference = _ReferenceCachedTest(inner(data), reference_cache, epoch)
 
     for operation in operations:
         kind = operation[0]
@@ -139,6 +168,8 @@ def test_cached_ci_test_matches_per_pair_cache_replay(
             data.append_rows_inplace([dict(zip(COLUMNS, row))
                                       for row in pool[used:used + count]])
             used += count
+        elif kind == "shift":
+            shift += operation[1]
         else:
             subject_cache.clear()
             reference_cache.clear()

@@ -9,7 +9,7 @@ from repro.stats.independence import (
     GSquareTest,
     MixedCITest,
     _fisher_z_from_correlation,
-    _fisher_z_from_correlations,
+    _fisher_z_arrays,
     fisher_z,
     g_square,
 )
@@ -99,8 +99,11 @@ def test_ci_result_truthiness(continuous_data):
 def test_vectorised_fisher_z_matches_scalar_form_exactly():
     corr = np.array([0.0, -0.0, 0.5, -0.3, 1e-17, 0.9999999, -0.9999999])
     for n, k in [(50, 0), (50, 2), (3, 0)]:   # (3, 0): too few samples
-        assert _fisher_z_from_correlations(corr, n, k, 0.05) == [
-            _fisher_z_from_correlation(c, n, k, 0.05) for c in corr.tolist()]
+        p_values, statistics = _fisher_z_arrays(corr, n, k)
+        scalar = [_fisher_z_from_correlation(c, n, k, 0.05)
+                  for c in corr.tolist()]
+        assert p_values.tolist() == [r.p_value for r in scalar]
+        assert statistics.tolist() == [r.statistic for r in scalar]
 
 
 def test_mixed_batch_matches_single_tests_across_both_dispatch_paths(
