@@ -89,6 +89,7 @@ from repro.service.metrics import (
     ServiceMetrics,
 )
 from repro.service.registry import (
+    InvalidMeasurementError,
     ModelEntry,
     ModelRegistry,
     UnknownSubjectError,
@@ -156,6 +157,7 @@ __all__ = [
     "GatewayError",
     "GatewayServer",
     "GatewayStats",
+    "InvalidMeasurementError",
     "LatencyReservoir",
     "MAX_FRAME_BYTES",
     "MetricsSnapshot",

@@ -263,20 +263,33 @@ def encode_envelope(envelope: Mapping,
     return encode_frame(payload, max_frame_bytes=max_frame_bytes)
 
 
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+#: Strict JSON decoder: Python's ``json`` accepts the ``NaN``,
+#: ``Infinity`` and ``-Infinity`` tokens by default; here they fail the
+#: parse.  The hook runs only when such a token appears, so normal frames
+#: decode exactly as with ``json.loads``.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_envelope(payload: bytes) -> dict:
     """Parse and validate one frame payload into an envelope dict.
 
     Raises
     ------
     ProtocolError
-        :data:`ErrorCode.BAD_JSON` if the payload is not UTF-8 JSON;
+        :data:`ErrorCode.BAD_JSON` if the payload is not UTF-8 JSON, or
+        holds a ``NaN``/``Infinity`` token (non-standard JSON that would
+        let a non-finite measurement onto the model);
         :data:`ErrorCode.BAD_ENVELOPE` if it is JSON but not a dict;
         :data:`ErrorCode.UNSUPPORTED_VERSION` if ``protocol_version`` is
         missing, non-integral, or not a version this peer speaks.
     """
     try:
-        document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        document = _DECODER.decode(payload.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, hook
         raise ProtocolError(ErrorCode.BAD_JSON,
                             f"frame payload is not JSON: {exc}") from None
     if not isinstance(document, dict):

@@ -33,6 +33,7 @@ thread-safe), while distinct subjects proceed independently.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from typing import Mapping, Sequence
@@ -94,6 +95,30 @@ def unicorn_from_spec(spec: Mapping[str, object],
 
 class UnknownSubjectError(KeyError):
     """Raised when a request names a subject the registry does not hold."""
+
+
+class InvalidMeasurementError(ValueError):
+    """Raised when an observed measurement carries a non-finite value.
+
+    One NaN or infinite objective folded into a model poisons its
+    sufficient statistics for good (every later answer for the subject is
+    NaN, and the state is persisted and replayed), so
+    :meth:`ModelRegistry.observe` refuses the whole batch before touching
+    any state.
+    """
+
+
+def _require_finite(subject: str,
+                    measurements: Sequence[Measurement]) -> None:
+    """Raise :class:`InvalidMeasurementError` on any non-finite value."""
+    for index, measurement in enumerate(measurements):
+        for values in (measurement.configuration, measurement.events,
+                       measurement.objectives):
+            for name, value in values.items():
+                if not math.isfinite(value):
+                    raise InvalidMeasurementError(
+                        f"measurement {index} for subject {subject!r} has "
+                        f"non-finite {name}={value!r}")
 
 
 class ModelEntry:
@@ -741,10 +766,15 @@ class ModelRegistry:
 
         Raises
         ------
+        InvalidMeasurementError
+            If any measurement holds a NaN or infinite value.  Nothing is
+            applied: no state changes, the version is not bumped and
+            nothing is published.
         UnknownSubjectError
             If the subject is not resident, or was adopted without
             maintenance handles and therefore cannot be refreshed.
         """
+        _require_finite(subject, measurements)
         entry = self.get(subject)
         if entry.unicorn is None or entry.state is None:
             raise UnknownSubjectError(

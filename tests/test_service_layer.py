@@ -18,6 +18,7 @@ Covers the four contracts ISSUE 4 demands of `repro.service`:
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from repro.service import (
     AceRequest,
     AdmissionError,
     EffectRequest,
+    InvalidMeasurementError,
     ModelRegistry,
+    ModelStore,
     PredictRequest,
     QueryService,
     RequestBatcher,
@@ -371,3 +374,51 @@ def test_request_keys_group_and_deduplicate():
     # Item keys reuse the PerformanceQuery descriptor's batch_key, so the
     # serving layer and the offline engine agree on query identity.
     assert sat.to_performance_query().batch_key() in sat.item_key()
+
+
+# ------------------------------------------------------ observe validation
+def test_observe_rejects_non_finite_measurements_without_state_change(
+        tmp_path):
+    """A batch of NaN-objective measurements used to be folded in (version
+    1), after which every answer for the subject was NaN — also after clean
+    observations, and in the persisted snapshot.  It is now refused whole,
+    before any state change."""
+    spec = {"system": "cache_example", "n_samples": 30, "seed": 0}
+    store = ModelStore(tmp_path)
+    registry = ModelRegistry(capacity=2, store=store, snapshot_every=1)
+    entry = registry.get_or_fit(spec)
+    system = entry.unicorn.system
+    probes = mixed_workload(entry.key, entry.engine, system.objectives, 12,
+                            seed=5)
+    batcher = RequestBatcher()
+    before = canonical_answers(batcher.dispatch(entry, probes))
+    rows, epoch = entry.n_measurements, \
+        entry.engine.learned_model.data.data_epoch
+    publishes, versions = registry.store_publishes, store.versions(entry.key)
+
+    rng = np.random.default_rng(5)
+    clean = system.measure_many(system.space.sample_configurations(8, rng),
+                                rng=rng)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        poisoned = [replace(m, objectives={k: bad for k in m.objectives})
+                    for m in clean]
+        with pytest.raises(InvalidMeasurementError):
+            registry.observe(entry.key, poisoned)
+    # One bad value anywhere rejects the whole batch, events included.
+    event = next(iter(clean[-1].events))
+    mixed = clean[:-1] + [replace(clean[-1], events={
+        **clean[-1].events, event: float("nan")})]
+    with pytest.raises(InvalidMeasurementError):
+        registry.observe(entry.key, mixed, op_id=1)
+
+    assert entry.version == 0 and entry.applied_op_id == 0
+    assert entry.n_measurements == rows
+    assert entry.engine.learned_model.data.data_epoch == epoch
+    assert registry.store_publishes == publishes
+    assert store.versions(entry.key) == versions
+    assert canonical_answers(batcher.dispatch(entry, probes)) == before
+
+    assert registry.observe(entry.key, clean, op_id=1) == 1
+    answers = canonical_answers(batcher.dispatch(entry, probes))
+    assert not any("NaN" in answer or "Infinity" in answer
+                   for answer in answers)

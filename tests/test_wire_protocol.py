@@ -229,7 +229,7 @@ def test_arbitrary_payloads_fail_typed_or_parse(payload):
 
 @settings(max_examples=100, deadline=None)
 @given(st.none() | st.booleans() | st.text(max_size=8)
-       | st.floats(allow_nan=False)
+       | st.floats(allow_nan=False, allow_infinity=False)
        | st.integers().filter(lambda v: v != PROTOCOL_VERSION))
 def test_unknown_protocol_versions_rejected(version):
     payload = json.dumps({"protocol_version": version,
@@ -237,6 +237,24 @@ def test_unknown_protocol_versions_rejected(version):
     with pytest.raises(ProtocolError) as excinfo:
         decode_envelope(payload)
     assert excinfo.value.code == ErrorCode.UNSUPPORTED_VERSION
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_tokens_are_bad_json(token):
+    """``json.loads`` accepts these non-standard tokens; a NaN objective
+    in an observe frame would reach the model, so the decoder refuses."""
+    finite = (b'{"protocol_version": %d, "op": "observe", "subject": "s", '
+              b'"measurements": [{"objectives": {"Latency": 1.5e3}}]}'
+              % PROTOCOL_VERSION)
+    assert decode_envelope(finite)["measurements"][0]["objectives"] == {
+        "Latency": 1500.0}
+    with pytest.raises(ProtocolError) as excinfo:
+        decode_envelope(finite.replace(b"1.5e3", token.encode()))
+    assert excinfo.value.code == ErrorCode.BAD_JSON
+    with pytest.raises(ProtocolError) as excinfo:
+        decode_envelope(b'{"protocol_version": %s, "op": "ping"}'
+                        % token.encode())
+    assert excinfo.value.code == ErrorCode.BAD_JSON
 
 
 @settings(max_examples=200, deadline=None)
