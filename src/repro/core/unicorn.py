@@ -46,11 +46,12 @@ class UnicornConfig:
     entropy_threshold_factor: float = 0.8
     max_contexts: int = 60
     termination_patience: int = 12
-    #: fraction of active-loop iterations spent on ACE-guided exploration
+    #: share of debugging iterations spent on ACE-guided exploration
     #: (improving the causal model) rather than measuring the top-ranked
-    #: counterfactual repair; Stage III of the paper is exactly this
-    #: exploration step, with exploitation happening through the repair
-    #: estimates of Stage V.
+    #: counterfactual repair.  Only ``UnicornDebugger`` reads it, and only
+    #: coarsely: >= 0.5 explores every other iteration, a smaller positive
+    #: value every fourth, and <= 0 never.  ``UnicornOptimizer`` ignores
+    #: it and explores only when no repair predicts a positive gain.
     exploration_fraction: float = 0.5
     #: evaluate interventional/counterfactual queries (ACE sweeps, repair
     #: scans, satisfaction probabilities) through the vectorized
