@@ -94,7 +94,8 @@ class SkeletonSpace:
                          if pair not in self.required]
         self.testable_names = [self.pair_names[pair]
                                for pair in self.testable]
-        self._testable_columns: tuple | None = None
+        self._testable_ids = np.array(self.testable,
+                                      dtype=np.intp).reshape(-1, 2)
         self.conditioning = None if constraints is None else frozenset(
             k for k, name in enumerate(self.names)
             if constraints.conditioning_allowed(name))
@@ -102,15 +103,10 @@ class SkeletonSpace:
     def testable_columns(self, columns: Sequence[int]
                          ) -> tuple[np.ndarray, np.ndarray]:
         """``testable`` as two column-index arrays, given each local id's
-        column.  Kept for the last ``columns`` seen, so a learner session
-        builds them once."""
-        key = tuple(columns)
-        if self._testable_columns is None or self._testable_columns[0] != key:
-            ids = np.array(self.testable, dtype=np.intp).reshape(-1, 2)
-            column = np.array(columns, dtype=np.intp)
-            self._testable_columns = (key, column[ids[:, 0]],
-                                      column[ids[:, 1]])
-        return self._testable_columns[1], self._testable_columns[2]
+        column: two gathers from id arrays built once per space."""
+        first, second = self._testable_ids.T
+        column = np.asarray(columns, dtype=np.intp)
+        return column[first], column[second]
 
     def graph(self, pairs: Sequence[tuple[int, int]]) -> MixedGraph:
         """Circle-circle graph over ``variables`` with the given pairs.
