@@ -96,7 +96,7 @@ def _evaluate_candidate_queries(engine, system, probe,
                   if o in system.objectives}
     if not directions:
         return 1
-    repair_set = engine.repair_candidates_batch(
+    repair_set = engine.repair_set(
         dict(probe.configuration),
         {o: probe.objectives[o] for o in directions},
         directions)

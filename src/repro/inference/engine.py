@@ -79,7 +79,6 @@ class CausalInferenceEngine:
                  domains: Mapping[str, Sequence[float]],
                  top_k_paths: int = 5, max_contexts: int = 60,
                  max_ranking_age: int = 5, batched: bool = True,
-                 fused: bool = True,
                  prefitted: FittedPerformanceModel | None = None) -> None:
         self._learned = learned
         self._domains = {k: tuple(float(x) for x in v)
@@ -97,13 +96,8 @@ class CausalInferenceEngine:
         #: evaluator; ``batched=False`` keeps everything on the scalar
         #: reference path (the differential-testing oracle).
         self._use_batched = bool(batched)
-        #: compile propagation schedules into fused structure-of-arrays
-        #: programs (one GEMM per topological level); ``fused=False`` keeps
-        #: the per-node batched loops as the intermediate oracle.
-        self._use_fused = bool(fused)
         self._plan = QueryPlan(self._fitted.dag, graph=learned.graph)
-        self._batched = BatchedFittedModel(self._fitted, plan=self._plan,
-                                           fused=self._use_fused)
+        self._batched = BatchedFittedModel(self._fitted, plan=self._plan)
         self._path_cache: dict[tuple[str, ...], list[CausalPath]] = {}
         self._path_cache_age: dict[tuple[str, ...], int] = {}
         #: monotonically increasing model version; bumped by every
@@ -151,8 +145,7 @@ class CausalInferenceEngine:
         # evaluator always rebinds to the refitted equations.
         self._plan.rebind(self._fitted.dag, graph=learned.graph,
                           structure_changed=bool(changed_nodes))
-        self._batched = BatchedFittedModel(self._fitted, plan=self._plan,
-                                           fused=self._use_fused)
+        self._batched = BatchedFittedModel(self._fitted, plan=self._plan)
         for key in list(self._path_cache):
             age = self._path_cache_age.get(key, 0) + 1
             if age > self._max_ranking_age or (
@@ -394,32 +387,20 @@ class CausalInferenceEngine:
     def repair_set(self, faulty_configuration: Mapping[str, float],
                    faulty_measurement: Mapping[str, float],
                    objectives: Mapping[str, str],
-                   max_repairs: int = 300,
-                   batched: bool | None = None) -> RepairSet:
+                   max_repairs: int = 300) -> RepairSet:
         """Generate and rank the candidate repairs for a fault.
 
         The candidate grid is built once (memoized on the query plan) and
-        scored in one batched counterfactual call; pass ``batched=False``
-        to force the scalar reference path, which must produce a
-        byte-identical ranking.
+        scored in one batched counterfactual call; an engine built with
+        ``batched=False`` scores on the scalar reference path, which must
+        produce a byte-identical ranking.
         """
-        use_batched = self._use_batched if batched is None else batched
         paths = self.ranked_paths(list(objectives))
         return generate_repair_set(
             self._fitted, paths, self.constraints, self._domains,
             faulty_configuration, faulty_measurement, objectives,
-            max_repairs=max_repairs,
-            evaluator=self._batched if use_batched else None,
+            max_repairs=max_repairs, evaluator=self._evaluator(),
             plan=self._plan)
-
-    def repair_candidates_batch(self, faulty_configuration: Mapping[str, float],
-                                faulty_measurement: Mapping[str, float],
-                                objectives: Mapping[str, str],
-                                max_repairs: int = 300) -> RepairSet:
-        """Batched repair scan regardless of the engine-level default."""
-        return self.repair_set(faulty_configuration, faulty_measurement,
-                               objectives, max_repairs=max_repairs,
-                               batched=True)
 
     # ----------------------------------------------------------------- queries
     def answer(self, query: PerformanceQuery,

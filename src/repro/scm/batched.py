@@ -7,26 +7,28 @@ sweeps every permissible value of every option, and satisfaction
 probabilities replay one intervention against every observed context.  Each
 scalar query walks the graph with python dicts and per-row design matrices.
 
-This module evaluates those queries in batch: N candidate configurations are
-propagated through the mechanisms (ground truth) or the fitted structural
-equations as ``(N,)``/``(N, R)`` numpy arrays in topological order, with the
-expensive per-query setup — noise abduction, residual abduction, affected-set
-computation — done once and reused across the whole batch.
+This module evaluates those queries in batch, with the expensive per-query
+setup — noise abduction, residual abduction, affected-set computation — done
+once and reused across the whole batch.
 
 * :class:`BatchedSCM` wraps a ground-truth
   :class:`~repro.scm.model.StructuralCausalModel` and vectorizes
   ``intervene`` / ``abduct_noise`` / ``counterfactual`` /
-  ``interventional_expectation``.
+  ``interventional_expectation`` by propagating ``(N,)`` mechanism columns
+  in topological order.
 * :class:`BatchedFittedModel` wraps a fitted
   :class:`~repro.scm.fitting.FittedPerformanceModel` and vectorizes
   ``predict`` / ``interventional_expectation`` / ``counterfactual``, which is
   what :class:`~repro.inference.engine.CausalInferenceEngine` queries on its
-  hot paths.
+  hot paths.  Every query runs through compiled fused programs
+  (:mod:`repro.scm.fused`): one matrix product per topological level.
 
-The scalar methods on the wrapped models remain the *reference semantics*:
-``tests/test_batched_vs_scalar.py`` holds the batched evaluators to 1e-9
-equivalence against them, and the scalar path stays selectable
-(``batched_queries=False`` / ``batched=False``) as the differential oracle.
+The scalar methods on the wrapped models remain the *reference semantics*
+and stay selectable (``batched_queries=False`` / ``batched=False``) as the
+differential oracle.  ``tests/test_batched_vs_scalar.py`` holds the batched
+evaluators against them: :class:`BatchedSCM` at 1e-9, the fused programs at
+a bound scaled by the fit's coefficient magnitude, because the matrix
+product reassociates each equation's sum.
 """
 
 from __future__ import annotations
@@ -332,8 +334,7 @@ class BatchedFittedModel:
     """
 
     def __init__(self, model: FittedPerformanceModel,
-                 plan: StructuralPlan | None = None,
-                 fused: bool = True) -> None:
+                 plan: StructuralPlan | None = None) -> None:
         self._model = model
         self._plan = plan if plan is not None else StructuralPlan(model.dag)
         self._column_index = {name: i
@@ -344,10 +345,6 @@ class BatchedFittedModel:
         #: off the data epoch like the means — intervention-independent.
         self._row_residuals: dict[str, np.ndarray] | None = None
         self._row_residuals_epoch = -1
-        #: route propagation through compiled fused programs (one GEMM per
-        #: topological level); ``fused=False`` keeps the per-node loops as
-        #: the intermediate differential oracle between fused and scalar.
-        self._fused = bool(fused)
         #: context-matrix memo: ``(data_epoch, max_contexts, matrix)``.
         self._context_cache: tuple[int, int, np.ndarray] | None = None
 
@@ -358,11 +355,6 @@ class BatchedFittedModel:
     @property
     def plan(self) -> StructuralPlan:
         return self._plan
-
-    @property
-    def fused(self) -> bool:
-        """Whether propagation runs through compiled fused programs."""
-        return self._fused
 
     def _program(self, key, schedule: Sequence[str], known,
                  missing: str = "skip", column_names: Iterable[str] = (),
@@ -401,7 +393,6 @@ class BatchedFittedModel:
         ``(N,)`` column.
         """
         assignments = list(assignments)
-        model = self._model
         results: list[dict[str, float] | None] = [None] * len(assignments)
         for keys, idx in group_by_keyset(assignments):
             group = [assignments[i] for i in idx]
@@ -410,30 +401,14 @@ class BatchedFittedModel:
                 key: np.array([float(a[key]) for a in group], dtype=float)
                 for key in keys
             }
-            if self._fused:
-                schedule = [v for v in self._plan.topological_order
-                            if v not in values]
-                program = self._program(("predict", keys), schedule, keys,
-                                        missing="fallback",
-                                        column_names=self._column_index,
-                                        vector=keys)
-                program.execute(values, n, means=self._column_mean,
-                                scalar_token=self._observation_token({}))
-            else:
-                for variable in self._plan.topological_order:
-                    if variable in values:
-                        continue
-                    if model.has_equation(variable):
-                        equation = model.equation(variable)
-                        if all(p in values for p in equation.parents):
-                            values[variable] = equation.predict_batch(values,
-                                                                      n)
-                            continue
-                    if variable in self._column_index:
-                        values[variable] = np.full(
-                            n, self._column_mean(variable))
-                    else:
-                        values[variable] = np.zeros(n)
+            schedule = [v for v in self._plan.topological_order
+                        if v not in values]
+            program = self._program(("predict", keys), schedule, keys,
+                                    missing="fallback",
+                                    column_names=self._column_index,
+                                    vector=keys)
+            program.execute(values, n, means=self._column_mean,
+                            scalar_token=self._observation_token({}))
             wanted = list(values) if targets is None else list(targets)
             for j, i in enumerate(idx):
                 results[i] = {t: _value_at(values[t], j) for t in wanted}
@@ -469,56 +444,18 @@ class BatchedFittedModel:
         """Vectorized ``E[target | do(...)]`` over the empirical contexts.
 
         For each group of interventions sharing a key set, the observed
-        contexts are tiled into ``(N, R)`` columns, the intervened columns
-        are clamped, and only the variables downstream of an intervened one
-        are re-propagated — the batched analogue of the scalar truncated
-        factorisation.
+        contexts are tiled row-major into ``(N * R,)`` columns (only the
+        columns the compiled program reads are materialised), the
+        intervened columns are clamped, and only the variables downstream of
+        an intervened one are re-propagated — the batched analogue of the
+        scalar truncated factorisation.
         """
         interventions = list(interventions)
-        model = self._model
         out = np.zeros(len(interventions), dtype=float)
         context = self._context_matrix(max_contexts)
         n_contexts = context.shape[0]
         if n_contexts == 0:
             return out
-        if self._fused:
-            return self._interventional_fused(target, interventions, out,
-                                              context)
-        for keys, idx in group_by_keyset(interventions):
-            n = len(idx)
-            values: dict[str, np.ndarray] = {
-                name: np.broadcast_to(context[:, j], (n, n_contexts))
-                for name, j in self._column_index.items()
-            }
-            for key in keys:
-                column = np.array([float(interventions[i][key]) for i in idx],
-                                  dtype=float)
-                values[key] = np.broadcast_to(column[:, None],
-                                              (n, n_contexts))
-            for variable in self._plan.propagation_schedule(keys):
-                if not model.has_equation(variable):
-                    continue
-                equation = model.equation(variable)
-                if all(p in values for p in equation.parents):
-                    flat = {p: values[p].reshape(-1)
-                            for p in equation.parents}
-                    values[variable] = equation.predict_batch(
-                        flat, n * n_contexts).reshape(n, n_contexts)
-            if target in values:
-                out[idx] = values[target].mean(axis=1)
-        return out
-
-    def _interventional_fused(self, target: str,
-                              interventions: Sequence[Mapping[str, float]],
-                              out: np.ndarray,
-                              context: np.ndarray) -> np.ndarray:
-        """Fused-program body of :meth:`interventional_expectation_batch`.
-
-        Per intervention key set the contexts are flattened row-major into
-        ``(n_group * n_contexts,)`` columns — but only the columns the
-        compiled program actually reads are materialised.
-        """
-        n_contexts = context.shape[0]
         for keys, idx in group_by_keyset(interventions):
             keyset = set(keys)
             schedule = self._plan.propagation_schedule(keys)
@@ -582,47 +519,24 @@ class BatchedFittedModel:
                                 ):
         """Yield ``(indices, values)`` per key-set group of interventions.
 
-        On the fused path the observation enters as broadcast Python-float
-        scalars (no ``np.full`` per column — the profiled hot spot of the
-        per-node path) and only recomputed variables come back as ``(N,)``
-        columns; consumers extract rows through :func:`_value_at`.
+        The observation enters as broadcast Python-float scalars (no
+        ``np.full`` per column) and only recomputed variables come back as
+        ``(N,)`` columns; consumers extract rows through :func:`_value_at`.
         """
-        model = self._model
         residuals = self._abduct_residuals(observation)
-        base = ({name: float(value) for name, value in observation.items()}
-                if self._fused else None)
-        token = (self._observation_token(base) if self._fused else None)
+        base = {name: float(value) for name, value in observation.items()}
+        token = self._observation_token(base)
         for keys, idx in group_by_keyset(interventions):
-            n = len(idx)
-            if self._fused:
-                values = dict(base)
-                for key in keys:
-                    values[key] = np.array(
-                        [float(interventions[i][key]) for i in idx],
-                        dtype=float)
-                known = frozenset(observation) | set(keys)
-                program = self._program(("cf", keys, frozenset(observation)),
-                                        self._plan.propagation_schedule(keys),
-                                        known, vector=keys)
-                program.execute(values, n, residuals=residuals,
-                                scalar_token=token)
-                yield idx, values
-                continue
-            values: dict[str, np.ndarray] = {
-                name: np.full(n, float(value))
-                for name, value in observation.items()
-            }
+            values = dict(base)
             for key in keys:
                 values[key] = np.array(
                     [float(interventions[i][key]) for i in idx], dtype=float)
-            for variable in self._plan.propagation_schedule(keys):
-                if not model.has_equation(variable):
-                    continue
-                equation = model.equation(variable)
-                if all(p in values for p in equation.parents):
-                    values[variable] = (
-                        equation.predict_batch(values, n)
-                        + residuals.get(variable, 0.0))
+            known = frozenset(observation) | set(keys)
+            program = self._program(("cf", keys, frozenset(observation)),
+                                    self._plan.propagation_schedule(keys),
+                                    known, vector=keys)
+            program.execute(values, len(idx), residuals=residuals,
+                            scalar_token=token)
             yield idx, values
 
     def counterfactual_batch(self, observation: Mapping[str, float],
@@ -665,11 +579,10 @@ class BatchedFittedModel:
                 out[:, t] = float((fallbacks or {}).get(target, 0.0))
         if not interventions:
             return out
-        if self._fused:
-            merged = self._merged_counterfactual_targets(
-                observation, interventions, targets, out)
-            if merged is not None:
-                return merged
+        merged = self._merged_counterfactual_targets(
+            observation, interventions, targets, out)
+        if merged is not None:
+            return merged
         for idx, values in self._counterfactual_columns(observation,
                                                         interventions):
             for t, target in enumerate(targets):
@@ -787,32 +700,18 @@ class BatchedFittedModel:
         residuals = self._row_residuals
         values: dict = dict(columns)
         keys = list(intervention)
-        if self._fused:
-            for key in keys:
-                values[key] = float(intervention[key])
-            program = self._program(("rows", frozenset(keys)),
-                                    self._plan.propagation_schedule(keys),
-                                    set(columns) | set(keys),
-                                    vector=columns)
-            token = self._observation_token(
-                {key: float(intervention[key]) for key in keys})
-            program.execute(values, n, residuals=residuals,
-                            scalar_token=token)
-            if target in values:
-                column = values[target]
-                return (np.asarray(column, dtype=float)
-                        if isinstance(column, np.ndarray)
-                        else np.full(n, float(column)))
-            return np.zeros(n)
         for key in keys:
-            values[key] = np.full(n, float(intervention[key]))
-        for variable in self._plan.propagation_schedule(keys):
-            if not model.has_equation(variable):
-                continue
-            equation = model.equation(variable)
-            if all(p in values for p in equation.parents):
-                values[variable] = (equation.predict_batch(values, n)
-                                    + residuals.get(variable, 0.0))
+            values[key] = float(intervention[key])
+        program = self._program(("rows", frozenset(keys)),
+                                self._plan.propagation_schedule(keys),
+                                set(columns) | set(keys),
+                                vector=columns)
+        token = self._observation_token(
+            {key: float(intervention[key]) for key in keys})
+        program.execute(values, n, residuals=residuals, scalar_token=token)
         if target in values:
-            return np.asarray(values[target], dtype=float)
+            column = values[target]
+            return (np.asarray(column, dtype=float)
+                    if isinstance(column, np.ndarray)
+                    else np.full(n, float(column)))
         return np.zeros(n)

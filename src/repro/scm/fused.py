@@ -1,11 +1,10 @@
 """Fused structure-of-arrays execution plans for fitted structural equations.
 
-The batched evaluator (:mod:`repro.scm.batched`) removed the per-*candidate*
-Python overhead of interventional and counterfactual queries, but it still
-dispatches Python per *node*: every topological level walks its variables one
-at a time, paying one ``predict_batch`` call (feature building, term-by-term
-accumulation) per fitted equation.  A 256-candidate repair scan over a
-37-variable model therefore makes thousands of small numpy calls.
+Evaluating a fitted model one node at a time dispatches Python per *node*:
+every topological level walks its variables one at a time, paying one
+``predict_batch`` call (feature building, term-by-term accumulation) per
+fitted equation.  A 256-candidate repair scan over a 37-variable model would
+make thousands of small numpy calls.
 
 This module compiles a propagation schedule into a **fused program**: the
 schedule is partitioned into levels (by recomputation depth), and within each
@@ -22,11 +21,14 @@ batch width.)  Equations that are not plain
 evaluation *inside the same level*, so the fused path is always available
 regardless of the mechanism mix.
 
+The matrix product sums each equation's terms in a different order than the
+scalar :meth:`~repro.scm.fitting.FittedEquation.predict`, so fused and scalar
+answers agree to round-off relative to the coefficients' magnitude, not to a
+fixed absolute tolerance; the scalar methods stay the reference oracle.
+
 Programs embed the owning model's coefficients, so they are cached on the
 :class:`~repro.scm.batched.StructuralPlan` keyed by owner model (see
-``StructuralPlan.fused_programs``) and dropped on structural rebinds; the
-per-node batched path remains selectable (``fused=False``) as the
-intermediate differential oracle between the fused and scalar semantics.
+``StructuralPlan.fused_programs``) and dropped on structural rebinds.
 """
 
 from __future__ import annotations
@@ -202,7 +204,8 @@ class FusedProgram:
 
         ``residuals`` (abducted per-variable noise, scalar or ``(n,)``) is
         added to every recomputed variable that has an entry, matching the
-        additive-noise counterfactual semantics of the per-node path.
+        additive-noise counterfactual semantics of the scalar
+        :meth:`~repro.scm.fitting.FittedPerformanceModel.counterfactual`.
 
         ``scalar_token``, when given, must determine every broadcast-scalar
         input the program reads (plus the means epoch): each block's folded
@@ -399,7 +402,7 @@ def compile_fused_program(model, schedule: Sequence[str],
             max_level = max(max_level, 0)
         # missing == "skip": the variable keeps its base value (if any) and
         # stays available only when the caller supplied one — exactly the
-        # per-node evaluator's ``all(p in values)`` guard.
+        # scalar path's ``all(p in values)`` guard.
 
     levels = [FusedLevel() for _ in range(max_level + 1)]
     fused_entries: dict[int, list[tuple[str, object, list]]] = {}

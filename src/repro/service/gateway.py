@@ -62,7 +62,7 @@ from repro.service.protocol import (
     response_from_wire,
     response_to_wire,
 )
-from repro.service.registry import UnknownSubjectError
+from repro.service.registry import InvalidMeasurementError, UnknownSubjectError
 from repro.service.requests import QueryRequest, QueryResponse
 from repro.service.service import AdmissionError, ServiceClosedError
 from repro.service.store import measurement_from_dict, measurement_to_dict
@@ -631,6 +631,13 @@ class GatewayServer:
                 self.stats.unknown_subjects += 1
                 self._tenant_account(tenant)["rejected"] += 1
             raise _Reject(ErrorCode.UNKNOWN_SUBJECT, str(exc)) from None
+        except InvalidMeasurementError as exc:
+            # JSON admits numbers such as 1e400 that parse to inf; the
+            # registry refuses the batch before touching any state.
+            with self._lock:
+                self.stats.protocol_errors += 1
+            raise _Reject(ErrorCode.BAD_REQUEST,
+                          f"malformed measurement: {exc}") from None
         except ServiceClosedError as exc:
             with self._lock:
                 self.stats.draining_rejections += 1

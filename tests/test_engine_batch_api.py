@@ -3,7 +3,7 @@
 The differential suite (``test_batched_vs_scalar.py``) pins the evaluators
 to the scalar semantics on random models; these tests pin the *engine*
 surface: ``predict_batch`` / ``interventional_expectations_batch`` /
-``repair_candidates_batch`` agree between a ``batched=True`` and a
+``repair_set`` agree between a ``batched=True`` and a
 ``batched=False`` engine on a real learned model, custom mechanisms fall
 back to the scalar loop, and the batched scorer handles degenerate inputs.
 """
@@ -64,8 +64,7 @@ def test_interventional_expectations_batch_agrees(engine_pair, cache_system):
         == pytest.approx(a[0], rel=1e-9, abs=1e-9)
 
 
-def test_repair_candidates_batch_matches_scalar_set(engine_pair,
-                                                    cache_system):
+def test_repair_set_batched_matches_scalar_set(engine_pair, cache_system):
     batched, scalar = engine_pair
     objective = cache_system.objective_names[0]
     direction = cache_system.objectives[objective]
@@ -73,11 +72,10 @@ def test_repair_candidates_batch_matches_scalar_set(engine_pair,
     faulty_measurement = {
         objective: cache_system.true_objective(faulty_configuration,
                                                objective) * 1.2}
-    a = batched.repair_candidates_batch(faulty_configuration,
-                                        faulty_measurement,
-                                        {objective: direction})
+    a = batched.repair_set(faulty_configuration, faulty_measurement,
+                           {objective: direction})
     b = scalar.repair_set(faulty_configuration, faulty_measurement,
-                          {objective: direction}, batched=False)
+                          {objective: direction})
     assert [r.changes for r in a] == [r.changes for r in b]
     assert [r.ice for r in a] == pytest.approx([r.ice for r in b],
                                                rel=1e-9, abs=1e-9)

@@ -16,6 +16,9 @@ Covers the fault surface ISSUE 9 demands of the gateway:
   delivers its answer while new connections and new requests get typed
   ``draining`` errors, deterministically (event-gated, no sleeps on the
   assert path);
+* **non-finite observe input** — a JSON number such as ``1e400`` parses
+  to ``inf``; the observation is refused with a typed ``bad_request``,
+  counted as a protocol error, and leaves the model untouched;
 * **ShardedServiceStats counter invariants through the wire** —
   synthesized error responses (crash requeue-budget exhaustion) and
   close-time settlements are counted in ``errors`` / ``closed_errors``,
@@ -31,6 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -39,12 +43,22 @@ from repro.service import (
     GatewayAuthError,
     GatewayClient,
     GatewayServer,
+    ModelRegistry,
     QueryResponse,
+    QueryService,
     QuotaExceededError,
     ShardedQueryService,
     Tenant,
 )
-from repro.service.protocol import ErrorCode, FrameDecoder, encode_envelope
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    ErrorCode,
+    FrameDecoder,
+    encode_envelope,
+    encode_frame,
+)
+from repro.service.store import measurement_to_dict
+from repro.systems.cache_example import make_cache_example
 
 REQUEST = EffectRequest.of("cache-a", "Throughput", {"CachePolicy": 0.0})
 SPEC = {"system": "cache_example", "n_samples": 40,
@@ -252,6 +266,56 @@ def test_new_request_on_existing_connection_rejected_during_drain(leak_audit):
             with pytest.raises(DrainingError):
                 client.submit(REQUEST)
             assert client.ping()  # health probes keep working
+
+
+# ------------------------------------------------------- non-finite observe
+def test_non_finite_observe_is_bad_request_and_leaves_model(leak_audit):
+    """``1e400`` is valid JSON that parses to ``inf``: the gateway answers
+    ``bad_request`` (not ``internal``), the model version does not move,
+    and every answer before and after is byte-identical."""
+    registry = ModelRegistry(capacity=1)
+    entry = registry.get_or_fit(SPEC)
+    system = make_cache_example()
+    rng = np.random.default_rng(5)
+    measurement = system.measure_many(
+        system.space.sample_configurations(1, rng), rng=rng)[0]
+    payload = measurement_to_dict(measurement)
+    objective = next(iter(payload["objectives"]))
+    payload["objectives"][objective] = 4242.5
+    frame = json.dumps({"protocol_version": PROTOCOL_VERSION, "op": "observe",
+                        "subject": entry.key,
+                        "measurements": [payload]}).encode()
+    assert frame.count(b"4242.5") == 1
+    frame = encode_frame(frame.replace(b"4242.5", b"1e400"))
+    requests = [EffectRequest.of(entry.key, "Throughput",
+                                 {"CachePolicy": value})
+                for value in (0.0, 1.0)]
+    with QueryService(registry) as service:
+        with GatewayServer(service) as gateway:
+            with GatewayClient(gateway.address) as client:
+                before = [client.submit(r) for r in requests]
+            with socket.create_connection(gateway.address,
+                                          timeout=10.0) as sock:
+                sock.sendall(frame)
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                while chunk := sock.recv(65536):
+                    received += chunk
+            decoder = FrameDecoder()
+            decoder.feed(received)
+            envelope = json.loads(decoder.next_frame())
+            assert envelope["ok"] is False
+            assert envelope["error"]["code"] == ErrorCode.BAD_REQUEST
+            assert gateway.stats.protocol_errors == 1
+            assert gateway.stats.internal_errors == 0
+            assert gateway.stats.observes == 0
+            with GatewayClient(gateway.address) as client:
+                after = [client.submit(r) for r in requests]
+    assert entry.version == 0
+    assert [r.model_version for r in after] == \
+        [r.model_version for r in before] == [0, 0]
+    assert [r.canonical_value() for r in after] == \
+        [r.canonical_value() for r in before]
 
 
 # --------------------------------------- sharded stats invariants on the wire

@@ -36,7 +36,7 @@ FAULT_OVERRIDES = {
 }
 
 
-def _build_engine(name: str):
+def _build_engine(name: str, batched: bool = True):
     factory, n_samples, seed, learner_kwargs = SCENARIOS[name]
     system = factory()
     _, data = system.random_dataset(n_samples, np.random.default_rng(seed))
@@ -44,7 +44,7 @@ def _build_engine(name: str):
     learned = learner.learn(data)
     domains = {option: system.space.option(option).values
                for option in system.space.option_names}
-    return system, CausalInferenceEngine(learned, domains)
+    return system, CausalInferenceEngine(learned, domains, batched=batched)
 
 
 def _compute_answers(name: str) -> dict:
@@ -160,10 +160,10 @@ def test_scalar_oracle_agrees_with_golden_repairs(name):
     """The scalar reference path reproduces the frozen (batched) ranking."""
     fixture = json.loads(_fixture_path(name).read_text())
     golden = fixture["answers"]
-    _, engine = _build_engine(name)
+    _, engine = _build_engine(name, batched=False)
     repairs = engine.repair_set(
         golden["faulty_configuration"], golden["faulty_measurement"],
-        {golden["objective"]: golden["direction"]}, batched=False)
+        {golden["objective"]: golden["direction"]})
     for repair, frozen in zip(repairs.top(5), golden["top_repairs"],
                               strict=True):
         assert [[o, v] for o, v in repair.changes] == frozen["changes"]
