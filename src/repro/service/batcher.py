@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Sequence
 
-from repro.service.registry import ModelEntry
+from repro.service.registry import ModelEntry, ModelRegistry
 from repro.service.requests import (
     QueryRequest,
     QueryResponse,
@@ -65,17 +65,9 @@ class RequestBatcher:
     next batch.  Errors are never cached.  Because cached values were
     computed by an identical engine call against the same model version,
     answers are byte-identical with the cache on or off.
-
-    Parameters
-    ----------
-    coalesce:
-        When ``False``, every request is dispatched as its own singleton
-        engine call in submission order — the one-at-a-time reference mode
-        (also available per call via :meth:`serial_dispatch`).
     """
 
-    def __init__(self, coalesce: bool = True) -> None:
-        self.coalesce = bool(coalesce)
+    def __init__(self) -> None:
         #: total engine calls issued / requests answered, for stats.
         self.calls = 0
         self.answered = 0
@@ -121,14 +113,35 @@ class RequestBatcher:
             One response per request, in request order; failures are
             reported per-response via ``error`` rather than raised.
         """
-        requests = list(requests)
         with entry.lock:
-            if not self.coalesce:
-                responses = self._serial(entry, requests, dispatch_index,
-                                         traces=traces)
-            else:
-                responses = self._coalesced(entry, requests, dispatch_index,
-                                            traces=traces)
+            return self._coalesced(entry, list(requests), dispatch_index,
+                                   traces=traces)
+
+    def answer(self, registry: ModelRegistry, subject: str,
+               requests: Sequence[QueryRequest], dispatch_index: int,
+               traces: "list[TraceContext | None] | None" = None,
+               ) -> list[QueryResponse]:
+        """Answer one subject's drained requests; never raises.
+
+        The per-subject step both serving tiers share: look the subject
+        up in ``registry`` and :meth:`dispatch` against its entry.  A
+        subject-level failure (unknown subject, dead engine) becomes one
+        error response per request instead of an exception that would
+        take the other subjects of the round down with it, and a short
+        reply is padded with error responses so no request is left
+        without one.  The answers come back aligned with ``requests``.
+        """
+        try:
+            responses = self.dispatch(registry.get(subject), requests,
+                                      dispatch_index=dispatch_index,
+                                      traces=traces)
+            error = "batcher returned too few responses"
+        except Exception as exc:  # noqa: BLE001 - isolate subjects
+            responses, error = [], str(exc)
+        for request in requests[len(responses):]:
+            responses.append(QueryResponse(
+                request=request, subject=subject, model_version=-1,
+                value=None, dispatch_index=dispatch_index, error=error))
         return responses
 
     def serial_dispatch(self, entry: ModelEntry,
@@ -136,40 +149,26 @@ class RequestBatcher:
                         ) -> list[QueryResponse]:
         """One-at-a-time dispatch: the byte-identical reference path."""
         with entry.lock:
-            return self._serial(entry, list(requests), 0)
+            return self._serial(entry, list(requests))
 
     # -------------------------------------------------------------- internals
-    def _serial(self, entry: ModelEntry, requests: list[QueryRequest],
-                dispatch_index: int,
-                traces: "list[TraceContext | None] | None" = None,
-                ) -> list[QueryResponse]:
+    def _serial(self, entry: ModelEntry,
+                requests: list[QueryRequest]) -> list[QueryResponse]:
         cache = entry.result_cache
         responses = []
-        for idx, request in enumerate(requests):
+        for request in requests:
             version = entry.version
-            trace = traces[idx] if traces is not None else None
-            if trace is not None:
-                trace.coalesce_group_size = 1  # singleton engine calls
             if cache is not None:
-                lookup_start = (time.perf_counter()
-                                if trace is not None else 0.0)
                 cached = cache.lookup(version, request.item_key_cached())
-                if trace is not None:
-                    trace.cache_seconds += \
-                        time.perf_counter() - lookup_start
                 if cached is not MISS:
                     self.cache_hits += 1
-                    if trace is not None:
-                        trace.cache_hit = True
                     responses.append(QueryResponse(
                         request=request, subject=entry.key,
                         model_version=version, value=cached,
-                        batched=False, batch_size=1,
-                        dispatch_index=dispatch_index))
+                        batched=False, batch_size=1))
                     self.answered += 1
                     continue
                 self.cache_misses += 1
-            engine_start = time.perf_counter() if trace is not None else 0.0
             try:
                 value = self._evaluate_one(entry, request)
                 if cache is not None:
@@ -177,16 +176,12 @@ class RequestBatcher:
                 responses.append(QueryResponse(
                     request=request, subject=entry.key,
                     model_version=entry.version, value=value,
-                    batched=False, batch_size=1,
-                    dispatch_index=dispatch_index))
+                    batched=False, batch_size=1))
             except Exception as exc:  # noqa: BLE001 - per-request isolation
                 responses.append(QueryResponse(
                     request=request, subject=entry.key,
                     model_version=entry.version, value=None,
-                    batched=False, batch_size=1,
-                    dispatch_index=dispatch_index, error=str(exc)))
-            if trace is not None:
-                trace.engine_seconds += time.perf_counter() - engine_start
+                    batched=False, batch_size=1, error=str(exc)))
             self.calls += 1
             self.answered += 1
         return responses

@@ -106,10 +106,6 @@ class QueryService:
     ----------
     registry:
         The :class:`ModelRegistry` holding the fitted subject models.
-    batcher:
-        The dispatch strategy; defaults to a coalescing
-        :class:`RequestBatcher` (pass ``RequestBatcher(coalesce=False)``
-        for the one-at-a-time reference mode).
     batch_window:
         Seconds the dispatcher waits after the first pending request for
         more to arrive before draining — the coalescing opportunity window.
@@ -141,7 +137,6 @@ class QueryService:
     """
 
     def __init__(self, registry: ModelRegistry,
-                 batcher: RequestBatcher | None = None,
                  batch_window: float = 0.002,
                  max_pending: int = 1024,
                  max_batch: int = 256,
@@ -151,7 +146,7 @@ class QueryService:
         if max_pending < 1 or max_batch < 1 or fairness_quantum < 1:
             raise ValueError("queue bounds must be >= 1")
         self.registry = registry
-        self.batcher = batcher if batcher is not None else RequestBatcher()
+        self.batcher = RequestBatcher()
         self.batch_window = float(batch_window)
         self.max_pending = int(max_pending)
         self.max_batch = int(max_batch)
@@ -538,23 +533,8 @@ class QueryService:
             traces = (self.tracer.claim_round(requests) if tracing
                       else None)
             dispatch_start = time.perf_counter()
-            try:
-                entry = self.registry.get(subject)
-                responses = self.batcher.dispatch(
-                    entry, requests, dispatch_index=index, traces=traces)
-            except Exception as exc:  # noqa: BLE001 - isolate subjects
-                responses = [QueryResponse(
-                    request=p.request, subject=subject, model_version=-1,
-                    value=None, dispatch_index=index, error=str(exc))
-                    for p in pendings]
-            # A misbehaving batcher returning too few responses must not
-            # leave the tail futures unresolved (zip would truncate).
-            while len(responses) < len(pendings):
-                short = pendings[len(responses)]
-                responses.append(QueryResponse(
-                    request=short.request, subject=subject,
-                    model_version=-1, value=None, dispatch_index=index,
-                    error="batcher returned too few responses"))
+            responses = self.batcher.answer(self.registry, subject,
+                                            requests, index, traces=traces)
             now = time.perf_counter()
             latencies = []
             if traces is None:

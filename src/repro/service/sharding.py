@@ -66,9 +66,17 @@ from dataclasses import dataclass, field, replace as dataclasses_replace
 from typing import Mapping, Sequence
 
 from repro.service.metrics import MetricsSnapshot, ServiceMetrics
-from repro.service.registry import ModelRegistry, UnknownSubjectError
+from repro.service.registry import (
+    ModelRegistry,
+    UnknownSubjectError,
+    _require_finite,
+)
 from repro.service.requests import QueryRequest, QueryResponse
-from repro.service.service import AdmissionError, ServiceClosedError
+from repro.service.service import (
+    AdmissionError,
+    ServiceClosedError,
+    _Pending,
+)
 from repro.service.store import ModelStore, subject_key
 from repro.service.tracing import Tracer
 from repro.service.worker import run_shard_server, run_shard_thread
@@ -114,6 +122,17 @@ def registry_from_specs(specs: Mapping[str, Mapping],
     return registry
 
 
+def _roll_store_back(store: ModelStore,
+                     versions: Mapping[str, int | None]) -> None:
+    """Point each store key back at its recorded version (``None``:
+    the key did not exist before, so discard it)."""
+    for key, version in versions.items():
+        if version is None:
+            store.discard(key)
+        else:
+            store.rollback(key, to_version=version)
+
+
 @dataclass
 class ShardedServiceStats:
     """Parent-side counters of one sharded service's lifetime of work."""
@@ -147,15 +166,6 @@ class ShardedServiceStats:
 
 
 @dataclass
-class _Pending:
-    """A routed request with its future and enqueue timestamp."""
-
-    request: QueryRequest
-    future: Future
-    enqueued_at: float
-
-
-@dataclass
 class _ControlOp:
     """A non-dispatch outbox entry (observe / quiesce / stats / shutdown)."""
 
@@ -186,9 +196,9 @@ class _Shard:
         self.control: dict[int, _ControlOp] = {}
         #: observes not yet covered by a durable snapshot, kept for
         #: deterministic crash replay.  With a model store configured,
-        #: every ``observed`` acknowledgement carries the subject's
-        #: snapshot watermark and the parent drops journal entries at or
-        #: below it (suffix compaction) — the journal stays bounded by
+        #: every ``done`` reply carries the snapshot watermarks of the
+        #: subjects it covers and the parent drops journal entries at or
+        #: below them (suffix compaction) — the journal stays bounded by
         #: the snapshot cadence instead of growing with the stream.
         #: Without a store it degrades to the pre-store behaviour: the
         #: full journal, replayed in its entirety on respawn.  See
@@ -337,7 +347,8 @@ class ShardedQueryService:
             self._subject_shard[subject] = index
             self._shards[index].subjects[subject] = dict(spec)
         for shard in self._shards:
-            self._start_worker(shard)
+            shard.command_queue, shard.result_queue, shard.runner = \
+                self._launch(shard.index, shard.subjects, "fit")
         for shard in self._shards:
             shard.sender = threading.Thread(
                 target=self._sender_loop, args=(shard,),
@@ -355,71 +366,63 @@ class ShardedQueryService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _registry_capacity(self, shard: _Shard) -> int:
-        """Per-worker registry capacity: hold every assigned subject."""
-        return max(len(shard.subjects), 1)
+    def _launch(self, index: int, subjects: Mapping[str, Mapping],
+                verb: str) -> tuple:
+        """Start one worker on fresh queues and wait out its fits.
 
-    def _start_worker(self, shard: _Shard) -> None:
-        """Create fresh queues and a worker, then wait for its fits."""
-        with shard.lock:
-            self._start_worker_locked(shard)
-
-    def _start_worker_locked(self, shard: _Shard) -> None:
-        """:meth:`_start_worker` body; the caller holds ``shard.lock``.
-
-        Fresh queues on every (re)start are deliberate: commands left in
-        a dead worker's queue must not be double-executed by its
-        replacement — recovery replays from the parent's own journal and
-        in-flight tracking instead.
+        The one launch path of start, respawn and rolling refresh:
+        ``verb`` is ``"fit"`` (restore from the store, else fit from the
+        spec) or ``"upgrade"`` (always fit fresh).  Fresh queues on every
+        launch are deliberate: commands left in a dead or replaced
+        worker's queue must never be double-executed by its successor —
+        recovery replays from the parent's own journal and in-flight
+        tracking instead.  Returns ``(command_queue, result_queue,
+        runner)``; on any failure the worker is killed before the error
+        propagates, so it cannot outlive the failed launch.
         """
         options = dict(self._registry_options,
-                       capacity=self._registry_capacity(shard))
-        shard.command_queue = self._ctx.Queue()
-        shard.result_queue = self._ctx.Queue()
-        shard.runner = self._spawn_runner(shard.index, shard.command_queue,
-                                          shard.result_queue, options)
-        for subject, spec in shard.subjects.items():
-            shard.command_queue.put(("fit", subject, spec))
-        deadline = time.monotonic() + self.start_timeout
-        for _ in shard.subjects:
-            try:
-                message = self._next_fit_reply(shard.index,
-                                               shard.result_queue,
-                                               shard.runner, deadline)
-            except BaseException:
-                # The worker outlives the failed start otherwise — a
-                # thread parked on the command queue until its EOF, a
-                # process serving nobody.
-                self._kill_runner(shard.runner, shard.command_queue)
-                raise
-            if message[0] == "fit_error":
-                self._kill_runner(shard.runner, shard.command_queue)
-                raise RuntimeError(f"shard {shard.index} failed to fit "
-                                   f"{message[1]!r}: {message[2]}")
-            if message[0] == "fitted" and len(message) > 3:
+                       capacity=max(len(subjects), 1))
+        command_queue = self._ctx.Queue()
+        result_queue = self._ctx.Queue()
+        args = (index, command_queue, result_queue, options)
+        if self.use_processes:
+            runner = self._ctx.Process(target=run_shard_server, args=args,
+                                       name=f"shard-worker-{index}",
+                                       daemon=True)
+        else:
+            runner = threading.Thread(target=run_shard_thread, args=args,
+                                      name=f"shard-worker-{index}",
+                                      daemon=True)
+        runner.start()
+        try:
+            for subject, spec in subjects.items():
+                command_queue.put((verb, subject, spec))
+            deadline = time.monotonic() + self.start_timeout
+            for _ in subjects:
+                message = self._next_fit_reply(index, result_queue, runner,
+                                               deadline)
+                if message[0] == "fit_error":
+                    raise RuntimeError(f"shard {index} failed to fit "
+                                       f"{message[1]!r}: {message[2]}")
                 # A subject restored from a store snapshot carries the
-                # op-id watermark of the service generation that published
-                # it; start our own op ids past it so fresh observes are
-                # never skipped as replays of a previous generation.
+                # op-id watermark of the service generation that
+                # published it; start our own op ids past it so fresh
+                # observes are never skipped as replays of a previous
+                # generation.
                 with self._lock:
                     self._next_op_id = max(self._next_op_id,
                                            int(message[3]))
-
-    def _spawn_runner(self, index: int, command_queue, result_queue,
-                      options: dict):
-        """Start one worker process/thread over the given queue pair."""
-        if self.use_processes:
-            runner = self._ctx.Process(
-                target=run_shard_server,
-                args=(index, command_queue, result_queue, options),
-                name=f"shard-worker-{index}", daemon=True)
-        else:
-            runner = threading.Thread(
-                target=run_shard_thread,
-                args=(index, command_queue, result_queue, options),
-                name=f"shard-worker-{index}", daemon=True)
-        runner.start()
-        return runner
+        except BaseException:
+            if self.use_processes:
+                runner.terminate()
+                runner.join(timeout=5.0)
+            else:
+                # A thread cannot be terminated; ask it to exit.  Nothing
+                # in its registry advanced past what it loaded or fitted,
+                # so the shutdown flush publishes nothing new.
+                command_queue.put(("shutdown",))
+            raise
+        return command_queue, result_queue, runner
 
     def _next_fit_reply(self, index: int, result_queue, runner,
                         deadline: float) -> tuple:
@@ -550,20 +553,24 @@ class ShardedQueryService:
         with self._lock:
             return self._n_unresolved
 
-    def subjects(self) -> list[str]:
-        """Every subject this service routes, in name order."""
-        return sorted(self._subject_shard)
-
     # ---------------------------------------------------------------- control
-    def _control(self, shard: _Shard, verb: str,
-                 payload: tuple = ()) -> Future:
-        """Enqueue a control op on a shard's outbox (FIFO with dispatches)."""
+    def _control(self, shard: _Shard, verb: str, payload: tuple = (),
+                 direct: bool = False) -> Future:
+        """Allocate an op id and issue one control op to a shard.
+
+        The op rides the shard's outbox, FIFO with dispatches — or, with
+        ``direct``, is registered and sent to the worker at once (a
+        rolling refresh's barrier, issued while the sender is paused).
+        """
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("sharded service is closed")
             self._next_op_id += 1
             op = _ControlOp(verb=verb, op_id=self._next_op_id,
                             future=Future(), payload=payload)
+        if direct:
+            self._send_control(shard, op)
+            return op.future
         with shard.cv:
             shard.outbox.append(op)
             shard.cv.notify_all()
@@ -578,7 +585,9 @@ class ShardedQueryService:
         drift detector fires (see :meth:`ModelRegistry.observe
         <repro.service.registry.ModelRegistry.observe>`).  The batch is
         journaled parent-side first, so a worker crash replays it and
-        the respawned replica reconverges to the same model state.
+        the respawned replica reconverges to the same model state.  A
+        batch holding a NaN or infinite value is refused before it is
+        journaled, so a crash can never replay it.
 
         Parameters
         ----------
@@ -592,12 +601,21 @@ class ShardedQueryService:
             resolving to it.
         timeout:
             Seconds to wait when blocking.
+
+        Raises
+        ------
+        InvalidMeasurementError
+            If any measurement holds a NaN or infinite value; nothing is
+            journaled or sent.
+        UnknownSubjectError
+            If no shard serves ``subject``.
         """
         index = self._subject_shard.get(subject)
         if index is None:
             raise UnknownSubjectError(f"unknown subject {subject!r}")
         shard = self._shards[index]
         measurements = list(measurements)
+        _require_finite(subject, measurements)
         future = self._control(shard, "observe", (subject, measurements))
         if block:
             return future.result(timeout=timeout)
@@ -620,19 +638,7 @@ class ShardedQueryService:
         healthy N-1 shards are still serving.  Only a closed *service*
         raises :class:`ServiceClosedError`.
         """
-        futures = [(shard, None if shard.failed
-                    else self._control(shard, "quiesce"))
-                   for shard in self._shards]
-        for shard, future in futures:
-            if future is None:
-                continue
-            try:
-                future.result(timeout=timeout)
-            except ServiceClosedError:
-                if self._closed:
-                    raise
-                # The shard failed between enqueue and reply; the
-                # healthy shards still quiesced.
+        self._broadcast("quiesce", timeout)
 
     def worker_stats(self, timeout: float | None = 60.0) -> list[dict]:
         """Fetch each worker's serving counters (one dict per shard).
@@ -642,24 +648,34 @@ class ShardedQueryService:
         seeing the healthy N-1 shards.  Only a closed *service* raises
         :class:`ServiceClosedError`.
         """
-        failed_stub = {"failed": True}
-        futures = [(shard, None if shard.failed
-                    else self._control(shard, "stats"))
-                   for shard in self._shards]
-        payloads = []
-        for shard, future in futures:
-            if future is None:
-                payloads.append(dict(failed_stub, shard=shard.index))
-                continue
-            try:
-                payload = future.result(timeout=timeout)
+        payloads = self._broadcast("stats", timeout)
+        for shard, payload in zip(self._shards, payloads):
+            if payload is not None:
                 shard.last_stats = payload  # feeds metrics_snapshot()
-                payloads.append(payload)
+        return [{"failed": True, "shard": shard.index} if payload is None
+                else payload
+                for shard, payload in zip(self._shards, payloads)]
+
+    def _broadcast(self, verb: str, timeout: float | None) -> list:
+        """Issue one control op to every shard; replies in shard order.
+
+        A permanently failed shard — skipped up front, or failing
+        between enqueue and reply — yields ``None`` instead of raising,
+        so one dead shard cannot poison a fleet-wide barrier or probe.
+        Only a closed *service* raises :class:`ServiceClosedError`.
+        """
+        futures = [None if shard.failed else self._control(shard, verb)
+                   for shard in self._shards]
+        replies = []
+        for future in futures:
+            try:
+                replies.append(None if future is None
+                               else future.result(timeout=timeout))
             except ServiceClosedError:
                 if self._closed:
                     raise
-                payloads.append(dict(failed_stub, shard=shard.index))
-        return payloads
+                replies.append(None)
+        return replies
 
     def stats_snapshot(self) -> ShardedServiceStats:
         """A consistent point-in-time copy of :attr:`stats`.
@@ -736,19 +752,9 @@ class ShardedQueryService:
         to them — this is how journals of *quiet* subjects (no further
         live observes to carry a watermark) finally shrink.
         """
-        futures = [(shard, None if shard.failed
-                    else self._control(shard, "flush"))
-                   for shard in self._shards]
-        published = 0
-        for shard, future in futures:
-            if future is None:
-                continue
-            try:
-                published += int(future.result(timeout=timeout))
-            except ServiceClosedError:
-                if self._closed:
-                    raise
-        return published
+        return sum(int(published) for published
+                   in self._broadcast("flush", timeout)
+                   if published is not None)
 
     def close(self, timeout: float | None = 30.0) -> None:
         """Drain admitted work, stop every worker, settle every future.
@@ -795,19 +801,25 @@ class ShardedQueryService:
             for pendings in shard.inflight.values():
                 leftovers.extend(pendings)
             shard.inflight.clear()
-            ops = list(shard.control.values())
+            leftovers.extend(shard.control.values())
             shard.control.clear()
-        for item in leftovers:
+        self._fail_items(
+            leftovers, "service closed before the request was dispatched",
+            "service closed before the operation completed")
+
+    def _fail_items(self, items: list, message: str,
+                    op_message: str | None = None) -> None:
+        """Fail requests and control ops with :class:`ServiceClosedError`.
+
+        Requests settle with ``message``; control ops (whose futures are
+        still open) fail with ``op_message``, defaulting to ``message``.
+        """
+        for item in items:
             if isinstance(item, _Pending):
-                self._settle(item, exception=ServiceClosedError(
-                    "service closed before the request was dispatched"))
+                self._settle(item, exception=ServiceClosedError(message))
             elif item.future is not None and not item.future.done():
                 item.future.set_exception(ServiceClosedError(
-                    "service closed before the operation completed"))
-        for op in ops:
-            if op.future is not None and not op.future.done():
-                op.future.set_exception(ServiceClosedError(
-                    "service closed before the operation completed"))
+                    op_message or message))
 
     # ------------------------------------------------------------- resolution
     def _settle(self, pending: _Pending,
@@ -884,13 +896,8 @@ class ShardedQueryService:
         if shard.failed:
             # Nothing will ever answer; fail the drained work fast
             # instead of queueing it for a dead worker.
-            for item in drained:
-                if isinstance(item, _Pending):
-                    self._settle(item, exception=ServiceClosedError(
-                        f"shard {shard.index} failed permanently"))
-                elif item.future is not None and not item.future.done():
-                    item.future.set_exception(ServiceClosedError(
-                        f"shard {shard.index} failed permanently"))
+            self._fail_items(drained,
+                             f"shard {shard.index} failed permanently")
             return any(not isinstance(item, _Pending)
                        and item.verb == "shutdown" for item in drained)
         pending_run: list[_Pending] = []
@@ -1022,17 +1029,11 @@ class ShardedQueryService:
                 return
             if verb == "answers":
                 self._resolve_answers(shard, message[1], message[2])
-            elif verb == "observed":
-                self._resolve_observed(shard, message)
-            elif verb == "quiesced":
-                self._resolve_quiesced(shard, message)
-            elif verb == "flushed":
-                self._resolve_flushed(shard, message)
-            elif verb == "stats":
-                self._resolve_control(shard, message[1], message[2])
-            elif verb == "observe_error":
-                self._fail_control(shard, message[1],
-                                   RuntimeError(message[2]))
+            elif verb == "done":
+                self._resolve_control(shard, *message[1:])
+            elif verb == "failed":
+                self._resolve_control(shard, message[1], None, {},
+                                      error=RuntimeError(message[2]))
             # "fitted" acks from a respawn race are ignorable noise.
 
     def _resolve_answers(self, shard: _Shard, batch_id: int,
@@ -1061,89 +1062,36 @@ class ShardedQueryService:
             answered[shard.index] = answered.get(shard.index, 0) \
                 + len(responses)
 
-    def _resolve_observed(self, shard: _Shard, message: tuple) -> None:
-        """Resolve one observe acknowledgement and compact its journal.
+    def _resolve_control(self, shard: _Shard, op_id: int, value,
+                         watermarks: Mapping[str, int],
+                         error: BaseException | None = None) -> None:
+        """Compact the journal from one control reply, then settle its op.
 
-        The reply's optional fourth element is the subject's durable
-        snapshot watermark: every journal entry of that subject with an
-        op id at or below it is folded into a snapshot the worker can
-        reload, so the parent drops those entries *before* resolving the
-        caller's future (a client that has seen the ack can rely on the
-        compaction having happened).  Replayed ops after a respawn have
-        no tracked control entry (and thus no known subject) — their
-        replies resolve nothing and compact nothing; compaction catches
-        up on the next live observe.
+        ``watermarks`` maps subjects to the op id their durable snapshot
+        reaches: every journal entry of that subject at or below it is
+        folded into a snapshot the worker can reload, so it is dropped.
+        Compaction happens *before* the caller's future resolves (a
+        client that has seen the ack can rely on it), and for untracked
+        replies too — journal-replay acks and the respawn barrier — which
+        is safe because a watermark only ever covers ops inside a durable
+        snapshot.  Barrier replies carry the full map, so subjects that
+        went quiet (no further observe acks) still shrink.
         """
-        op_id, version = message[1], message[2]
         with shard.lock:
             op = shard.control.pop(op_id, None)
-            if op is not None and op.payload and len(message) > 3:
-                self._compact_journal_locked(shard, str(op.payload[0]),
-                                             int(message[3]))
-        if op is not None and op.future is not None \
-                and not op.future.done():
-            op.future.set_result(version)
-
-    def _compact_journal_locked(self, shard: _Shard, subject: str,
-                                watermark: int) -> None:
-        """Drop ``subject``'s journal prefix covered by ``watermark``;
-        the caller holds ``shard.lock``."""
-        if watermark <= 0:
+            kept = [entry for entry in shard.journal
+                    if entry[0] > watermarks.get(entry[1], 0)]
+            dropped = len(shard.journal) - len(kept)
+            if dropped:
+                shard.journal = kept
+                with self._lock:
+                    self.stats.journal_ops_compacted += dropped
+        if op is None or op.future is None or op.future.done():
             return
-        kept = [entry for entry in shard.journal
-                if entry[1] != subject or entry[0] > watermark]
-        dropped = len(shard.journal) - len(kept)
-        if dropped:
-            shard.journal = kept
-            with self._lock:
-                self.stats.journal_ops_compacted += dropped
-
-    def _resolve_quiesced(self, shard: _Shard, message: tuple) -> None:
-        """Resolve a quiesce barrier, compacting from its watermarks.
-
-        The reply carries the worker registry's full per-subject
-        snapshot-watermark map, which closes the quiet-subject gap of
-        per-observe compaction: a subject whose stream stopped right
-        after a snapshot never sees another ``observed`` ack, so before
-        this its stale journal suffix survived forever.  Any barrier —
-        an explicit :meth:`quiesce`, the per-round quiesce of a serving
-        loop — now compacts every subject it covers.
-        """
-        with shard.lock:
-            op = shard.control.pop(message[1], None)
-            if len(message) > 2:
-                for subject, watermark in dict(message[2]).items():
-                    self._compact_journal_locked(shard, str(subject),
-                                                 int(watermark))
-        if op is not None and op.future is not None \
-                and not op.future.done():
-            op.future.set_result(None)
-
-    def _resolve_flushed(self, shard: _Shard, message: tuple) -> None:
-        """Resolve a flush ack (snapshots-published count + watermarks)."""
-        with shard.lock:
-            op = shard.control.pop(message[1], None)
-            for subject, watermark in dict(message[3]).items():
-                self._compact_journal_locked(shard, str(subject),
-                                             int(watermark))
-        if op is not None and op.future is not None \
-                and not op.future.done():
-            op.future.set_result(int(message[2]))
-
-    def _resolve_control(self, shard: _Shard, op_id: int, value) -> None:
-        with shard.lock:
-            op = shard.control.pop(op_id, None)
-        if op is not None and op.future is not None \
-                and not op.future.done():
+        if error is None:
             op.future.set_result(value)
-
-    def _fail_control(self, shard: _Shard, op_id: int,
-                      exception: BaseException) -> None:
-        with shard.lock:
-            op = shard.control.pop(op_id, None)
-        if op is not None and op.future is not None \
-                and not op.future.done():
-            op.future.set_exception(exception)
+        else:
+            op.future.set_exception(error)
 
     # ---------------------------------------------------------------- respawn
     def _respawn(self, shard: _Shard) -> None:
@@ -1179,15 +1127,17 @@ class ShardedQueryService:
         # journal replay, which would reorder the observation stream the
         # replica's recovered state depends on.
         with shard.lock:
-            self._start_worker_locked(shard)
+            shard.command_queue, shard.result_queue, shard.runner = \
+                self._launch(shard.index, shard.subjects, "fit")
             for op_id, subject, measurements in shard.journal:
                 shard.command_queue.put(
                     ("observe", op_id, subject, measurements))
             if shard.journal:
-                # Barrier: any refresh the replay re-triggers must land
-                # before the requeued batches are answered, so they see
-                # the same model state the dead worker had reached.
-                shard.command_queue.put(("sync",))
+                # Barrier (untracked op 0): any refresh the replay
+                # re-triggers must land before the requeued batches are
+                # answered, so they see the same model state the dead
+                # worker had reached.
+                shard.command_queue.put(("quiesce", 0))
             for batch_id, pendings in list(shard.inflight.items()):
                 shard.requeue_counts[batch_id] = \
                     shard.requeue_counts.get(batch_id, 0) + 1
@@ -1410,8 +1360,9 @@ class ShardedQueryService:
             # worker crash mid-drain is survivable: the liveness monitor
             # respawns it (``refreshing`` is still False) and re-sends
             # this very barrier op along with the journal replay.
-            barrier = self._direct_control(
-                shard, "quiesce" if restore is not None else "flush")
+            barrier = self._control(
+                shard, "quiesce" if restore is not None else "flush",
+                direct=True)
             barrier.result(timeout=drain_timeout)
             shard.refreshing = True
             prior: dict[str, int | None] = {}
@@ -1420,42 +1371,19 @@ class ShardedQueryService:
                 # Store pointers first: the restored worker must load the
                 # *pre-upgrade* snapshots, so any key the failed sweep
                 # republished flips back (or vanishes) before the fits.
-                for key, version in restore.items():
-                    if version is None:
-                        store.discard(key)
-                    else:
-                        store.rollback(key, to_version=version)
+                _roll_store_back(store, restore)
             else:
                 for subject, spec in subjects.items():
                     key = subject_key(subject, spec)
                     prior[key] = store.latest_version(key)
             # 3. Make before break: fit the replacement on private queues
             # while the old worker keeps its (flushed) state.
-            options = dict(self._registry_options,
-                           capacity=max(len(subjects), 1))
-            command_queue = self._ctx.Queue()
-            result_queue = self._ctx.Queue()
-            runner = self._spawn_runner(shard.index, command_queue,
-                                        result_queue, options)
             try:
-                verb = "fit" if restore is not None else "upgrade"
-                for subject, spec in subjects.items():
-                    command_queue.put((verb, subject, spec))
-                deadline = time.monotonic() + self.start_timeout
-                for _ in subjects:
-                    message = self._next_fit_reply(
-                        shard.index, result_queue, runner, deadline)
-                    if message[0] == "fit_error":
-                        raise RuntimeError(
-                            f"shard {shard.index} failed to fit "
-                            f"{message[1]!r}: {message[2]}")
+                command_queue, result_queue, runner = self._launch(
+                    shard.index, subjects,
+                    "fit" if restore is not None else "upgrade")
             except BaseException:
-                self._kill_runner(runner, command_queue)
-                for key, version in prior.items():
-                    if version is None:
-                        store.discard(key)
-                    else:
-                        store.rollback(key, to_version=version)
+                _roll_store_back(store, prior)
                 raise
             # 4. Atomic swap under the shard lock: new generation in, old
             # worker's journal out (its entries must never replay into
@@ -1483,29 +1411,3 @@ class ShardedQueryService:
             with shard.cv:
                 shard.paused = False
                 shard.cv.notify_all()
-
-    def _direct_control(self, shard: _Shard, verb: str) -> Future:
-        """Register + send one control op directly (the sender is paused)."""
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("sharded service is closed")
-            self._next_op_id += 1
-            op = _ControlOp(verb=verb, op_id=self._next_op_id,
-                            future=Future())
-        with shard.lock:
-            shard.control[op.op_id] = op
-            shard.command_queue.put((verb, op.op_id))
-        return op.future
-
-    def _kill_runner(self, runner, command_queue) -> None:
-        """Stop a half-built replacement worker that will not be admitted."""
-        if runner is None:
-            return
-        if self.use_processes:
-            runner.terminate()
-            runner.join(timeout=5.0)
-        else:
-            # A thread cannot be terminated; ask it to exit.  Its
-            # registry holds only freshly fitted entries, so the
-            # shutdown flush publishes nothing new.
-            command_queue.put(("shutdown",))

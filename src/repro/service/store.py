@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from repro.evaluation.store import canonical_json, content_hash
 from repro.systems.base import Measurement
@@ -343,17 +343,3 @@ class ModelStore:
             directory.rmdir()
         except OSError:  # pragma: no cover - directory not empty
             pass
-
-
-def sequence_as_measurements(measurements: Sequence) -> list[Measurement]:
-    """Coerce a replayed measurement batch to :class:`Measurement` objects.
-
-    Journal entries cross process boundaries as pickled measurements, so
-    this is normally the identity; it exists as a seam for wire-protocol
-    front ends that deliver measurement dicts instead.
-    """
-    out = []
-    for m in measurements:
-        out.append(m if isinstance(m, Measurement)
-                   else measurement_from_dict(m))
-    return out

@@ -26,31 +26,34 @@ The command protocol (first tuple element is the verb)::
                                          the spec (never restored from the
                                          store) — the rolling-refresh path
     ("dispatch", batch_id, requests)  -> ("answers", batch_id, responses)
-    ("observe", op_id, subject, ms)   -> ("observed", op_id, version,
-                                          snapshot_op)
-    ("quiesce", op_id)                -> ("quiesced", op_id,
+    ("observe", op_id, subject, ms)   -> ("done", op_id, version,
                                           {subject: snapshot_op})
-    ("flush", op_id)                  -> ("flushed", op_id, n_published,
+    ("quiesce", op_id)                -> ("done", op_id, None,
+                                          {subject: snapshot_op})
+    ("flush", op_id)                  -> ("done", op_id, n_published,
                                           {subject: snapshot_op}) after
                                          registry.flush() made every entry
                                          durable
-    ("sync",)                         -> no reply; joins pending refreshes
-    ("stats", op_id)                  -> ("stats", op_id, payload)
+    ("stats", op_id)                  -> ("done", op_id, payload, {})
     ("crash",)                        -> no reply; the worker dies abruptly
     ("shutdown",)                     -> ("bye",) after flushing final
                                          snapshots, then the loop returns
 
-Quiesce and flush replies carry the registry's per-subject snapshot
-watermarks, so the parent can compact its crash-replay journal even for
-subjects that went quiet (no further live observes to ride a watermark
+Every control op (``observe``, ``quiesce``, ``flush``, ``stats``) answers
+one shape, ``("done", op_id, value, watermarks)``, or ``("failed", op_id,
+message)`` when its handler raised.  ``watermarks`` maps each covered
+subject to the op id its durable snapshot reaches, so the parent can
+compact its crash-replay journal from any reply — including the barriers
+of subjects that went quiet (no further live observes to ride a watermark
 on).
 
 Failures are replies, not silence: a fit error answers ``("fit_error",
-subject, message)`` and an observe error ``("observe_error", op_id,
-message)``; per-request engine errors ride inside the
-:class:`~repro.service.requests.QueryResponse` objects as usual.  The only
-command without a reply is ``crash`` — the fault-injection hook the
-worker-crash requeue tests use to simulate a dying worker.
+subject, message)``, a control-op error ``("failed", op_id, message)``
+and an unknown verb ``("protocol_error", message)``; per-request engine
+errors ride inside the :class:`~repro.service.requests.QueryResponse`
+objects as usual.  The only command without a reply is ``crash`` — the
+fault-injection hook the worker-crash requeue tests use to simulate a
+dying worker.
 
 Because commands are handled strictly in arrival order by one loop, a
 ``quiesce`` reply doubles as a barrier: every dispatch and observe sent
@@ -61,7 +64,7 @@ drift refreshes) by the time the reply arrives.
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.service.batcher import RequestBatcher
 from repro.service.registry import ModelRegistry
@@ -124,35 +127,21 @@ class ShardServer:
             if verb == "crash":
                 raise InjectedCrash(
                     f"shard {self.shard_index} crash injected")
-            if verb == "fit":
-                self._handle_fit(command[1], command[2])
-            elif verb == "upgrade":
-                self._handle_fit(command[1], command[2], fresh=True)
+            if verb in ("fit", "upgrade"):
+                self._handle_fit(command[1], command[2],
+                                 fresh=verb == "upgrade")
             elif verb == "dispatch":
-                self._handle_dispatch(command[1], command[2])
-            elif verb == "observe":
-                self._handle_observe(command[1], command[2], command[3])
-            elif verb == "quiesce":
-                self.registry.quiesce()
-                self.results.put(("quiesced", command[1],
-                                  self.registry.snapshot_watermarks()))
-            elif verb == "flush":
-                # Drain barrier + durability point: every entry's buffered
-                # observations fold and publish, so after the reply the
-                # store alone reproduces this worker's model state (the
-                # hand-off a rolling refresh restores or rolls back from).
-                self.registry.quiesce()
-                published = self.registry.flush()
-                self.results.put(("flushed", command[1], published,
-                                  self.registry.snapshot_watermarks()))
-            elif verb == "sync":
-                # Reply-free barrier: join background refreshes so the
-                # next command runs against the settled model state (the
-                # parent's crash-replay path inserts one between journal
-                # replay and requeued dispatches).
-                self.registry.quiesce()
-            elif verb == "stats":
-                self.results.put(("stats", command[1], self.stats()))
+                self.dispatches += 1
+                self.results.put(("answers", command[1],
+                                  self.answer(list(command[2]))))
+            elif verb in ("observe", "quiesce", "flush", "stats"):
+                try:
+                    value, watermarks = self._control(verb, *command[1:])
+                except Exception as exc:  # noqa: BLE001 - reply, don't die
+                    self.results.put(("failed", command[1], str(exc)))
+                else:
+                    self.results.put(("done", command[1], value,
+                                      watermarks))
             else:
                 self.results.put(("protocol_error",
                                   f"unknown verb {verb!r}"))
@@ -174,27 +163,28 @@ class ShardServer:
         except Exception as exc:  # noqa: BLE001 - reply, don't die
             self.results.put(("fit_error", subject, str(exc)))
 
-    def _handle_dispatch(self, batch_id: int,
-                         requests: Sequence[QueryRequest]) -> None:
-        self.dispatches += 1
-        self.results.put(("answers", batch_id,
-                          self.answer(list(requests))))
-
-    def _handle_observe(self, op_id: int, subject: str,
-                        measurements: Sequence) -> None:
-        try:
+    def _control(self, verb: str, op_id: int, *args) -> tuple:
+        """Run one control op; returns its ``(value, watermarks)`` pair."""
+        if verb == "observe":
+            subject, measurements = args
             version = self.registry.observe(subject, measurements,
                                             op_id=op_id)
-            # The snapshot watermark rides on every observed reply: it
-            # tells the parent how far this subject's durable snapshot
-            # reaches, i.e. how much of its journal is safe to compact.
-            # (With asynchronous refreshes the watermark can lag the op
+            # With asynchronous refreshes the watermark can lag the op
             # that triggered the snapshot by one reply — compaction then
-            # simply catches up on the next observe.)
-            self.results.put(("observed", op_id, version,
-                              self.registry.snapshot_watermark(subject)))
-        except Exception as exc:  # noqa: BLE001 - reply, don't die
-            self.results.put(("observe_error", op_id, str(exc)))
+            # simply catches up on the next reply.
+            return version, {
+                subject: self.registry.snapshot_watermark(subject)}
+        if verb == "stats":
+            return self.stats(), {}
+        self.registry.quiesce()
+        published = None
+        if verb == "flush":
+            # Drain barrier + durability point: every entry's buffered
+            # observations fold and publish, so after the reply the store
+            # alone reproduces this worker's model state (the hand-off a
+            # rolling refresh restores or rolls back from).
+            published = self.registry.flush()
+        return published, self.registry.snapshot_watermarks()
 
     # ------------------------------------------------------------- answering
     def answer(self, requests: list[QueryRequest]) -> list[QueryResponse]:
@@ -202,38 +192,24 @@ class ShardServer:
 
         Requests are grouped by subject in arrival order (the same move
         :class:`~repro.service.service.QueryService` makes when draining
-        its queues) and each group is answered with coalesced batched
-        engine calls; the responses come back aligned with ``requests``.
-        A subject-level failure (unknown subject, dead engine) turns into
-        per-request error responses rather than an exception.
+        its queues) and each group goes through
+        :meth:`RequestBatcher.answer
+        <repro.service.batcher.RequestBatcher.answer>`, which turns a
+        subject-level failure into per-request error responses; the
+        responses come back aligned with ``requests``.
         """
         by_subject: dict[str, list[int]] = {}
         for i, request in enumerate(requests):
             by_subject.setdefault(request.subject, []).append(i)
-        responses: list[QueryResponse | None] = [None] * len(requests)
+        responses: list = [None] * len(requests)
         for subject, indices in by_subject.items():
             self._dispatch_index += 1
-            group = [requests[i] for i in indices]
-            try:
-                entry = self.registry.get(subject)
-                answered = self.batcher.dispatch(
-                    entry, group, dispatch_index=self._dispatch_index)
-            except Exception as exc:  # noqa: BLE001 - isolate subjects
-                answered = [QueryResponse(
-                    request=request, subject=subject, model_version=-1,
-                    value=None, dispatch_index=self._dispatch_index,
-                    error=str(exc)) for request in group]
-            # A misbehaving batcher returning too few responses must not
-            # starve the tail requests of their replies.
-            while len(answered) < len(group):
-                short = group[len(answered)]
-                answered.append(QueryResponse(
-                    request=short, subject=subject, model_version=-1,
-                    value=None, dispatch_index=self._dispatch_index,
-                    error="batcher returned too few responses"))
+            answered = self.batcher.answer(
+                self.registry, subject, [requests[i] for i in indices],
+                self._dispatch_index)
             for i, response in zip(indices, answered):
                 responses[i] = response
-        return [response for response in responses if response is not None]
+        return responses
 
     def stats(self) -> dict:
         """JSON-friendly snapshot of this worker's serving counters."""

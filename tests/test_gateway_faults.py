@@ -269,12 +269,9 @@ def test_new_request_on_existing_connection_rejected_during_drain(leak_audit):
 
 
 # ------------------------------------------------------- non-finite observe
-def test_non_finite_observe_is_bad_request_and_leaves_model(leak_audit):
-    """``1e400`` is valid JSON that parses to ``inf``: the gateway answers
-    ``bad_request`` (not ``internal``), the model version does not move,
-    and every answer before and after is byte-identical."""
-    registry = ModelRegistry(capacity=1)
-    entry = registry.get_or_fit(SPEC)
+def _inf_observe_frame(subject):
+    """A wire ``observe`` frame whose one objective is the ``1e400``
+    literal — valid JSON that parses to ``inf``."""
     system = make_cache_example()
     rng = np.random.default_rng(5)
     measurement = system.measure_many(
@@ -283,10 +280,32 @@ def test_non_finite_observe_is_bad_request_and_leaves_model(leak_audit):
     objective = next(iter(payload["objectives"]))
     payload["objectives"][objective] = 4242.5
     frame = json.dumps({"protocol_version": PROTOCOL_VERSION, "op": "observe",
-                        "subject": entry.key,
+                        "subject": subject,
                         "measurements": [payload]}).encode()
     assert frame.count(b"4242.5") == 1
-    frame = encode_frame(frame.replace(b"4242.5", b"1e400"))
+    return encode_frame(frame.replace(b"4242.5", b"1e400"))
+
+
+def _exchange_raw(address, frame):
+    """Send one raw frame, half-close, and decode the reply envelope."""
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(frame)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    decoder = FrameDecoder()
+    decoder.feed(received)
+    return json.loads(decoder.next_frame())
+
+
+def test_non_finite_observe_is_bad_request_and_leaves_model(leak_audit):
+    """``1e400`` is valid JSON that parses to ``inf``: the gateway answers
+    ``bad_request`` (not ``internal``), the model version does not move,
+    and every answer before and after is byte-identical."""
+    registry = ModelRegistry(capacity=1)
+    entry = registry.get_or_fit(SPEC)
+    frame = _inf_observe_frame(entry.key)
     requests = [EffectRequest.of(entry.key, "Throughput",
                                  {"CachePolicy": value})
                 for value in (0.0, 1.0)]
@@ -294,16 +313,7 @@ def test_non_finite_observe_is_bad_request_and_leaves_model(leak_audit):
         with GatewayServer(service) as gateway:
             with GatewayClient(gateway.address) as client:
                 before = [client.submit(r) for r in requests]
-            with socket.create_connection(gateway.address,
-                                          timeout=10.0) as sock:
-                sock.sendall(frame)
-                sock.shutdown(socket.SHUT_WR)
-                received = b""
-                while chunk := sock.recv(65536):
-                    received += chunk
-            decoder = FrameDecoder()
-            decoder.feed(received)
-            envelope = json.loads(decoder.next_frame())
+            envelope = _exchange_raw(gateway.address, frame)
             assert envelope["ok"] is False
             assert envelope["error"]["code"] == ErrorCode.BAD_REQUEST
             assert gateway.stats.protocol_errors == 1
@@ -318,7 +328,60 @@ def test_non_finite_observe_is_bad_request_and_leaves_model(leak_audit):
         [r.canonical_value() for r in before]
 
 
-# --------------------------------------- sharded stats invariants on the wire
+def test_non_finite_observe_over_sharded_service_is_bad_request(leak_audit):
+    """The same ``1e400`` frame over a :class:`ShardedQueryService` is
+    refused at the parent boundary: ``bad_request`` rather than the
+    ``internal`` a worker-side failure used to surface as, nothing
+    journaled, and answers unchanged."""
+    requests = [REQUEST,
+                EffectRequest.of("cache-a", "Throughput",
+                                 {"CachePolicy": 1.0})]
+    with ShardedQueryService({"cache-a": dict(SPEC)}, shards=1,
+                             use_processes=False) as service:
+        shard = service._shards[0]
+        with GatewayServer(service) as gateway:
+            with GatewayClient(gateway.address) as client:
+                before = [client.submit(r) for r in requests]
+            envelope = _exchange_raw(gateway.address,
+                                     _inf_observe_frame("cache-a"))
+            assert envelope["ok"] is False
+            assert envelope["error"]["code"] == ErrorCode.BAD_REQUEST
+            assert gateway.stats.protocol_errors == 1
+            assert gateway.stats.internal_errors == 0
+            assert gateway.stats.observes == 0
+            with GatewayClient(gateway.address) as client:
+                after = [client.submit(r) for r in requests]
+        assert shard.journal == []
+    assert [r.model_version for r in after] == \
+        [r.model_version for r in before]
+    assert [r.canonical_value() for r in after] == \
+        [r.canonical_value() for r in before]
+
+
+def test_gateway_metrics_over_sharded_service(leak_audit):
+    """The ``metrics`` verb over a sharded service: after a burst and a
+    ``worker_stats()`` probe, the parent-side gauges are settled and the
+    fleet cache traffic equals the workers' own counters."""
+    specs = {f"cache-{i}": dict(SPEC, seed=i) for i in range(3)}
+    requests = [EffectRequest.of(subject, "Throughput",
+                                 {"CachePolicy": float(value % 2)})
+                for value in range(8) for subject in sorted(specs)]
+    with ShardedQueryService(specs, shards=2,
+                             use_processes=False) as service:
+        with GatewayServer(service) as gateway:
+            with GatewayClient(gateway.address) as client:
+                assert all(r.ok for r in client.submit_many(requests))
+                workers = service.worker_stats(timeout=60)
+                metrics = client.metrics()
+    assert metrics["submitted"] == metrics["answered"] == len(requests)
+    assert metrics["in_flight"] == 0
+    assert metrics["queue_depth"] == 0
+    assert metrics["cache_hits"] == sum(w["cache_hits"] for w in workers)
+    assert metrics["cache_misses"] == \
+        sum(w["cache_misses"] for w in workers)
+    assert metrics["cache_hits"] > 0 and metrics["cache_misses"] > 0
+
+
 @pytest.mark.slow
 def test_synthesized_errors_never_double_counted_through_gateway(leak_audit):
     """Crash → requeue-budget exhaustion through the wire: the

@@ -36,6 +36,7 @@ from repro.service import (
     AdmissionError,
     DriftDetector,
     EffectRequest,
+    InvalidMeasurementError,
     ModelRegistry,
     QueryService,
     RequestBatcher,
@@ -422,7 +423,6 @@ def test_shard_server_protocol_replies_inline():
     commands.put(("fit", "cache", dict(SPECS["cache-0"])))
     commands.put(("fit", "broken", {"n_samples": 10}))       # no system key
     commands.put(("observe", 1, "nope", []))                 # unknown subject
-    commands.put(("sync",))
     commands.put(("quiesce", 2))
     commands.put(("flush", 5))
     commands.put(("stats", 3))
@@ -430,6 +430,7 @@ def test_shard_server_protocol_replies_inline():
         EffectRequest.of("cache", "Throughput", {"CachePolicy": 0.0}),
         EffectRequest.of("nope", "Throughput", {}),          # error response
     ]))
+    commands.put(("observe", 6, "cache", []))
     commands.put(("frobnicate",))                            # unknown verb
     commands.put(("shutdown",))
     server.run()
@@ -437,18 +438,24 @@ def test_shard_server_protocol_replies_inline():
     assert results.get_nowait()[0] == "fitted"
     assert results.get_nowait()[:2] == ("fit_error", "broken")
     verb, op_id, message = results.get_nowait()
-    assert (verb, op_id) == ("observe_error", 1) and "nope" in message
-    # Quiesce and flush acks carry the registry's per-subject snapshot
+    assert (verb, op_id) == ("failed", 1) and "nope" in message
+    # Every control op answers ("done", op_id, value, watermarks).
+    # Quiesce and flush carry the registry's per-subject snapshot
     # watermarks (empty without a store) so the parent can compact quiet
-    # subjects; flush also reports how many snapshots it published.
-    assert results.get_nowait() == ("quiesced", 2, {})
-    assert results.get_nowait() == ("flushed", 5, 0, {})
-    verb, op_id, stats = results.get_nowait()
-    assert (verb, op_id) == ("stats", 3)
+    # subjects; flush's value is how many snapshots it published.
+    assert results.get_nowait() == ("done", 2, None, {})
+    assert results.get_nowait() == ("done", 5, 0, {})
+    verb, op_id, stats, watermarks = results.get_nowait()
+    assert (verb, op_id, watermarks) == ("done", 3, {})
     assert stats["subjects"] == ["cache"] and stats["shard"] == 0
     verb, batch_id, responses = results.get_nowait()
     assert (verb, batch_id) == ("answers", 4)
     assert responses[0].ok and not responses[1].ok
+    # An observe's value is the entry version, its watermark map names
+    # the observed subject.
+    verb, op_id, version, watermarks = results.get_nowait()
+    assert (verb, op_id, watermarks) == ("done", 6, {"cache": 0})
+    assert isinstance(version, int)
     assert results.get_nowait()[0] == "protocol_error"
     assert results.get_nowait() == ("bye",)
 
@@ -597,3 +604,63 @@ def test_flush_compacts_quiet_subject_journals(tmp_path):
         with shard.lock:
             assert shard.journal == []
         assert service.stats.journal_ops_compacted >= 2
+
+
+# ------------------------------------------------------ observe validation
+def _probes(subject):
+    return [EffectRequest.of(subject, "Throughput", {"CachePolicy": value})
+            for value in (0.0, 1.0)]
+
+
+def _clean_batch(n=4, seed=11):
+    system = make_cache_example()
+    rng = np.random.default_rng(seed)
+    return system.measure_many(system.space.sample_configurations(n, rng),
+                               rng=rng)
+
+
+def test_sharded_observe_rejects_non_finite_before_journaling():
+    """A NaN/inf batch used to reach the worker, come back as a bare
+    ``RuntimeError`` and stay in the crash-replay journal; the parent now
+    refuses it typed, before journaling or sending anything."""
+    specs = {"cache-a": dict(SPECS["cache-0"])}
+    fresh = _clean_batch()
+    with ShardedQueryService(specs, shards=1,
+                             use_processes=False) as service:
+        shard = service._shards[0]
+        service.observe("cache-a", fresh)
+        before = service.submit_many(_probes("cache-a"), timeout=60)
+        with shard.lock:
+            journaled = len(shard.journal)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidMeasurementError):
+                service.observe("cache-a", _shift(fresh, bad))
+            with shard.lock:
+                assert len(shard.journal) == journaled
+        after = service.submit_many(_probes("cache-a"), timeout=60)
+    assert canonical_answers(after) == canonical_answers(before)
+    assert [r.model_version for r in after] == \
+        [r.model_version for r in before]
+
+
+def test_rejected_observe_leaves_the_store_reloadable(tmp_path):
+    """After a refused non-finite batch, a flushed store cold-starts a new
+    service generation that answers byte-identically to the answers given
+    before the rejection."""
+    specs = {"cache-a": dict(SPECS["cache-0"])}
+    store_path = str(tmp_path / "store")
+    fresh = _clean_batch()
+    with ShardedQueryService(specs, shards=1, use_processes=False,
+                             store_path=store_path,
+                             snapshot_every=8) as service:
+        service.observe("cache-a", fresh)
+        before = canonical_answers(
+            service.submit_many(_probes("cache-a"), timeout=60))
+        with pytest.raises(InvalidMeasurementError):
+            service.observe("cache-a", _shift(fresh, float("inf")))
+        assert service.flush(timeout=60) >= 1
+    with ShardedQueryService(specs, shards=1, use_processes=False,
+                             store_path=store_path) as reloaded:
+        assert reloaded.worker_stats(timeout=60)[0]["store_loads"] == 1
+        assert canonical_answers(
+            reloaded.submit_many(_probes("cache-a"), timeout=60)) == before
