@@ -16,9 +16,11 @@ caller; this package fronts the same engines for many concurrent clients:
 * :mod:`repro.service.result_cache` — :class:`ResultCache`: per-entry
   cross-request memoization of answered queries keyed by
   ``(model_version, item_key)``, version-invalidated on refresh.
-* :mod:`repro.service.service` — :class:`QueryService`: the thread-safe
-  ``submit`` / ``submit_many`` facade with admission control and
-  per-subject fairness.
+* :mod:`repro.service.service` — :class:`ServingCore`: the request
+  lifecycle both serving tiers share (admission control, ``submit`` /
+  ``submit_many``, one settlement step, close, stats and metrics
+  snapshots), and :class:`QueryService`: the single-process tier over it,
+  with per-subject fairness.
 * :mod:`repro.service.drift` — :class:`DriftDetector`: residual-shift
   detection over live observation streams, the trigger of drift-aware
   model refresh.
@@ -123,8 +125,10 @@ from repro.service.requests import (
 from repro.service.service import (
     AdmissionError,
     QueryService,
+    QueryServiceStats,
     ServiceClosedError,
     ServiceStats,
+    ServingCore,
 )
 from repro.service.tracing import (
     TraceContext,
@@ -170,6 +174,7 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "QueryService",
+    "QueryServiceStats",
     "QuotaExceededError",
     "RepairRequest",
     "RequestBatcher",
@@ -180,6 +185,7 @@ __all__ = [
     "ServiceKind",
     "ServiceMetrics",
     "ServiceStats",
+    "ServingCore",
     "ShardedQueryService",
     "ShardedServiceStats",
     "Tenant",

@@ -1,11 +1,15 @@
 """Lock-cheap serving metrics: reservoirs, histograms, snapshots.
 
-The serving tier's counters (:class:`~repro.service.service.ServiceStats`,
+The serving tier's counters (:class:`~repro.service.service.ServiceStats`
+— the lifecycle counters both tiers share — extended by
+:class:`~repro.service.service.QueryServiceStats` and
 :class:`~repro.service.sharding.ShardedServiceStats`) answer *how much*
 work happened; this module answers *how it felt*: latency percentiles
 from a streaming reservoir, the batch-size distribution the coalescer
 actually achieved, queue depth and in-flight gauges, refresh cadence.
-Everything here is designed for the hot path:
+Both tiers feed one :class:`ServiceMetrics` from the one settlement step
+of :class:`~repro.service.service.ServingCore`, once per round of
+responses.  Everything here is designed for the hot path:
 
 * :class:`LatencyReservoir` — a fixed-capacity ring of the most recent
   samples.  Recording is one lock acquisition, one float store and one
@@ -20,10 +24,12 @@ Everything here is designed for the hot path:
   view ``metrics_snapshot()`` returns and the gateway's ``metrics``
   wire verb serves.
 
-The snapshot is assembled under the owning service's stats lock, so its
-cross-counter sums obey the same invariants the consistent
-:meth:`~repro.service.service.QueryService.stats_snapshot` guarantees
-(``answered <= submitted``, never a torn mid-burst view).
+:meth:`~repro.service.service.ServingCore.metrics_snapshot` (one
+definition for both tiers) builds the snapshot from one consistent
+:meth:`~repro.service.service.ServingCore.stats_snapshot`, so its
+cross-counter sums obey the same invariants (``answered <= submitted``,
+never a torn mid-burst view) and ``in_flight`` is that snapshot's
+admitted-but-unsettled count.
 """
 
 from __future__ import annotations
@@ -159,17 +165,15 @@ class BatchSizeHistogram:
 class MetricsSnapshot:
     """One immutable, JSON-safe point-in-time view of a serving tier.
 
-    Assembled by ``metrics_snapshot()`` on
-    :class:`~repro.service.service.QueryService` and
-    :class:`~repro.service.sharding.ShardedQueryService` under the
-    owning service's stats lock, and served over the wire by the
+    Assembled by ``ServingCore.metrics_snapshot()`` (both tiers) from
+    one consistent stats snapshot, and served over the wire by the
     gateway's ``metrics`` verb.  All fields are plain numbers or dicts
     of numbers, so ``as_dict()`` round-trips through JSON exactly.
     """
 
     #: requests queued but not yet drained.
     queue_depth: int
-    #: requests admitted but not yet resolved (queued + being answered).
+    #: requests admitted but not yet settled (queued + being answered).
     in_flight: int
     submitted: int
     answered: int

@@ -5,10 +5,12 @@ process and one GIL: subjects are hash-partitioned across ``shards``
 worker replicas (:mod:`repro.service.worker`), each hosting its own
 :class:`~repro.service.registry.ModelRegistry` and
 :class:`~repro.service.batcher.RequestBatcher` behind a spawn-safe IPC
-loop.  The parent keeps the familiar ``submit`` / ``submit_async`` /
-``submit_many`` facade, routes every request to its subject's shard,
-coalesces concurrently submitted requests into per-shard dispatch
-batches, and adds the serving policies a multi-process tier needs:
+loop.  The parent runs the request lifecycle every tier shares
+(:class:`~repro.service.service.ServingCore`: admission, ``submit`` /
+``submit_async`` / ``submit_many``, settlement, close and snapshots),
+routes every request to its subject's shard, coalesces concurrently
+submitted requests into per-shard dispatch batches, and adds the serving
+policies a multi-process tier needs:
 
 * **Deterministic routing** — :func:`shard_of` hashes the subject name
   with SHA-256, so the shard assignment is a pure function of
@@ -38,10 +40,10 @@ batches, and adds the serving policies a multi-process tier needs:
   journal up to it, so recovery replays only the journal **suffix**
   past the snapshot — the worker-side ``applied_op_id`` guard makes any
   overlap idempotent.
-* **Backpressure and lifecycle** — a bounded in-flight budget raises
-  :class:`~repro.service.service.AdmissionError` like the single-process
-  tier, and :meth:`close` drains admitted work then resolves anything
-  left with a deterministic
+* **Backpressure and lifecycle** — shared with the single-process tier:
+  a bounded in-flight budget raises
+  :class:`~repro.service.service.AdmissionError`, and ``close()`` drains
+  admitted work then resolves anything left with a deterministic
   :class:`~repro.service.service.ServiceClosedError`.
 
 Ordering is preserved end to end: per shard, dispatches, observes,
@@ -62,10 +64,9 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.service.metrics import MetricsSnapshot, ServiceMetrics
 from repro.service.registry import (
     ModelRegistry,
     UnknownSubjectError,
@@ -73,8 +74,9 @@ from repro.service.registry import (
 )
 from repro.service.requests import QueryRequest, QueryResponse
 from repro.service.service import (
-    AdmissionError,
     ServiceClosedError,
+    ServiceStats,
+    ServingCore,
     _Pending,
 )
 from repro.service.store import ModelStore, subject_key
@@ -134,24 +136,18 @@ def _roll_store_back(store: ModelStore,
 
 
 @dataclass
-class ShardedServiceStats:
-    """Parent-side counters of one sharded service's lifetime of work."""
+class ShardedServiceStats(ServiceStats):
+    """:class:`~repro.service.service.ServiceStats` plus the sharded
+    tier's parent-side counters.
 
-    submitted: int = 0
-    answered: int = 0
-    rejected: int = 0
-    cancelled: int = 0
-    #: requests settled with a parent-synthesized *error* response —
-    #: requeue-budget exhaustion after repeated worker crashes, or a
-    #: worker reply that came back short.  These used to be folded into
-    #: ``answered`` as if they had succeeded; monitoring now sees them.
-    errors: int = 0
+    ``errors`` counts requests settled with a parent-synthesized error
+    response (requeue-budget exhaustion after repeated worker crashes).
+    """
+
     #: dispatch batches resent to a respawned worker after a crash.
     requeues: int = 0
     #: workers respawned by the liveness monitor.
     respawns: int = 0
-    #: futures resolved with ``ServiceClosedError`` by :meth:`close`.
-    closed_errors: int = 0
     #: dispatch batches sent (per-shard coalescing opportunities).
     dispatch_batches: int = 0
     #: journal entries dropped because a durable snapshot covered them.
@@ -235,7 +231,7 @@ class _Shard:
         return self.runner is not None and self.runner.is_alive()
 
 
-class ShardedQueryService:
+class ShardedQueryService(ServingCore):
     """Hash-sharded, multi-process serving tier over spec-fitted subjects.
 
     Parameters
@@ -263,8 +259,8 @@ class ShardedQueryService:
         submission for more to arrive before flushing — the cross-client
         coalescing window (0 flushes immediately).
     max_pending:
-        Bound on unresolved requests across the service; beyond it
-        :meth:`submit_async` raises :class:`AdmissionError`.
+        Bound on admitted-but-unsettled requests across the service;
+        beyond it :meth:`submit_async` raises :class:`AdmissionError`.
     max_requeues:
         Crash-requeue budget per dispatch batch; exhausted batches
         resolve with error responses instead of respawn-looping.
@@ -295,6 +291,9 @@ class ShardedQueryService:
     ...                          {"PRAGMA_CACHE_SIZE": 4096.0}))
     """
 
+    # Bound here as well for the benchmark's per-tier span wrappers.
+    submit = ServingCore.submit
+
     def __init__(self, specs: Mapping[str, Mapping], shards: int = 2,
                  use_processes: bool = True, use_batched: bool = True,
                  drift_threshold: float | None = None,
@@ -308,18 +307,14 @@ class ShardedQueryService:
                  tracer: Tracer | None = None) -> None:
         if not specs:
             raise ValueError("a sharded service needs at least one subject")
-        if shards < 1 or max_pending < 1 or max_requeues < 0:
-            raise ValueError("shards/max_pending must be >= 1, "
-                             "max_requeues >= 0")
+        if shards < 1 or max_requeues < 0:
+            raise ValueError("shards must be >= 1, max_requeues >= 0")
+        super().__init__(ShardedServiceStats(), max_pending, tracer)
         self.shards = int(shards)
         self.use_processes = bool(use_processes)
         self.batch_window = float(batch_window)
-        self.max_pending = int(max_pending)
         self.max_requeues = int(max_requeues)
         self.start_timeout = float(start_timeout)
-        self.stats = ShardedServiceStats()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.metrics = ServiceMetrics()
         self._registry_options = {
             "use_batched": bool(use_batched),
             "drift_threshold": drift_threshold,
@@ -333,11 +328,8 @@ class ShardedQueryService:
         self._ctx = (mp.get_context("fork")
                      if "fork" in mp.get_all_start_methods()
                      else mp.get_context("spawn"))
-        self._lock = threading.Lock()
         #: serializes whole rolling-refresh sweeps; one at a time.
         self._refresh_lock = threading.Lock()
-        self._closed = False
-        self._n_unresolved = 0
         self._next_batch_id = 0
         self._next_op_id = 0
         self._subject_shard: dict[str, int] = {}
@@ -360,12 +352,6 @@ class ShardedQueryService:
             shard.reader.start()
 
     # -------------------------------------------------------------- lifecycle
-    def __enter__(self) -> "ShardedQueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def _launch(self, index: int, subjects: Mapping[str, Mapping],
                 verb: str) -> tuple:
         """Start one worker on fresh queues and wait out its fits.
@@ -452,7 +438,7 @@ class ShardedQueryService:
                         f"shard {index} worker died before finishing "
                         "its fits") from None
 
-    # ------------------------------------------------------------- submission
+    # ------------------------------------------------------------- tier hooks
     def _route(self, request: QueryRequest) -> _Shard:
         index = self._subject_shard.get(request.subject)
         if index is None:
@@ -466,92 +452,35 @@ class ShardedQueryService:
                 "respawned); its subjects are unavailable")
         return shard
 
-    def _admit(self, n: int) -> None:
-        """Reserve ``n`` in-flight slots or raise (caller holds no locks)."""
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("sharded service is closed")
-            if self._n_unresolved + n > self.max_pending:
-                self.stats.rejected += n
-                raise AdmissionError(
-                    f"in-flight budget cannot admit {n} more requests "
-                    f"({self._n_unresolved}/{self.max_pending} used)")
-            self._n_unresolved += n
-            self.stats.submitted += n
-
-    def submit_async(self, request: QueryRequest) -> Future:
-        """Enqueue one request and return its :class:`Future`.
-
-        The future resolves to a :class:`QueryResponse` (engine failures
-        surface in ``response.error``); it raises
-        :class:`ServiceClosedError` if the service closes before the
-        request could be dispatched.
-
-        Raises
-        ------
-        AdmissionError
-            If the in-flight budget is exhausted (backpressure).
-        ServiceClosedError
-            If the service has been closed.
-        UnknownSubjectError
-            If no shard serves the request's subject.
-        """
-        shard = self._route(request)
-        self._admit(1)
-        trace = self.tracer.begin(request)
-        if trace is not None:
-            trace.shard = shard.index
-        pending = _Pending(request=request, future=Future(),
-                           enqueued_at=time.perf_counter())
-        with shard.cv:
-            shard.outbox.append(pending)
-            shard.cv.notify_all()
-        return pending.future
-
-    def submit(self, request: QueryRequest,
-               timeout: float | None = None) -> QueryResponse:
-        """Enqueue one request and block until its response arrives."""
-        return self.submit_async(request).result(timeout=timeout)
-
-    def submit_many(self, requests: Sequence[QueryRequest],
-                    timeout: float | None = None) -> list[QueryResponse]:
-        """Enqueue a list of requests and wait for all their responses.
-
-        Admission is atomic (the whole list or nothing), matching
-        :meth:`QueryService.submit_many <repro.service.service.
-        QueryService.submit_many>`; ``timeout`` bounds the whole call.
-        """
-        requests = list(requests)
-        deadline = (None if timeout is None
-                    else time.monotonic() + float(timeout))
-        routed = [self._route(request) for request in requests]
-        self._admit(len(requests))
-        now = time.perf_counter()
-        futures = []
-        by_shard: dict[int, list[_Pending]] = {}
-        for request, shard in zip(requests, routed):
-            trace = self.tracer.begin(request)
-            if trace is not None:
-                trace.shard = shard.index
-            pending = _Pending(request=request, future=Future(),
-                               enqueued_at=now)
-            by_shard.setdefault(shard.index, []).append(pending)
-            futures.append(pending.future)
-        for index, pendings in by_shard.items():
-            shard = self._shards[index]
+    def _enqueue(self, pendings: list[_Pending],
+                 shards: list[_Shard]) -> None:
+        for shard in dict.fromkeys(shards):  # one outbox append per shard
             with shard.cv:
-                shard.outbox.extend(pendings)
+                shard.outbox.extend(pending for pending, target
+                                    in zip(pendings, shards)
+                                    if target is shard)
                 shard.cv.notify_all()
-        return [future.result(
-                    timeout=None if deadline is None
-                    else max(deadline - time.monotonic(), 0.0))
-                for future in futures]
 
-    @property
-    def n_pending(self) -> int:
-        """Requests admitted but not yet resolved."""
-        with self._lock:
-            return self._n_unresolved
+    def _gauges(self, stats: ShardedServiceStats) -> dict:
+        """Parent-side gauges only (no worker round-trips, so a metrics
+        snapshot is cheap enough to poll): queue depth is the sum of the
+        per-shard outboxes, the coalescing ratio is answers per dispatch
+        batch, cache traffic sums the counters each shard last reported
+        through :meth:`worker_stats`, and ``refreshes`` counts completed
+        rolling-refresh sweeps."""
+        queue_depth = hits = misses = 0
+        for shard in self._shards:
+            with shard.cv:
+                queue_depth += len(shard.outbox)
+            if shard.last_stats:
+                hits += int(shard.last_stats.get("cache_hits", 0))
+                misses += int(shard.last_stats.get("cache_misses", 0))
+        return {"queue_depth": queue_depth,
+                "coalescing_ratio": stats.answered
+                / max(stats.dispatch_batches, 1),
+                "cache_hits": hits,
+                "cache_misses": misses,
+                "refreshes": stats.rolling_refreshes}
 
     # ---------------------------------------------------------------- control
     def _control(self, shard: _Shard, verb: str, payload: tuple = (),
@@ -568,12 +497,14 @@ class ShardedQueryService:
             self._next_op_id += 1
             op = _ControlOp(verb=verb, op_id=self._next_op_id,
                             future=Future(), payload=payload)
+            if not direct:
+                # Appended under the core lock, like admitted requests,
+                # so the op cannot land behind close()'s shutdown.
+                with shard.cv:
+                    shard.outbox.append(op)
+                    shard.cv.notify_all()
         if direct:
             self._send_control(shard, op)
-            return op.future
-        with shard.cv:
-            shard.outbox.append(op)
-            shard.cv.notify_all()
         return op.future
 
     def observe(self, subject: str, measurements: Sequence,
@@ -677,68 +608,6 @@ class ShardedQueryService:
                 replies.append(None)
         return replies
 
-    def stats_snapshot(self) -> ShardedServiceStats:
-        """A consistent point-in-time copy of :attr:`stats`.
-
-        All counter mutations already run under ``self._lock`` (the
-        settlement path is multi-threaded — one reader thread per
-        shard); taking the copy under the same lock guarantees the
-        snapshot never shows ``answered + errors + closed_errors >
-        submitted`` mid-burst.
-        """
-        with self._lock:
-            return dataclasses_replace(
-                self.stats,
-                per_shard_answered=dict(self.stats.per_shard_answered))
-
-    def metrics_snapshot(self) -> MetricsSnapshot:
-        """A :class:`~repro.service.metrics.MetricsSnapshot` of the fleet.
-
-        Gauges come from the parent side only (no worker round-trips, so
-        the call is cheap enough to poll): queue depth is the sum of the
-        per-shard outboxes, the coalescing ratio is answers per dispatch
-        batch, and ``refreshes`` counts completed rolling-refresh sweeps.
-        Per-worker engine counters remain available via
-        :meth:`worker_stats`.
-        """
-        queue_depth = 0
-        for shard in self._shards:
-            with shard.cv:
-                queue_depth += len(shard.outbox)
-        stats = self.stats_snapshot()
-        with self._lock:
-            in_flight = self._n_unresolved
-        cache_hits, cache_misses = self._worker_cache_traffic()
-        return MetricsSnapshot(
-            queue_depth=queue_depth,
-            in_flight=in_flight,
-            submitted=stats.submitted,
-            answered=stats.answered,
-            coalescing_ratio=stats.answered
-            / max(stats.dispatch_batches, 1),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            refreshes=stats.rolling_refreshes,
-            batch_histogram=self.metrics.batch_sizes.as_dict(),
-            latency_ms=self.metrics.latency.percentiles(),
-            latency_samples=self.metrics.latency.count)
-
-    def _worker_cache_traffic(self) -> tuple[int, int]:
-        """Fleet-wide result-cache hit/miss totals (best effort).
-
-        Worker counters require an IPC round-trip; a snapshot must stay
-        cheap and non-blocking, so this sums the most recent counters
-        each shard acknowledged, defaulting to zero for shards that have
-        not reported yet.
-        """
-        hits = misses = 0
-        for shard in self._shards:
-            payload = getattr(shard, "last_stats", None)
-            if payload:
-                hits += int(payload.get("cache_hits", 0))
-                misses += int(payload.get("cache_misses", 0))
-        return hits, misses
-
     def flush(self, timeout: float | None = 60.0) -> int:
         """Make every shard's registry durable; returns snapshots written.
 
@@ -756,19 +625,15 @@ class ShardedQueryService:
                    in self._broadcast("flush", timeout)
                    if published is not None)
 
-    def close(self, timeout: float | None = 30.0) -> None:
-        """Drain admitted work, stop every worker, settle every future.
+    def _stop(self, timeout: float | None) -> list[_Pending]:
+        """Stop every worker behind its admitted work; return the rest.
 
-        Outstanding dispatches and observes are processed before each
-        worker exits (the shutdown command queues behind them).  Anything
-        that still cannot be resolved — e.g. a worker that died and
-        could not be respawned in time — resolves with a deterministic
-        :class:`ServiceClosedError` rather than hanging its client.
+        The shutdown op queues behind each shard's outstanding
+        dispatches and observes, so they are processed before the worker
+        exits.  Whatever still has no answer afterwards — e.g. a worker
+        that died and could not be respawned in time — is returned for
+        close-time settlement.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
         for shard in self._shards:
             op = _ControlOp(verb="shutdown", op_id=0)
             with shard.cv:
@@ -786,90 +651,50 @@ class ShardedQueryService:
                 remaining = (None if deadline is None
                              else max(deadline - time.monotonic(), 0.01))
                 thread.join(timeout=remaining)
+        leftovers = []
         for shard in self._shards:
             if shard.runner is not None and not shard.alive() \
                     and self.use_processes:
                 shard.runner.join(timeout=1.0)
-            self._settle_shard_closed(shard)
+            leftovers.extend(self._take_unanswered(shard))
+        return leftovers
 
-    def _settle_shard_closed(self, shard: _Shard) -> None:
-        """Resolve every unsettled future of a shard with ServiceClosed."""
+    def _take_unanswered(self, shard: _Shard) -> list[_Pending]:
+        """Empty a shard's tracking: fail its control ops with
+        :class:`ServiceClosedError` and return its unanswered requests."""
         with shard.cv:
-            leftovers = list(shard.outbox)
+            items = list(shard.outbox)
             shard.outbox.clear()
         with shard.lock:
             for pendings in shard.inflight.values():
-                leftovers.extend(pendings)
+                items.extend(pendings)
             shard.inflight.clear()
-            leftovers.extend(shard.control.values())
+            items.extend(shard.control.values())
             shard.control.clear()
-        self._fail_items(
-            leftovers, "service closed before the request was dispatched",
-            "service closed before the operation completed")
+        return self._fail_ops(
+            items, "service closed before the operation completed")
 
-    def _fail_items(self, items: list, message: str,
-                    op_message: str | None = None) -> None:
-        """Fail requests and control ops with :class:`ServiceClosedError`.
-
-        Requests settle with ``message``; control ops (whose futures are
-        still open) fail with ``op_message``, defaulting to ``message``.
-        """
+    @staticmethod
+    def _fail_ops(items: list, message: str) -> list[_Pending]:
+        """Fail the control ops among ``items``; return the requests."""
+        pendings = []
         for item in items:
             if isinstance(item, _Pending):
-                self._settle(item, exception=ServiceClosedError(message))
+                pendings.append(item)
             elif item.future is not None and not item.future.done():
-                item.future.set_exception(ServiceClosedError(
-                    op_message or message))
+                item.future.set_exception(ServiceClosedError(message))
+        return pendings
 
-    # ------------------------------------------------------------- resolution
-    def _settle(self, pending: _Pending,
-                response: QueryResponse | None = None,
-                exception: BaseException | None = None,
-                synthesized_error: bool = False) -> None:
-        """Resolve one pending future exactly once, tolerating cancellation.
-
-        Counter updates happen under the service lock — settlement runs
-        on every shard's reader thread concurrently, and unsynchronized
-        ``+=`` would lose increments.  ``synthesized_error`` marks a
-        response the *parent* fabricated because no worker answer exists
-        (requeue budget exhausted, short reply): it counts in
-        ``stats.errors``, not ``stats.answered`` — an error settlement is
-        not a served answer.
-        """
-        # finish() pops the oldest live context — the occurrence this
-        # settlement resolves — so repeats of one hot request object each
-        # stamp their own context (mutating after the pop is fine, the
-        # finished log holds the same object).
-        if not pending.future.set_running_or_notify_cancel():
-            with self._lock:
-                self._n_unresolved -= 1
-                self.stats.cancelled += 1
-            trace = self.tracer.finish(pending.request)
+    def _traces(self, shard: _Shard,
+                pendings: list[_Pending]) -> list | None:
+        """Claim a round's trace contexts, stamped with the shard."""
+        if not self.tracer.enabled:
+            return None
+        traces = self.tracer.claim_round([p.request for p in pendings])
+        for trace in traces:
             if trace is not None:
-                trace.error = "cancelled"
-            return
-        if exception is not None:
-            with self._lock:
-                self._n_unresolved -= 1
-                if isinstance(exception, ServiceClosedError):
-                    self.stats.closed_errors += 1
-            trace = self.tracer.finish(pending.request)
-            if trace is not None:
-                trace.error = type(exception).__name__
-            pending.future.set_exception(exception)
-            return
-        with self._lock:
-            self._n_unresolved -= 1
-            if synthesized_error:
-                self.stats.errors += 1
-            else:
-                self.stats.answered += 1
-        trace = self.tracer.finish(pending.request)
-        if trace is not None:
-            trace.total_seconds = response.latency_seconds
-            if response.error:
-                trace.error = response.error
-        pending.future.set_result(response)
+                trace.shard = shard.index
+        return traces
 
     # ----------------------------------------------------------------- sender
     def _sender_loop(self, shard: _Shard) -> None:
@@ -896,8 +721,8 @@ class ShardedQueryService:
         if shard.failed:
             # Nothing will ever answer; fail the drained work fast
             # instead of queueing it for a dead worker.
-            self._fail_items(drained,
-                             f"shard {shard.index} failed permanently")
+            message = f"shard {shard.index} failed permanently"
+            self._settle(self._fail_ops(drained, message), closed=message)
             return any(not isinstance(item, _Pending)
                        and item.verb == "shutdown" for item in drained)
         pending_run: list[_Pending] = []
@@ -910,6 +735,11 @@ class ShardedQueryService:
             if item.verb == "shutdown":
                 with shard.lock:
                     shard.command_queue.put(("shutdown",))
+                # Anything drained behind the shutdown goes back on the
+                # outbox, where close-time settlement fails it instead
+                # of dropping it unresolved.
+                with shard.cv:
+                    shard.outbox.extendleft(reversed(drained[position + 1:]))
                 return True
             if item.verb == "pause":
                 # The rolling-refresh barrier: everything enqueued before
@@ -926,8 +756,8 @@ class ShardedQueryService:
                                  and item.future.cancelled())
                     if not abandoned:
                         shard.paused = True
-                        for leftover in reversed(drained[position + 1:]):
-                            shard.outbox.appendleft(leftover)
+                        shard.outbox.extendleft(
+                            reversed(drained[position + 1:]))
                 if abandoned:
                     continue
                 if item.future is not None and not item.future.done():
@@ -1011,7 +841,7 @@ class ShardedQueryService:
                     # failure — the service is going away; just settle.
                     if not self._closed:
                         shard.failed = True
-                    self._settle_shard_closed(shard)
+                    self._settle_closed(self._take_unanswered(shard))
                     return
                 continue
             with shard.lock:
@@ -1043,24 +873,13 @@ class ShardedQueryService:
             shard.requeue_counts.pop(batch_id, None)
         if pendings is None:  # duplicate after a crash-requeue race
             return
-        now = time.perf_counter()
-        latencies = []
-        for pending, response in zip(pendings, responses):
-            response.latency_seconds = now - pending.enqueued_at
-            latencies.append(response.latency_seconds)
-            self._settle(pending, response)
-        for pending in pendings[len(responses):]:  # defensive: short reply
-            self._settle(pending, QueryResponse(
-                request=pending.request, subject=pending.request.subject,
-                model_version=-1, value=None,
-                error="worker returned too few responses"),
-                synthesized_error=True)
-        if latencies:
-            self.metrics.observe_dispatch(len(latencies), latencies)
-        with self._lock:
-            answered = self.stats.per_shard_answered
-            answered[shard.index] = answered.get(shard.index, 0) \
-                + len(responses)
+
+        def tally(stats: ShardedServiceStats, answered: int) -> None:
+            per_shard = stats.per_shard_answered
+            per_shard[shard.index] = per_shard.get(shard.index, 0) + answered
+
+        self._settle(pendings, responses,
+                     traces=self._traces(shard, pendings), tally=tally)
 
     def _resolve_control(self, shard: _Shard, op_id: int, value,
                          watermarks: Mapping[str, int],
@@ -1162,15 +981,13 @@ class ShardedQueryService:
                 if op.verb != "observe":
                     shard.command_queue.put((op.verb, op_id))
         for batch_id, pendings in exhausted:
-            for pending in pendings:
-                self._settle(pending, QueryResponse(
-                    request=pending.request,
-                    subject=pending.request.subject, model_version=-1,
-                    value=None,
-                    error=f"batch {batch_id} requeued more than "
-                          f"{self.max_requeues} times across worker "
-                          "crashes"),
-                    synthesized_error=True)
+            error = (f"batch {batch_id} requeued more than "
+                     f"{self.max_requeues} times across worker crashes")
+            self._settle(pendings, [QueryResponse(
+                request=p.request, subject=p.request.subject,
+                model_version=-1, value=None, error=error)
+                for p in pendings],
+                synthesized=True, traces=self._traces(shard, pendings))
 
     # -------------------------------------------------------- rolling refresh
     def rolling_refresh(self, new_specs: Mapping[str, Mapping],

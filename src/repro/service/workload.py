@@ -358,8 +358,6 @@ def serve_rounds(service, rounds: Sequence[Mapping], n_clients: int
         and the wall-clock seconds over the whole horizon (queries,
         observation streaming and refreshes included).
     """
-    from concurrent.futures import Future
-
     responses: list = []
     started = time.perf_counter()
     for round_spec in rounds:
@@ -378,8 +376,7 @@ def serve_rounds(service, rounds: Sequence[Mapping], n_clients: int
         # them so an observe failure surfaces here, at its round, rather
         # than as a silent identity mismatch later.
         for ack in acks:
-            if isinstance(ack, Future):
-                ack.result(timeout=60)
+            ack.result(timeout=60)
     return responses, time.perf_counter() - started
 
 

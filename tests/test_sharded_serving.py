@@ -274,6 +274,30 @@ def test_sharded_close_resolves_undispatched_with_service_closed():
     assert service.n_pending == 0
 
 
+def test_request_drained_behind_shutdown_settles_on_close():
+    """A request the sender drains *behind* a shutdown op must not be
+    dropped: close() settles it with ServiceClosedError."""
+    from repro.service.sharding import _ControlOp
+
+    specs = {"cache-a": dict(SPECS["cache-0"])}
+    request = EffectRequest.of("cache-a", "Throughput", {"CachePolicy": 0.0})
+    service = ShardedQueryService(specs, shards=1, use_processes=False)
+    shard = service._shards[0]
+    with shard.cv:
+        shard.paused = True  # park the sender so the request stays queued
+    future = service.submit_async(request)
+    with shard.cv:
+        pending = shard.outbox.popleft()
+    # The race: admission passed, then close()'s shutdown op got ahead
+    # of the request in the drained run.
+    service._flush(shard, [_ControlOp(verb="shutdown", op_id=0), pending])
+    service.close(timeout=10)
+    with pytest.raises(ServiceClosedError):
+        future.result(timeout=5)
+    assert service.n_pending == 0
+    assert service.stats.closed_errors == 1
+
+
 # ------------------------------------------------------- drift-aware refresh
 def test_drift_detector_statistics_and_windows():
     system = make_cache_example()
