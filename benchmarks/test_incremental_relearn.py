@@ -16,9 +16,13 @@ This benchmark drives the real active loop on the SQLite subject (budget
   same measurements (per-pair lstsq Fisher z, fresh G-test codes, fresh
   orienter, fresh engine).
 
-It asserts a >= 3x median speedup (>= 2x in quick mode, used by CI via
-``RELEARN_BENCH_QUICK=1``) and that the incremental model is *identical*
-(structural Hamming distance 0) to a cold re-learn over all measurements.
+The seed-style reference is slow, so it is timed on a fixed subsample of
+the iterations (every ``SEED_STYLE_STRIDE``-th, starting with the first),
+and the speedup is the ratio of the two medians over those same
+iterations.  It asserts a >= 3x median speedup (>= 2x in quick mode, used
+by CI via ``RELEARN_BENCH_QUICK=1``) and that the incremental model is
+*identical* (structural Hamming distance 0) to a cold re-learn over all
+measurements.
 Per-iteration timings for the x264, SQLite and DeepStream subjects go to
 ``benchmarks/results/summary.json`` through the ``results_recorder``
 fixture.
@@ -50,6 +54,8 @@ QUICK = os.environ.get("RELEARN_BENCH_QUICK") == "1"
 #: quick mode trims the loop for CI; the full run covers the whole budget.
 TIMED_ITERATIONS = 8 if QUICK else 75
 SECONDARY_ITERATIONS = 4 if QUICK else 15
+#: every how many iterations the seed-style reference is timed.
+SEED_STYLE_STRIDE = 2 if QUICK else 5
 REQUIRED_SPEEDUP = 2.0 if QUICK else 3.0
 
 
@@ -146,14 +152,15 @@ def _drive_loop(system, iterations: int, seed: int = 0,
 
     n_samples: list[int] = []
     incremental_seconds: list[float] = []
+    seed_iterations = list(range(0, iterations, SEED_STYLE_STRIDE))
     seed_seconds: list[float] = []
     proposal = system.space.default_configuration()
-    for _ in range(iterations):
+    for iteration in range(iterations):
         proposal = unicorn.propose_exploration(state, proposal)
         unicorn.measure_and_update(state, proposal)
         n_samples.append(state.samples_used)
         incremental_seconds.append(state.relearn_seconds[-1])
-        if time_seed_path:
+        if time_seed_path and iteration in seed_iterations:
             seed_seconds.append(_seed_style_relearn(unicorn, state))
 
     # Equivalence: a cold learn over everything measured must land on the
@@ -177,10 +184,12 @@ def _drive_loop(system, iterations: int, seed: int = 0,
         "ci_cache_hit_rate": unicorn._learner.ci_cache.counters.hit_rate(),
     }
     if time_seed_path:
+        sampled = [incremental_seconds[i] for i in seed_iterations]
+        payload["seed_style_iterations"] = seed_iterations
         payload["seed_style_seconds"] = seed_seconds
         payload["median_seed_style_seconds"] = float(np.median(seed_seconds))
         payload["median_speedup"] = float(
-            np.median(seed_seconds) / np.median(incremental_seconds))
+            np.median(seed_seconds) / np.median(sampled))
     return payload
 
 

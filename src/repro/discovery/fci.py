@@ -12,6 +12,7 @@ resolved by the entropic orienter.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 
 from repro.discovery.constraints import StructuralConstraints
@@ -28,7 +29,7 @@ class FCIResult:
     """A PAG plus the separating sets discovered along the way."""
 
     pag: MixedGraph
-    separating_sets: dict[frozenset[str], set[str]]
+    separating_sets: MutableMapping[frozenset[str], set[str]]
     tests_performed: int
 
 
@@ -36,7 +37,7 @@ class FCIResult:
 # Collider orientation (rule R0)
 # ---------------------------------------------------------------------------
 def orient_colliders(graph: MixedGraph,
-                     separating_sets: dict[frozenset[str], set[str]],
+                     separating_sets: Mapping[frozenset[str], set[str]],
                      constraints: StructuralConstraints | None = None) -> None:
     """Orient unshielded triples ``x *-* z *-* y`` as colliders.
 
@@ -178,36 +179,43 @@ def _rule_r3(graph: MixedGraph,
 # Possible-D-Sep pruning
 # ---------------------------------------------------------------------------
 def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
-                 separating_sets: dict[frozenset[str], set[str]],
+                 separating_sets: MutableMapping[frozenset[str], set[str]],
                  max_condition_size: int, constraints,
                  max_subsets_per_edge: int = 50) -> int:
     """Second FCI pruning phase using Possible-D-Sep sets.
 
     Returns the number of CI tests performed.  ``max_subsets_per_edge`` caps
     the number of conditioning subsets examined per edge so the phase stays
-    tractable on dense intermediate graphs.
+    tractable on dense intermediate graphs.  A test with ``test_index`` is
+    run on column indices, so it meets the decisions the skeleton search
+    stored under the same keys.
     """
     tests = 0
     required = set()
     if constraints is not None:
         required = {frozenset(edge) for edge in constraints.required_edges}
+    if hasattr(ci_test, "test_index"):
+        test = ci_test.test_index
+        column = {name: ci_test.column_index(name) for name in graph.nodes}
+    else:
+        test = ci_test.test
+        column = {name: name for name in graph.nodes}
+    allowed = {name for name in graph.nodes
+               if constraints is None or constraints.conditioning_allowed(name)}
     for edge in list(graph.edges()):
         x, y = edge.u, edge.v
         if not graph.has_edge(x, y) or frozenset((x, y)) in required:
             continue
         candidates = sorted((possible_d_sep(graph, x, y)
-                             | possible_d_sep(graph, y, x)) - {x, y})
-        if constraints is not None:
-            candidates = [c for c in candidates
-                          if constraints.conditioning_allowed(c)]
+                             | possible_d_sep(graph, y, x)) & allowed)
         found = False
+        i, j = column[x], column[y]
         for size in range(1, min(len(candidates), max_condition_size) + 1):
             subsets = itertools.islice(
                 itertools.combinations(candidates, size), max_subsets_per_edge)
             for subset in subsets:
                 tests += 1
-                outcome = ci_test.test(x, y, list(subset))
-                if outcome.independent:
+                if test(i, j, [column[c] for c in subset]).independent:
                     graph.remove_edge(x, y)
                     separating_sets[frozenset((x, y))] = set(subset)
                     found = True

@@ -79,24 +79,27 @@ def possible_d_sep(graph: MixedGraph, x: str, y: str) -> set[str]:
     and ``v`` on which every non-endpoint vertex is either a collider on the
     path or adjacent to both of its path-neighbours (i.e. part of a triangle).
     """
+    # The search reads the graph's adjacency sets and marks directly: it
+    # runs once per edge per FCI pruning pass, on every relearn.
+    adjacency, marks, arrow = graph._adj, graph._marks, Mark.ARROW
     pdsep: set[str] = set()
     # frontier entries are (previous, current) node pairs along a path.
     visited: set[tuple[str, str]] = set()
-    frontier = [(x, n) for n in graph.neighbors(x)]
+    frontier = [(x, n) for n in adjacency[x]]
     while frontier:
-        prev, current = frontier.pop()
-        if (prev, current) in visited:
+        step = frontier.pop()
+        if step in visited:
             continue
-        visited.add((prev, current))
-        if current not in (x, y):
-            pdsep.add(current)
-        for nxt in graph.neighbors(current):
-            if nxt in (prev, current):
-                continue
-            collider = (graph.mark(prev, current) is Mark.ARROW
-                        and graph.mark(nxt, current) is Mark.ARROW)
-            triangle = graph.has_edge(prev, nxt)
-            if collider or triangle:
+        visited.add(step)
+        prev, current = step
+        pdsep.add(current)
+        into_current = marks[step] is arrow
+        near_prev = adjacency[prev]
+        for nxt in adjacency[current]:
+            # Go on through ``current`` if it is a collider on the path
+            # or ``prev`` and ``nxt`` are adjacent (a triangle).
+            if nxt != prev and (nxt in near_prev or (
+                    into_current and marks[(nxt, current)] is arrow)):
                 frontier.append((current, nxt))
     pdsep.discard(x)
     pdsep.discard(y)

@@ -25,7 +25,12 @@ directly; the name-based methods are thin wrappers over them.  The marginal
 (empty conditioning set) case has an array form as well,
 ``marginal_arrays(first, second)``, which returns ``(p_value, statistic)``
 arrays without building a :class:`CIResult` per pair; the skeleton's level-0
-sweep is one such call.
+sweep is one such call.  Singleton conditioning sets (``|Z| = 1``) have an
+array form too: ``singleton_decisions(first, second, third)`` decides a
+whole block of tests from the cached covariance, bit-equal to the scalar
+path, and :meth:`CachedCITest.singleton_block` /
+:meth:`CachedCITest.settle_singletons` replay and record such a block for
+the skeleton's level 1.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from repro.stats.dataset import Dataset
@@ -135,6 +141,42 @@ def _fisher_z_arrays(corr: np.ndarray, n: int, k: int
         map(math.erfc, (statistics / math.sqrt(2)).tolist()), float,
         len(ratios))
     return p_values, statistics
+
+
+#: Relative half-width of the band around the decision threshold inside
+#: which :func:`_fisher_z_decisions` leaves an element to the exact scalar
+#: form.  Rounding moves the threshold by ~1e-15 relative; the band is wide
+#: enough to absorb that many times over and narrow enough to catch almost
+#: nothing.
+_GUARD_BAND = 1e-9
+
+
+def _fisher_z_decisions(corr: np.ndarray, n: int, k: int,
+                        alpha: float) -> np.ndarray:
+    """The decisions of :func:`_fisher_z_from_correlation` over an array,
+    without its ``log`` and ``erfc``.
+
+    ``p > alpha`` holds exactly when the ratio ``(1 + r) / (1 - r)`` lies
+    strictly between ``exp(-b)`` and ``exp(b)``, with
+    ``b = 2 sqrt(2) erfcinv(alpha) / sqrt(dof)``.  The ratio is computed
+    as the scalar form computes it; an element within :data:`_GUARD_BAND`
+    of either bound gets ``-1`` (undecided) instead of a guess.  Otherwise
+    the result is ``1`` for independent and ``0`` for dependent, as
+    ``int8``.
+    """
+    dof = n - k - 3
+    if dof <= 0:
+        return np.zeros(len(corr), dtype=np.int8)
+    if not 0.0 < alpha < 1.0:
+        return np.full(len(corr), -1, dtype=np.int8)
+    upper = math.exp(2.0 * math.sqrt(2.0) * float(scipy_special.erfcinv(alpha))
+                     / math.sqrt(dof))
+    lower = 1.0 / upper
+    ratio = (1 + corr) / (1 - corr)
+    decided = ((ratio > lower) & (ratio < upper)).astype(np.int8)
+    decided[(np.abs(ratio - lower) <= lower * _GUARD_BAND)
+            | (np.abs(ratio - upper) <= upper * _GUARD_BAND)] = -1
+    return decided
 
 
 def _results(p_values: np.ndarray, statistics: np.ndarray,
@@ -250,6 +292,32 @@ class FisherZTest:
         cov = self._stats.covariance()
         corr = normalise_pairs(cov[lo, hi], cov[lo, lo], cov[hi, hi])
         return _fisher_z_arrays(corr, self._data.n_rows, 0)
+
+    def singleton_decisions(self, first: np.ndarray, second: np.ndarray,
+                            third: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """``(corr, decided)`` of testing ``first[e]`` and ``second[e]``
+        given ``third[e]``, without a ``log`` or ``erfc`` per element.
+
+        ``corr`` is :meth:`SufficientStats.singleton_partial_correlations`.
+        ``decided`` is ``1`` (independent) or ``0`` (dependent), exactly
+        as :meth:`test_index` decides, or ``-1`` where only
+        :meth:`test_index` can tell: next to the threshold, or where the
+        scalar form raises.  :meth:`singleton_results` gives the exact
+        p-values and statistics of chosen elements.
+        """
+        corr, raises = self._stats.singleton_partial_correlations(
+            first, second, third)
+        decided = _fisher_z_decisions(corr, self._data.n_rows, 1, self._alpha)
+        if raises is not None:
+            decided[raises] = -1
+        return corr, decided
+
+    def singleton_results(self, corr: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """``(p_value, statistic)`` arrays for correlations from
+        :meth:`singleton_decisions`, equal to :meth:`test_index`."""
+        return _fisher_z_arrays(corr, self._data.n_rows, 1)
 
 
 # --------------------------------------------------------------------------
@@ -445,6 +513,23 @@ class MixedCITest:
                 p_values[k], statistics[k] = result.p_value, result.statistic
         return p_values, statistics
 
+    def singleton_decisions(self, first: np.ndarray, second: np.ndarray,
+                            third: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`FisherZTest.singleton_decisions`, leaving every
+        all-discrete triple undecided (``-1``): :meth:`test_index` decides
+        whether it takes the G-test."""
+        corr, decided = self._fisher.singleton_decisions(first, second, third)
+        flags = self._discrete_flags
+        decided[flags[first] & flags[second] & flags[third]] = -1
+        return corr, decided
+
+    def singleton_results(self, corr: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`FisherZTest.singleton_results` (decided elements are
+        always Fisher z tests)."""
+        return self._fisher.singleton_results(corr)
+
 
 # --------------------------------------------------------------------------
 # CI-decision caching across data epochs
@@ -485,8 +570,8 @@ class CIDecisionCache:
     Keys come from :meth:`key`: the tested pair is unordered and the
     conditioning set is order-free, so ``test(y, x, [v, u])`` replays the
     decision ``test(x, y, [u, v])`` stored.  Index-space calls from the
-    skeleton search and name-based calls (Possible-D-Sep pruning, via
-    :meth:`CachedCITest.test`) map onto the same keys and share the entries.
+    skeleton search and name-based calls map onto the same keys and share
+    the entries.
 
     A lookup at the entry's own epoch is always a hit.  After an epoch bump
     (new rows appended) the *margin policy* decides: a decision whose p-value
@@ -506,12 +591,15 @@ class CIDecisionCache:
     per-iteration cost stays a fraction ``1 / max_stale_epochs`` of a full
     re-learn.
 
-    The entries here are the *conditional* decisions, LRU-evicted beyond
-    ``max_entries``.  :class:`CachedCITest` keeps marginal decisions
-    (``Z = ∅``) in a dense per-column-pair table instead, bounded by the
-    square of the column count and never evicted; it applies this margin
-    policy to them with :meth:`lookup_many`, which counts in the same
-    :attr:`counters`, and :meth:`clear` invalidates those tables too.
+    The entries here are the decisions with two or more conditioning
+    columns, LRU-evicted beyond ``max_entries``.  :class:`CachedCITest`
+    keeps the marginal (``Z = ∅``) and singleton (``|Z| = 1``) decisions,
+    which are all the tests of a search capped at ``max_condition_size=1``,
+    in its own array table, the singletons under the same bound; it
+    applies this margin
+    policy to them through :meth:`serves` and :meth:`lookup_many`, which
+    count in the same :attr:`counters`.  :meth:`clear` invalidates those
+    tables too, and ``len`` counts only the entries here.
     """
 
     def __init__(self, alpha: float = 0.05, margin_factor: float = 8.0,
@@ -528,7 +616,7 @@ class CIDecisionCache:
         # key -> (epoch, result, is_confident(result)), in store order.
         self._entries: OrderedDict[CIKey, tuple[int, CIResult, bool]] = \
             OrderedDict()
-        # Bumped by clear(); a marginal table older than this is invalid.
+        # Bumped by clear(); a decision table older than this is invalid.
         self._generation = 0
         self.counters = CICacheCounters()
 
@@ -538,6 +626,10 @@ class CIDecisionCache:
     @property
     def alpha(self) -> float:
         return self._alpha
+
+    @property
+    def max_entries(self) -> int:
+        return self._max_entries
 
     @property
     def generation(self) -> int:
@@ -567,28 +659,47 @@ class CIDecisionCache:
             (p_values >= self._alpha * self._margin_factor)
             | (p_values <= self._alpha / self._margin_factor))
 
+    def serves(self, stored: int, confident: bool, epoch: int) -> bool:
+        """The margin policy for one existing entry, counted as a lookup.
+
+        True (a hit or a stale reuse) when the entry stored at epoch
+        ``stored`` is served at ``epoch``; False (a retest) when the caller
+        must evict it and test again.  A stale entry is deliberately not
+        re-stamped, so the decision is recomputed once its reuse window
+        closes.
+        """
+        if stored == epoch:
+            self.counters.hits += 1
+            return True
+        if confident and 0 < epoch - stored <= self._max_stale_epochs:
+            self.counters.stale_reused += 1
+            return True
+        self.counters.retests += 1
+        return False
+
+    def servable(self, present: np.ndarray, stored: np.ndarray,
+                 confident: np.ndarray, epoch: int) -> np.ndarray:
+        """The mask :meth:`serves` would answer True for, without counting;
+        ``present`` marks the entries that exist."""
+        age = epoch - stored
+        return present & ((age == 0) | (confident & (age > 0)
+                                        & (age <= self._max_stale_epochs)))
+
     def lookup(self, key: CIKey, epoch: int) -> CIResult | None:
         entry = self._entries.get(key)
         if entry is None:
             self.counters.misses += 1
             return None
         stored, result, confident = entry
-        if stored == epoch:
-            self.counters.hits += 1
-            return result
-        if confident and 0 < epoch - stored <= self._max_stale_epochs:
-            # Survives the epoch bump; deliberately NOT re-stamped, so the
-            # decision is recomputed once its reuse window closes.
-            self.counters.stale_reused += 1
+        if self.serves(stored, confident, epoch):
             return result
         del self._entries[key]
-        self.counters.retests += 1
         return None
 
     def lookup_many(self, keys: np.ndarray, present: np.ndarray,
                     stored: np.ndarray, confident: np.ndarray,
                     epoch: int) -> np.ndarray:
-        """:meth:`lookup` over the entries of a dense decision table.
+        """:meth:`lookup` over the entries of a decision table.
 
         ``present``, ``stored`` and ``confident`` describe the table entry
         of each of ``keys``: whether it exists, its epoch and its confidence.
@@ -596,16 +707,14 @@ class CIDecisionCache:
         sequential :meth:`lookup` calls would move them, evictions included:
         a key repeated in one call is retested once and misses after that.
         """
-        age = epoch - stored
-        hit = present & (age == 0)
-        reused = present & confident & (age > 0) & \
-            (age <= self._max_stale_epochs)
-        fresh = ~(hit | reused)
+        hits = int(np.count_nonzero(present & (stored == epoch)))
+        fresh = ~self.servable(present, stored, confident, epoch)
         retest = fresh & present
         retests = int(np.unique(keys[retest]).size) if retest.any() else 0
         counters = self.counters
-        counters.hits += int(np.count_nonzero(hit))
-        counters.stale_reused += int(np.count_nonzero(reused))
+        counters.hits += hits
+        counters.stale_reused += len(keys) - int(np.count_nonzero(fresh)) \
+            - hits
         counters.retests += retests
         counters.misses += int(np.count_nonzero(fresh)) - retests
         return fresh
@@ -617,9 +726,156 @@ class CIDecisionCache:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every decision, the marginal tables' included."""
+        """Drop every decision, the decision tables' included."""
         self._entries.clear()
         self._generation += 1
+
+
+class _DecisionTable:
+    """CI decisions in parallel arrays, one slot per int64 key.
+
+    Keys below ``dense`` are their own slots, allocated up front and never
+    evicted.  Every other key gets the next free slot on its first store;
+    ``_slots`` maps one such key to its slot, and :meth:`find` maps a
+    whole key array through a sorted view of them, extended by a merge
+    whenever new slots appeared since the last call.  ``present`` is false
+    for an entry the margin policy evicted for a retest, and ``stamp``
+    orders the entries by their last store.  Past ``dense + max_entries``
+    slots, the least recently stored eighth of the other entries is
+    dropped.
+    """
+
+    _COLUMNS = {"key": np.int64, "present": bool, "epoch": np.int64,
+                "p_value": np.float64, "statistic": np.float64,
+                "confident": bool, "stamp": np.int64}
+
+    def __init__(self, dense: int, max_entries: int) -> None:
+        self.dense = dense
+        self.max_entries = max_entries
+        self._clock = 0
+        for name, dtype in self._COLUMNS.items():
+            setattr(self, name, np.zeros(dense + 64, dtype=dtype))
+        self.key[:dense] = np.arange(dense)
+        self._keep(np.empty(0, dtype=np.intp))
+
+    def _keep(self, sparse: np.ndarray) -> None:
+        """Keep the dense slots and the ``sparse`` ones (ascending), the
+        latter renumbered from ``dense``."""
+        dense, size = self.dense, self.dense + len(sparse)
+        for name in self._COLUMNS:
+            column = getattr(self, name)
+            column[dense:size] = column[sparse]
+        self.size = size
+        self._slots = dict(zip(self.key[dense:size].tolist(),
+                               range(dense, size)))
+        self._sorted_keys = np.empty(0, dtype=np.int64)
+        self._sorted_slots = np.empty(0, dtype=np.intp)
+        self._viewed = dense
+
+    def _allocate(self, count: int) -> np.ndarray:
+        """``count`` new slots (grown amortised)."""
+        capacity = len(self.key)
+        if self.size + count > capacity:
+            grown = max(2 * capacity, self.size + count)
+            for name in self._COLUMNS:
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate(
+                    [column, np.zeros(grown - capacity, dtype=column.dtype)]))
+        slots = np.arange(self.size, self.size + count)
+        self.size += count
+        return slots
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, found)`` of ``keys``; a key without a slot gets slot 0.
+        ``found & present[slots]`` marks the present entries."""
+        if not len(keys) or keys.max() < self.dense:
+            return keys, np.ones(len(keys), dtype=bool)
+        if self._viewed < self.size:
+            new = np.arange(self._viewed, self.size)
+            new = new[np.argsort(self.key[new], kind="stable")]
+            at = np.searchsorted(self._sorted_keys, self.key[new])
+            self._sorted_keys = np.insert(self._sorted_keys, at,
+                                          self.key[new])
+            self._sorted_slots = np.insert(self._sorted_slots, at, new)
+            self._viewed = self.size
+        if not len(self._sorted_keys):
+            return (np.zeros(len(keys), dtype=np.intp),
+                    np.zeros(len(keys), dtype=bool))
+        at = np.searchsorted(self._sorted_keys, keys)
+        np.minimum(at, len(self._sorted_keys) - 1, out=at)
+        found = self._sorted_keys[at] == keys
+        return np.where(found, self._sorted_slots[at], 0), found
+
+    def slot(self, key: int) -> int | None:
+        """The slot of a present ``key``, or ``None``."""
+        slot = key if key < self.dense else self._slots.get(key)
+        return slot if slot is not None and self.present.item(slot) else None
+
+    def put(self, key: int, epoch: int, result: CIResult,
+            confident: bool) -> None:
+        """:meth:`store` of one decision."""
+        slot = key if key < self.dense else self._slots.get(key)
+        if slot is None:
+            slot = self.size
+            self._allocate(1)
+            self.key[slot] = key
+            self._slots[key] = slot
+        self.present[slot] = True
+        self.epoch[slot] = epoch
+        self.p_value[slot] = result.p_value
+        self.statistic[slot] = result.statistic
+        self.confident[slot] = confident
+        self.stamp[slot] = self._clock
+        self._clock += 1
+        if self.size > self.dense + self.max_entries:
+            self._evict()
+
+    def store(self, keys: np.ndarray, epoch: int, p_values: np.ndarray,
+              statistics: np.ndarray, confident: np.ndarray) -> None:
+        """Store one decision per key, in the order given (keys unique)."""
+        slots, found = self.find(keys)
+        new = ~found
+        if new.any():
+            slots[new] = self._allocate(int(np.count_nonzero(new)))
+            self.key[slots[new]] = keys[new]
+            self._slots.update(zip(keys[new].tolist(), slots[new].tolist()))
+        self.present[slots] = True
+        self.epoch[slots] = epoch
+        self.p_value[slots] = p_values
+        self.statistic[slots] = statistics
+        self.confident[slots] = confident
+        self.stamp[slots] = np.arange(self._clock, self._clock + len(slots))
+        self._clock += len(slots)
+        if self.size > self.dense + self.max_entries:
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop retested sparse slots and the least recently stored
+        eighth of the rest."""
+        live = self.dense + np.flatnonzero(self.present[self.dense:self.size])
+        keep = self.max_entries - self.max_entries // 8
+        newest = np.argsort(self.stamp[live], kind="stable")[-keep:]
+        self._keep(np.sort(live[newest]))
+
+
+@dataclass
+class SingletonBlock:
+    """A block of ``|Z| = 1`` tests from :meth:`CachedCITest.singleton_block`.
+
+    ``decided[e]`` is the decision the test of element ``e`` returns now:
+    ``1`` independent, ``0`` dependent, or ``-1`` when only
+    :meth:`CachedCITest.test_index` can tell.  The other fields are what
+    :meth:`CachedCITest.settle_singletons` needs to count and store the
+    elements a search performed.
+    """
+
+    decided: np.ndarray
+    keys: np.ndarray
+    corr: np.ndarray
+    present: np.ndarray
+    stored: np.ndarray
+    confident: np.ndarray
+    epoch: int
 
 
 class CachedCITest:
@@ -627,18 +883,30 @@ class CachedCITest:
 
     ``inner`` is a :class:`FisherZTest` or :class:`MixedCITest` (anything
     with ``alpha``, ``n_columns``, ``column_index``, ``test_index``,
-    ``test_batch_index`` and ``marginal_arrays``, whose decisions are
-    ``p_value > alpha``).  ``epoch_fn`` supplies the current data epoch
-    (normally the backing dataset's ``data_epoch``); every decision the
-    inner test produces is recorded and replayed according to the cache's
-    margin policy.
+    ``test_batch_index``, ``marginal_arrays``, ``singleton_decisions`` and
+    ``singleton_results``, whose decisions are ``p_value > alpha``).
+    ``epoch_fn`` supplies the current data epoch (normally the backing
+    dataset's ``data_epoch``); every decision the inner test produces is
+    recorded and replayed according to the cache's margin policy.
 
-    Conditional decisions live in the cache's dict.  Marginal decisions
-    live in a dense table indexed by the column pair ``(lo, hi)``: arrays
-    of presence, epoch, p-value, statistic and confidence, about 1.2 MB at
-    213 columns.  :meth:`marginal_arrays` replays a whole level-0 sweep
-    from it with array operations and hands only the misses to ``inner``;
-    ``test_index(i, j, ())`` and ``test_batch_index(pairs, ())`` go through
+    Decisions with two or more conditioning columns live in the cache's
+    dict.  Marginal and singleton decisions live in one array table here
+    (:class:`_DecisionTable`), over ``P`` columns and the column pair
+    ``lo < hi``: the marginal test of the pair is key ``lo * P + hi``, one
+    of ``P²`` slots allocated up front, and its test given column ``z`` is
+    key ``P² + (lo * P + hi) * P + z``, stored on demand.  Per entry the
+    table keeps presence, epoch, p-value, statistic and confidence, 41
+    bytes.  The singleton entries are bounded by the cache's
+    ``max_entries`` and evicted by store order; on the Table 3 debugging
+    workload (213 columns) they peak near 34k entries over 5.2k pairs, far
+    below the default 500k, so eviction never runs there.
+
+    :meth:`marginal_arrays` replays a whole level-0 sweep from the table
+    with array operations and hands only the misses to ``inner``.
+    :meth:`singleton_block` and :meth:`settle_singletons` do the same for a
+    skeleton level with ``|Z| = 1``, in two steps, because only the search
+    knows which of the block's tests it performs.  ``test_index`` and
+    ``test_batch_index`` with at most one conditioning column go through
     the same table.
     """
 
@@ -647,18 +915,14 @@ class CachedCITest:
         self._inner = inner
         self._cache = cache
         self._epoch_fn = epoch_fn
+        self._alpha = inner.alpha
         self._n_columns = inner.n_columns
-        size = self._n_columns ** 2
-        self._present = np.zeros(size, dtype=bool)
-        self._epoch = np.zeros(size, dtype=np.int64)
-        self._p_value = np.zeros(size)
-        self._statistic = np.zeros(size)
-        self._confident = np.zeros(size, dtype=bool)
+        self._table = self._new_table()
         self._generation = cache.generation
 
     @property
     def alpha(self) -> float:
-        return self._inner.alpha
+        return self._alpha
 
     @property
     def cache(self) -> CIDecisionCache:
@@ -671,6 +935,24 @@ class CachedCITest:
     def column_index(self, name: str) -> int:
         return self._inner.column_index(name)
 
+    def _new_table(self) -> _DecisionTable:
+        return _DecisionTable(self._n_columns ** 2, self._cache.max_entries)
+
+    def _decisions(self) -> _DecisionTable:
+        """The decision table, emptied if the cache was cleared since."""
+        if self._generation != self._cache.generation:
+            self._table = self._new_table()
+            self._generation = self._cache.generation
+        return self._table
+
+    def _keys(self, first: np.ndarray, second: np.ndarray,
+              third: np.ndarray | int | None = None) -> np.ndarray:
+        """Table keys of testing ``first[k]``, ``second[k]`` given
+        ``third[k]`` (nothing when ``None``)."""
+        n = self._n_columns
+        pairs = np.minimum(first, second) * n + np.maximum(first, second)
+        return pairs if third is None else n * n + pairs * n + third
+
     # ---------------------------------------------------------------- testing
     def test(self, x: str, y: str,
              conditioning: Sequence[str] = ()) -> CIResult:
@@ -680,14 +962,33 @@ class CachedCITest:
     def test_index(self, i: int, j: int,
                    conditioning: Sequence[int] = ()) -> CIResult:
         """:meth:`test` on column indices."""
-        if not conditioning:
-            return self.test_batch_index([(i, j)])[0]
-        key = CIDecisionCache.key(i, j, conditioning)
+        if len(conditioning) > 1:
+            key = CIDecisionCache.key(i, j, conditioning)
+            epoch = self._epoch_fn()
+            result = self._cache.lookup(key, epoch)
+            if result is None:
+                result = self._inner.test_index(i, j, conditioning)
+                self._cache.store(key, epoch, result)
+            return result
+        n = self._n_columns
+        lo, hi = (i, j) if i < j else (j, i)
+        key = lo * n + hi
+        if conditioning:
+            key = n * n + key * n + conditioning[0]
         epoch = self._epoch_fn()
-        result = self._cache.lookup(key, epoch)
-        if result is None:
-            result = self._inner.test_index(i, j, conditioning)
-            self._cache.store(key, epoch, result)
+        table = self._decisions()
+        slot = table.slot(key)
+        if slot is None:
+            self._cache.counters.misses += 1
+        elif self._cache.serves(table.epoch.item(slot),
+                                table.confident.item(slot), epoch):
+            p_value = table.p_value.item(slot)
+            return CIResult(p_value > self._alpha, p_value,
+                            table.statistic.item(slot))
+        else:
+            table.present[slot] = False
+        result = self._inner.test_index(i, j, conditioning)
+        table.put(key, epoch, result, self._cache.is_confident(result))
         return result
 
     def test_batch(self, pairs: Sequence[tuple[str, str]],
@@ -704,9 +1005,22 @@ class CachedCITest:
         All pairs are looked up before any miss is tested and stored, so a
         pair repeated in one batch replays nothing from its own batch.
         """
-        if not conditioning:
-            return _results(*self.marginal_arrays(*_pair_arrays(pairs)),
-                            self.alpha)
+        if len(conditioning) <= 1:
+            first, second = _pair_arrays(pairs)
+            if not conditioning:
+                return _results(*self.marginal_arrays(first, second),
+                                self.alpha)
+
+            def fresh_arrays(fresh: np.ndarray):
+                results = self._inner.test_batch_index(
+                    [pair for pair, f in zip(pairs, fresh.tolist()) if f],
+                    conditioning)
+                return (np.array([r.p_value for r in results]),
+                        np.array([r.statistic for r in results]))
+
+            return _results(*self._replay(
+                self._keys(first, second, conditioning[0]), fresh_arrays),
+                self.alpha)
         epoch = self._epoch_fn()
         z = _conditioning_key(conditioning)
         lookup = self._cache.lookup
@@ -724,37 +1038,80 @@ class CachedCITest:
     def marginal_arrays(self, first: np.ndarray, second: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """``(p_value, statistic)`` arrays of the marginal tests of
-        ``first[k]`` and ``second[k]``, replayed from the table.
+        ``first[k]`` and ``second[k]``, replayed from the table; the keys
+        the margin policy rejects go to ``inner.marginal_arrays`` in one
+        call."""
+        return self._replay(
+            self._keys(first, second),
+            lambda fresh: self._inner.marginal_arrays(first[fresh],
+                                                      second[fresh]))
 
-        The margin policy runs as one :meth:`CIDecisionCache.lookup_many`
-        mask; the keys it rejects go to ``inner.marginal_arrays`` in one
-        call and are stored back, the last result of a repeated pair
-        winning, as sequential stores would have it.
-        """
-        if self._generation != self._cache.generation:
-            self._present[:] = False
-            self._generation = self._cache.generation
+    def _replay(self, keys: np.ndarray,
+                fresh_arrays: Callable[[np.ndarray],
+                                       tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``(p_value, statistic)`` of every key, from the table or, for the
+        mask :meth:`CIDecisionCache.lookup_many` rejects, from
+        ``fresh_arrays(mask)``.  Fresh results are stored back, the last
+        result of a repeated key winning, as sequential stores would have
+        it."""
+        table = self._decisions()
         epoch = self._epoch_fn()
-        keys = (np.minimum(first, second) * self._n_columns
-                + np.maximum(first, second))
-        p_values = self._p_value[keys]
-        statistics = self._statistic[keys]
-        fresh = self._cache.lookup_many(
-            keys, self._present[keys], self._epoch[keys],
-            self._confident[keys], epoch)
+        slots, found = table.find(keys)
+        present = found & table.present[slots]
+        p_values = table.p_value[slots]
+        statistics = table.statistic[slots]
+        fresh = self._cache.lookup_many(keys, present, table.epoch[slots],
+                                        table.confident[slots], epoch)
         if fresh.any():
-            new_p, new_statistic = self._inner.marginal_arrays(
-                first[fresh], second[fresh])
+            new_p, new_statistic = fresh_arrays(fresh)
             p_values[fresh] = new_p
             statistics[fresh] = new_statistic
             keys = keys[fresh]
-            last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
-            keys, new_p, new_statistic = \
-                keys[last], new_p[last], new_statistic[last]
-            self._present[keys] = True
-            self._epoch[keys] = epoch
-            self._p_value[keys] = new_p
-            self._statistic[keys] = new_statistic
-            self._confident[keys] = self._cache.confident_mask(
-                new_p, new_statistic)
+            last = np.sort(len(keys) - 1
+                           - np.unique(keys[::-1], return_index=True)[1])
+            new_p, new_statistic = new_p[last], new_statistic[last]
+            table.store(keys[last], epoch, new_p, new_statistic,
+                        self._cache.confident_mask(new_p, new_statistic))
         return p_values, statistics
+
+    def singleton_block(self, first: np.ndarray, second: np.ndarray,
+                        third: np.ndarray) -> SingletonBlock:
+        """The decisions of testing ``first[e]`` and ``second[e]`` given
+        ``third[e]``, for a search to pick from; nothing is counted yet.
+
+        A decision the margin policy would replay comes from the table,
+        any other from ``inner.singleton_decisions``.  The search then
+        hands the elements it performed to :meth:`settle_singletons`, and
+        runs :meth:`test_index` on any performed element whose decision is
+        ``-1``.  The keys of one block must be unique.
+        """
+        table = self._decisions()
+        epoch = self._epoch_fn()
+        keys = self._keys(first, second, third)
+        corr, decided = self._inner.singleton_decisions(first, second, third)
+        slots, found = table.find(keys)
+        present = found & table.present[slots]
+        stored, confident = table.epoch[slots], table.confident[slots]
+        replayed = self._cache.servable(present, stored, confident, epoch)
+        decided[replayed] = table.p_value[slots[replayed]] > self.alpha
+        return SingletonBlock(decided, keys, corr, present, stored,
+                              confident, epoch)
+
+    def settle_singletons(self, block: SingletonBlock,
+                          performed: Sequence[int]) -> None:
+        """Count the lookups of the ``performed`` elements of ``block`` (in
+        any order; none of them ``-1``) and store their fresh decisions."""
+        at = np.asarray(performed, dtype=np.intp)
+        fresh = self._cache.lookup_many(
+            block.keys[at], block.present[at], block.stored[at],
+            block.confident[at], block.epoch)
+        at = at[fresh]
+        if not len(at):
+            return
+        p_values, statistics = self._inner.singleton_results(block.corr[at])
+        assert np.array_equal(p_values > self.alpha, block.decided[at] == 1)
+        self._decisions().store(block.keys[at], block.epoch, p_values,
+                                statistics,
+                                self._cache.confident_mask(p_values,
+                                                           statistics))

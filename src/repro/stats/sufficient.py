@@ -33,6 +33,8 @@ from repro.stats.discretize import discretize_column
 _CORR_CLAMP = 0.9999999
 #: Variances below this are treated as zero (constant column).
 _VAR_EPS = 1e-24
+#: Elements per pass of :meth:`SufficientStats.singleton_partial_correlations`.
+_CHUNK = 1 << 14
 
 
 def normalise(cov_ij: float, var_i: float, var_j: float) -> float:
@@ -98,6 +100,7 @@ class SufficientStats:
         self._cardinality: dict[str, int] = {}
         self._cov: np.ndarray | None = None
         self._cov_rows: list[list[float]] | None = None
+        self._singleton_terms: tuple | None = None
         self.refresh()
 
     # --------------------------------------------------------------- syncing
@@ -145,6 +148,7 @@ class SufficientStats:
         self._cardinality.clear()
         self._cov = None
         self._cov_rows = None
+        self._singleton_terms = None
 
     # ------------------------------------------------------------- moments
     def means(self) -> np.ndarray:
@@ -229,6 +233,61 @@ class SufficientStats:
             s_jj = cov_j[j] - cov_j[k] ** 2 / ckk
             return normalise(s_ij, s_ii, s_jj)
         return float(self.partial_correlations([i, j], z)[0, 1])
+
+    def singleton_partial_correlations(
+            self, first: np.ndarray, second: np.ndarray, third: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`partial_correlation` of ``first[e]`` and ``second[e]``
+        given ``third[e]``, over arrays, bit for bit.
+
+        The scalar form squares a covariance with Python's ``**``, which
+        calls libm ``pow`` and can differ from ``x * x`` in the last bit;
+        ``np.float_power`` calls the same ``pow``.  The squares divided by
+        the conditioning variance are one matrix per data epoch, so an
+        element costs gathers and a few IEEE operations, each rounding as
+        its scalar counterpart.  Returns the correlations and the mask of
+        elements whose scalar form raises ``OverflowError`` (a finite
+        covariance whose square overflows), or ``None`` when there are
+        none; those elements' correlations are meaningless.
+        """
+        cov = self.covariance()
+        if self._singleton_terms is None:
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                squares = np.float_power(cov, 2.0)
+                scaled = squares / np.diag(cov)
+            overflow = np.isinf(squares) & np.isfinite(cov)
+            self._singleton_terms = (
+                cov.ravel(), np.diag(cov).copy(), scaled.ravel(),
+                overflow.ravel() if overflow.any() else None)
+        flat, diag, scaled, overflow = self._singleton_terms
+        p = len(diag)
+        corr = np.empty(len(first))
+        raises = None if overflow is None else np.zeros(len(first), bool)
+        # Chunks bound the temporaries of a large block.
+        for at in range(0, len(first), _CHUNK):
+            i, j, k = (index[at:at + _CHUNK] for index in (first, second,
+                                                            third))
+            ik = i * p + k
+            jk = j * p + k
+            c_ij = flat[i * p + j]
+            c_ii, c_jj, c_kk = diag[i], diag[j], diag[k]
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                s_ij = c_ij - flat[ik] * flat[jk] / c_kk
+                s_ii = c_ii - scaled[ik]
+                s_jj = c_jj - scaled[jk]
+            # A (near-)constant conditioning column leaves the marginal.
+            flat_k = c_kk < _VAR_EPS
+            if flat_k.any():
+                s_ij[flat_k] = c_ij[flat_k]
+                s_ii[flat_k] = c_ii[flat_k]
+                s_jj[flat_k] = c_jj[flat_k]
+            corr[at:at + _CHUNK] = normalise_pairs(s_ij, s_ii, s_jj)
+            if raises is not None:
+                raises[at:at + _CHUNK] = (overflow[ik] | overflow[jk]) \
+                    & ~flat_k
+        return corr, raises
 
     # ----------------------------------------------------- discrete summaries
     def codes(self, column: str, bins: int = 8) -> np.ndarray:

@@ -3,13 +3,16 @@
 The reference below routes every call through ``CIDecisionCache.lookup`` /
 ``store`` and the inner test's scalar ``test_index``, one pair at a time, in
 call order.  Random interleavings of scalar and batched marginal tests
-(with repeated and reversed pairs), conditional tests, in-place appends
-(data-epoch bumps), epoch jumps and ``cache.clear()`` must give the same
-:class:`CIResult` for every call and the same :class:`CICacheCounters`
-after every call.  The dataset mixes continuous columns with
-small-cardinality discrete ones, so marginal pairs take both the Fisher z
-and the G-test path, and it starts with too few rows for a Fisher z
-decision, so the "cannot decide" sentinel is replayed as well.
+(with repeated and reversed pairs), conditional tests by index and by name,
+blocks of singleton-conditioning tests of which a prefix is performed (as
+the skeleton's level 1 performs them), in-place appends (data-epoch bumps),
+epoch jumps and ``cache.clear()`` must give the same :class:`CIResult` or
+decision for every call and the same :class:`CICacheCounters` after every
+call.  The dataset mixes continuous columns with small-cardinality discrete
+ones, so tests take both the Fisher z and the G-test path, and it starts
+with too few rows for a Fisher z decision, so the "cannot decide" sentinel
+is replayed as well.  Whole skeleton searches and FCI runs over several
+epochs are compared the same way, against the one-test-at-a-time search.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import asdict
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.discovery.constraints import StructuralConstraints
+from repro.discovery.fci import fci
 from repro.discovery.skeleton import SkeletonSpace, learn_skeleton
 from repro.stats.dataset import Dataset
 from repro.stats.independence import (
@@ -29,6 +34,7 @@ from repro.stats.independence import (
     GSquareTest,
     MixedCITest,
 )
+from repro.stats.sufficient import SufficientStats
 
 COLUMNS = ["c0", "c1", "c2", "d0", "d1", "d2"]
 DISCRETE = ["d0", "d1", "d2"]
@@ -107,6 +113,27 @@ def _conditional(draw):
     return ("cond", (i, j), tuple(z))
 
 
+@st.composite
+def _block(draw):
+    """Singleton-conditioning triples with distinct keys, and how many of
+    them (a prefix) the caller performs."""
+    triples, keys = [], set()
+    for i, j, z in draw(st.lists(st.permutations(range(len(COLUMNS))).map(
+            lambda order: tuple(order[:3])), min_size=1, max_size=12)):
+        if (min(i, j), max(i, j), z) not in keys:
+            keys.add((min(i, j), max(i, j), z))
+            triples.append((i, j, z))
+    return ("block", triples, draw(st.integers(0, len(triples))))
+
+
+@st.composite
+def _named(draw):
+    i, j = draw(_pair)
+    z = draw(st.sampled_from([k for k in range(len(COLUMNS))
+                              if k not in (i, j)]))
+    return ("name", (i, j), (z,))
+
+
 _batch = st.tuples(st.just("batch"), st.lists(_pair, max_size=24))
 _sweep = st.tuples(st.just("batch"), st.lists(_pair, min_size=12, max_size=24))
 _append = st.tuples(st.just("append"), st.integers(min_value=1, max_value=4))
@@ -117,6 +144,7 @@ _append = st.tuples(st.just("append"), st.integers(min_value=1, max_value=4))
 # later epoch must never be replayed.
 _operations = st.lists(st.one_of(
     st.tuples(st.just("scalar"), _pair), _batch, _sweep, _conditional(),
+    _block(), _block(), _named(),
     _append, _append, st.tuples(st.just("clear")),
     st.tuples(st.just("shift"), st.sampled_from([-2, -1, 1])),
 ), min_size=8, max_size=40)
@@ -146,8 +174,13 @@ def test_cached_ci_test_matches_per_pair_cache_replay(
                                max_stale_epochs=max_stale_epochs)
 
     subject_cache, reference_cache = make_cache(), make_cache()
-    subject = CachedCITest(inner(data), subject_cache, epoch)
-    reference = _ReferenceCachedTest(inner(data), reference_cache, epoch)
+    # One SufficientStats behind both sides: a block refreshes the running
+    # sums at an epoch where the reference may test nothing, and sums
+    # folded in other chunks round differently.
+    stats = SufficientStats(data)
+    subject = CachedCITest(inner(data, stats=stats), subject_cache, epoch)
+    reference = _ReferenceCachedTest(inner(data, stats=stats),
+                                     reference_cache, epoch)
 
     for operation in operations:
         kind = operation[0]
@@ -163,6 +196,24 @@ def test_cached_ci_test_matches_per_pair_cache_replay(
             (i, j), z = operation[1], operation[2]
             assert subject.test_index(i, j, z) == \
                 reference.test_index(i, j, z)
+        elif kind == "name":
+            (i, j), z = operation[1], operation[2]
+            assert subject.test(COLUMNS[i], COLUMNS[j],
+                                [COLUMNS[k] for k in z]) == \
+                reference.test_index(i, j, z)
+        elif kind == "block":
+            triples, count = operation[1], operation[2]
+            block = subject.singleton_block(*np.array(triples).T)
+            performed = []
+            for at, (i, j, z) in enumerate(triples[:count]):
+                decision = int(block.decided[at])
+                if decision < 0:
+                    decision = subject.test_index(i, j, (z,)).independent
+                else:
+                    performed.append(at)
+                assert bool(decision) == \
+                    reference.test_index(i, j, (z,)).independent
+            subject.settle_singletons(block, performed)
         elif kind == "append":
             count = operation[1]
             data.append_rows_inplace([dict(zip(COLUMNS, row))
@@ -240,3 +291,105 @@ def test_gsquare_marginal_pairs_in_a_cached_batch_match_scalar_and_replay():
     assert [cached.test_index(j, i, ()) for i, j in pairs] == single
     assert cached.test_batch_index(pairs, ()) == single
     assert cache.counters.hits == 2 * len(pairs)
+
+
+class _NamedReference:
+    """The per-pair reference behind a name-based interface, so that the
+    skeleton search and FCI take their one-test-at-a-time path."""
+
+    def __init__(self, reference: _ReferenceCachedTest, data: Dataset,
+                 alpha: float) -> None:
+        self._reference = reference
+        self._index = data.column_index
+        self.alpha = alpha
+
+    def test(self, x, y, conditioning=()):
+        idx = self._index
+        return self._reference.test_index(idx(x), idx(y),
+                                          [idx(c) for c in conditioning])
+
+    def test_batch(self, pairs, conditioning=()):
+        idx = self._index
+        return self._reference.test_batch_index(
+            [(idx(x), idx(y)) for x, y in pairs],
+            [idx(c) for c in conditioning])
+
+
+def _search_rows(seed: int, n: int) -> np.ndarray:
+    """Ten columns over a chain, a fork and a collider, plus noise."""
+    rng = np.random.default_rng(seed)
+    o0 = rng.integers(0, 3, n)
+    o1 = rng.integers(0, 2, n)
+    e0 = o0 + rng.normal(scale=0.7, size=n)
+    e1 = e0 + o1 + rng.normal(scale=0.7, size=n)
+    e2 = e0 + rng.normal(scale=0.9, size=n)
+    e3 = rng.normal(size=n)
+    e4 = e1 - e3 + rng.normal(scale=0.8, size=n)
+    e5 = rng.integers(0, 2, n)
+    t0 = e1 + e4 + rng.normal(scale=0.5, size=n)
+    t1 = e2 + rng.normal(scale=0.5, size=n)
+    return np.column_stack([o0, o1, e0, e1, e2, e3, e4, e5, t0,
+                            t1]).astype(float)
+
+
+SEARCH_COLUMNS = ["o0", "o1", "e0", "e1", "e2", "e3", "e4", "e5", "t0", "t1"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n_initial=st.integers(min_value=4, max_value=40),
+       appends=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                        max_size=4),
+       max_subsets=st.integers(min_value=1, max_value=6),
+       max_condition_size=st.integers(min_value=1, max_value=2),
+       margin_factor=st.sampled_from([1.0, 8.0]),
+       constrained=st.booleans(),
+       run_fci=st.booleans())
+def test_searches_match_the_one_test_at_a_time_search(
+        seed, n_initial, appends, max_subsets, max_condition_size,
+        margin_factor, constrained, run_fci):
+    pool = _search_rows(seed, n_initial + sum(appends))
+    discrete = ["o0", "o1", "e5"]
+    data = Dataset(SEARCH_COLUMNS, pool[:n_initial], discrete=discrete)
+    constraints = StructuralConstraints.from_variable_lists(
+        options=["o0", "o1"], events=["e0", "e1", "e2", "e3", "e4", "e5"],
+        objectives=["t0", "t1"], required_edges={("e1", "t0")}) \
+        if constrained else None
+    space = SkeletonSpace(SEARCH_COLUMNS, constraints)
+
+    def epoch():
+        return data.data_epoch
+
+    def make_cache():
+        return CIDecisionCache(alpha=0.05, margin_factor=margin_factor)
+
+    subject_cache, reference_cache = make_cache(), make_cache()
+    stats = SufficientStats(data)
+    subject = CachedCITest(MixedCITest(data, stats=stats), subject_cache,
+                           epoch)
+    reference = _NamedReference(_ReferenceCachedTest(
+        MixedCITest(data, stats=stats), reference_cache, epoch), data, 0.05)
+    used = n_initial
+    for count in [0, *appends]:
+        if count:
+            data.append_rows_inplace([dict(zip(SEARCH_COLUMNS, row))
+                                      for row in pool[used:used + count]])
+        used += count
+        if run_fci:
+            got = fci(SEARCH_COLUMNS, subject, constraints=constraints,
+                      max_condition_size=max_condition_size, space=space)
+            want = fci(SEARCH_COLUMNS, reference, constraints=constraints,
+                       max_condition_size=max_condition_size)
+            graphs = got.pag.to_dict(), want.pag.to_dict()
+        else:
+            got, want = (learn_skeleton(
+                SEARCH_COLUMNS, test, constraints=constraints,
+                max_condition_size=max_condition_size,
+                max_subsets_per_edge=max_subsets, space=space)
+                for test in (subject, reference))
+            graphs = got.graph.to_dict(), want.graph.to_dict()
+        assert graphs[0] == graphs[1]
+        assert dict(got.separating_sets) == dict(want.separating_sets)
+        assert got.tests_performed == want.tests_performed
+        assert asdict(subject_cache.counters) == \
+            asdict(reference_cache.counters)

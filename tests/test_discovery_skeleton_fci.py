@@ -186,3 +186,24 @@ def test_objectives_never_enter_a_conditioning_set():
     assert any("t" in (x, y) for x, y, _ in ci_test.calls)
     assert all("t" not in z for _, _, z in ci_test.calls)
     assert any(len(z) == 2 for _, _, z in ci_test.calls)
+
+
+def test_level0_separating_sets_are_a_view_over_the_sweep():
+    # Level 0 removes a - c and b - d; level 1 separates a - b by {d}.
+    ci_test = ScriptedCITest(independent=[(("a", "c"), ()), (("b", "d"), ()),
+                                          (("a", "b"), ("d",))])
+    result = learn_skeleton(["a", "b", "c", "d"], ci_test,
+                            max_condition_size=1)
+    sepsets = result.separating_sets
+    ac, bd, ab = (frozenset(p) for p in (("a", "c"), ("b", "d"), ("a", "b")))
+    assert dict(sepsets) == {ac: set(), bd: set(), ab: {"d"}}
+    assert len(sepsets) == 3 and ac in sepsets
+    assert sepsets.get(frozenset(("c", "d"))) is None
+    with pytest.raises(KeyError):
+        sepsets[frozenset(("c", "d"))]
+    # A level-0 pair can be overwritten and deleted like a dict entry.
+    sepsets[ac] = {"b"}
+    assert sepsets[ac] == {"b"} and len(sepsets) == 3
+    del sepsets[bd]
+    assert bd not in sepsets and len(sepsets) == 2
+    assert sepsets == {ac: {"b"}, ab: {"d"}}

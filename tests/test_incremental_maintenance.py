@@ -11,6 +11,7 @@ import pytest
 from repro.core.unicorn import LoopState, Unicorn, UnicornConfig
 from repro.discovery.pipeline import CausalModelLearner, LearnedModel
 from repro.graph.distances import structural_hamming_distance
+from repro.stats.dataset import Dataset
 from repro.stats.independence import (
     CachedCITest,
     CIDecisionCache,
@@ -117,6 +118,25 @@ def test_cache_eviction_keeps_most_recent_entries():
     assert len(cache) == 2
     assert cache.lookup(key(0, 1), epoch=0) is None
     assert cache.lookup(key(4, 5), epoch=0) is not None
+
+
+def test_singleton_decision_table_evicts_the_oldest_stores_past_the_bound():
+    rng = np.random.default_rng(4)
+    data = Dataset([f"c{k}" for k in range(6)], rng.normal(size=(40, 6)))
+    cache = CIDecisionCache(alpha=0.05, max_entries=16)
+    cached = CachedCITest(MixedCITest(data), cache, lambda: data.data_epoch)
+    triples = [(i, j, k) for i in range(6) for j in range(i + 1, 6)
+               for k in range(6) if k not in (i, j)]
+    for i, j, k in triples:
+        cached.test_index(i, j, (k,))
+    assert cache.counters.misses == len(triples)
+    # The newest stores replay; the oldest were evicted and miss again.
+    for i, j, k in triples[-14:]:
+        cached.test_index(i, j, (k,))
+    assert cache.counters.hits == 14
+    cached.test_index(*triples[0][:2], triples[0][2:])
+    assert cache.counters.misses == len(triples) + 1
+    assert len(cache) == 0  # singleton decisions never reach the dict
 
 
 def test_margin_factor_must_be_at_least_one():
