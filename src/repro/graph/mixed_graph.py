@@ -7,6 +7,8 @@ FCI, or a fully resolved ADMG, depending on which marks its edges carry.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from repro.graph.edges import Edge, Mark
@@ -128,6 +130,19 @@ class MixedGraph:
     def neighbors(self, node: str) -> set[str]:
         """All nodes adjacent to ``node`` regardless of marks."""
         return set(self._adj[node])
+
+    @property
+    def adjacency(self) -> Mapping[str, Set[str]]:
+        """Every node's adjacent nodes, read-only and live: it follows
+        later edits.  For searches that read many adjacencies without
+        the copy :meth:`neighbors` makes; do not modify the sets."""
+        return MappingProxyType(self._adj)
+
+    @property
+    def marks(self) -> Mapping[tuple[str, str], Mark]:
+        """Every endpoint mark, read-only and live: ``marks[(u, v)]`` is
+        :meth:`mark` ``(u, v)``."""
+        return MappingProxyType(self._marks)
 
     def degree(self, node: str) -> int:
         return len(self._adj[node])

@@ -79,9 +79,10 @@ def possible_d_sep(graph: MixedGraph, x: str, y: str) -> set[str]:
     and ``v`` on which every non-endpoint vertex is either a collider on the
     path or adjacent to both of its path-neighbours (i.e. part of a triangle).
     """
-    # The search reads the graph's adjacency sets and marks directly: it
-    # runs once per edge per FCI pruning pass, on every relearn.
-    adjacency, marks, arrow = graph._adj, graph._marks, Mark.ARROW
+    # The search reads the graph's live adjacency and marks views, without
+    # per-call copies: it runs once per edge per FCI pruning pass, on every
+    # relearn.
+    adjacency, marks, arrow = graph.adjacency, graph.marks, Mark.ARROW
     pdsep: set[str] = set()
     # frontier entries are (previous, current) node pairs along a path.
     visited: set[tuple[str, str]] = set()

@@ -316,7 +316,11 @@ class FisherZTest:
     def singleton_results(self, corr: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
         """``(p_value, statistic)`` arrays for correlations from
-        :meth:`singleton_decisions`, equal to :meth:`test_index`."""
+        :meth:`singleton_decisions`, equal to :meth:`test_index`.  Like
+        :meth:`test_index` it syncs the sufficient statistics with the
+        data, which :meth:`singleton_decisions` leaves to the tests a
+        caller performs."""
+        self._stats.refresh()
         return _fisher_z_arrays(corr, self._data.n_rows, 1)
 
 
@@ -1084,17 +1088,23 @@ class CachedCITest:
         any other from ``inner.singleton_decisions``.  The search then
         hands the elements it performed to :meth:`settle_singletons`, and
         runs :meth:`test_index` on any performed element whose decision is
-        ``-1``.  The keys of one block must be unique.
+        ``-1``.  The keys of one block must be unique.  Deciding a block
+        folds no new rows into the inner test's sufficient statistics;
+        settling fresh elements does, as testing them one at a time would,
+        so the running sums round the same either way.
         """
         table = self._decisions()
         epoch = self._epoch_fn()
         keys = self._keys(first, second, third)
-        corr, decided = self._inner.singleton_decisions(first, second, third)
         slots, found = table.find(keys)
         present = found & table.present[slots]
         stored, confident = table.epoch[slots], table.confident[slots]
-        replayed = self._cache.servable(present, stored, confident, epoch)
-        decided[replayed] = table.p_value[slots[replayed]] > self.alpha
+        rest = ~self._cache.servable(present, stored, confident, epoch)
+        decided = (table.p_value[slots] > self.alpha).astype(np.int8)
+        corr = np.zeros(len(keys))
+        if rest.any():
+            corr[rest], decided[rest] = self._inner.singleton_decisions(
+                first[rest], second[rest], third[rest])
         return SingletonBlock(decided, keys, corr, present, stored,
                               confident, epoch)
 

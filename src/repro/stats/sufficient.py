@@ -81,6 +81,26 @@ def normalise_block(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _covariance(n: int, total: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Population covariance from running sums over ``n`` rows."""
+    n = max(n, 1)
+    mean = total / n
+    return cross / n - np.outer(mean, mean)
+
+
+def _singleton_terms(cov: np.ndarray) -> tuple:
+    """What :meth:`SufficientStats.singleton_partial_correlations` reads of
+    a covariance matrix: it flattened, its diagonal, the squares divided by
+    the conditioning variance, and the mask of finite entries whose square
+    overflows (``None`` when there are none)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        squares = np.float_power(cov, 2.0)
+        scaled = squares / np.diag(cov)
+    overflow = np.isinf(squares) & np.isfinite(cov)
+    return (cov.ravel(), np.diag(cov).copy(), scaled.ravel(),
+            overflow.ravel() if overflow.any() else None)
+
+
 class SufficientStats:
     """Incrementally maintained sufficient statistics over a dataset."""
 
@@ -119,26 +139,35 @@ class SufficientStats:
         self.refresh()
         return self._epoch
 
-    def refresh(self) -> None:
-        """Fold rows appended since the last sync into the running sums."""
-        if self._epoch == self._data.data_epoch and self._n == self._data.n_rows:
-            return
-        values = self._data.values
-        if self._data.n_rows < self._n:
+    def _synced(self) -> bool:
+        return (self._epoch == self._data.data_epoch
+                and self._n == self._data.n_rows)
+
+    def _folded(self) -> tuple[int, np.ndarray, np.ndarray,
+                               np.ndarray | None]:
+        """``(n, sum, cross, shift)`` with the rows appended since the last
+        sync folded in; the running sums themselves are left as they are."""
+        n, total, cross, shift = self._n, self._sum, self._cross, self._shift
+        if self._data.n_rows < n:
             # Rows can only be appended in place; anything else means the
             # dataset was rebuilt underneath us — start over.
-            self._n = 0
-            self._sum[:] = 0.0
-            self._cross[:] = 0.0
-            self._shift = None
-        new = values[self._n:]
+            n, shift = 0, None
+            total, cross = np.zeros_like(total), np.zeros_like(cross)
+        new = self._data.values[n:]
         if len(new):
-            if self._shift is None:
-                self._shift = new[0].copy()
-            shifted = new - self._shift
-            self._sum += shifted.sum(axis=0)
-            self._cross += shifted.T @ shifted
-            self._n = self._data.n_rows
+            if shift is None:
+                shift = new[0].copy()
+            shifted = new - shift
+            total = total + shifted.sum(axis=0)
+            cross = cross + shifted.T @ shifted
+            n = self._data.n_rows
+        return n, total, cross, shift
+
+    def refresh(self) -> None:
+        """Fold rows appended since the last sync into the running sums."""
+        if self._synced():
+            return
+        self._n, self._sum, self._cross, self._shift = self._folded()
         self._epoch = self._data.data_epoch
         # Quantile bin edges move with the data, so codes cannot be updated
         # incrementally; they are recomputed lazily, once per epoch.  The
@@ -166,9 +195,7 @@ class SufficientStats:
         """
         self.refresh()
         if self._cov is None:
-            n = max(self._n, 1)
-            mean = self._sum / n
-            self._cov = self._cross / n - np.outer(mean, mean)
+            self._cov = _covariance(self._n, self._sum, self._cross)
         return self._cov
 
     def _covariance_rows(self) -> list[list[float]]:
@@ -248,19 +275,20 @@ class SufficientStats:
         its scalar counterpart.  Returns the correlations and the mask of
         elements whose scalar form raises ``OverflowError`` (a finite
         covariance whose square overflows), or ``None`` when there are
-        none; those elements' correlations are meaningless.
+        none; those elements' correlations are meaningless.  Unlike every
+        other accessor this one does not :meth:`refresh`: it reads the data
+        as it is now but leaves the running sums as they are.
         """
-        cov = self.covariance()
-        if self._singleton_terms is None:
-            with np.errstate(over="ignore", divide="ignore",
-                             invalid="ignore"):
-                squares = np.float_power(cov, 2.0)
-                scaled = squares / np.diag(cov)
-            overflow = np.isinf(squares) & np.isfinite(cov)
-            self._singleton_terms = (
-                cov.ravel(), np.diag(cov).copy(), scaled.ravel(),
-                overflow.ravel() if overflow.any() else None)
-        flat, diag, scaled, overflow = self._singleton_terms
+        if not self._synced():
+            # Rows appended since the last sync are read without folding
+            # them in.  Sums folded in other chunks round differently, so
+            # when they are folded is left to the tests a caller performs.
+            terms = _singleton_terms(_covariance(*self._folded()[:3]))
+        else:
+            if self._singleton_terms is None:
+                self._singleton_terms = _singleton_terms(self.covariance())
+            terms = self._singleton_terms
+        flat, diag, scaled, overflow = terms
         p = len(diag)
         corr = np.empty(len(first))
         raises = None if overflow is None else np.zeros(len(first), bool)

@@ -2,8 +2,10 @@
 
 The reference below routes every call through ``CIDecisionCache.lookup`` /
 ``store`` and the inner test's scalar ``test_index``, one pair at a time, in
-call order.  Random interleavings of scalar and batched marginal tests
-(with repeated and reversed pairs), conditional tests by index and by name,
+call order (the misses of a batch with a conditioning set go to one inner
+``test_batch_index`` call).  Random interleavings of scalar and batched
+marginal tests (with repeated and reversed pairs), batches given one or two
+conditioning columns, conditional tests by index and by name,
 blocks of singleton-conditioning tests of which a prefix is performed (as
 the skeleton's level 1 performs them), in-place appends (data-epoch bumps),
 epoch jumps and ``cache.clear()`` must give the same :class:`CIResult` or
@@ -34,7 +36,6 @@ from repro.stats.independence import (
     GSquareTest,
     MixedCITest,
 )
-from repro.stats.sufficient import SufficientStats
 
 COLUMNS = ["c0", "c1", "c2", "d0", "d1", "d2"]
 DISCRETE = ["d0", "d1", "d2"]
@@ -60,6 +61,10 @@ class _ReferenceCachedTest:
     order, which is the documented batch semantics: a repeated pair that
     missed (or was evicted for a retest) earlier in the same batch misses
     again, and the last fresh result of a repeated pair is the one stored.
+    A batch with a conditioning set tests its misses in one
+    ``inner.test_batch_index`` call, as the cached test does: that call
+    takes one Schur complement for all of them, whose rounding may differ
+    from ``test_index`` in the last bit.
     """
 
     def __init__(self, inner, cache: CIDecisionCache, epoch_fn) -> None:
@@ -68,16 +73,25 @@ class _ReferenceCachedTest:
         self._epoch_fn = epoch_fn
 
     def test_index(self, i, j, conditioning=()):
-        return self.test_batch_index([(i, j)], conditioning)[0]
+        return self._replay([(i, j)], conditioning, batched=False)[0]
 
     def test_batch_index(self, pairs, conditioning=()):
+        return self._replay(pairs, conditioning, batched=bool(conditioning))
+
+    def _replay(self, pairs, conditioning, batched):
         epoch = self._epoch_fn()
         keys = [CIDecisionCache.key(i, j, conditioning) for i, j in pairs]
         results = [self._cache.lookup(key, epoch) for key in keys]
-        for k, (i, j) in enumerate(pairs):
-            if results[k] is None:
-                results[k] = self._inner.test_index(i, j, conditioning)
-                self._cache.store(keys[k], epoch, results[k])
+        missing = [k for k, result in enumerate(results) if result is None]
+        if batched and missing:
+            fresh = self._inner.test_batch_index([pairs[k] for k in missing],
+                                                 conditioning)
+        else:
+            fresh = [self._inner.test_index(*pairs[k], conditioning)
+                     for k in missing]
+        for k, result in zip(missing, fresh):
+            results[k] = result
+            self._cache.store(keys[k], epoch, result)
         return results
 
 
@@ -134,8 +148,20 @@ def _named(draw):
     return ("name", (i, j), (z,))
 
 
-_batch = st.tuples(st.just("batch"), st.lists(_pair, max_size=24))
-_sweep = st.tuples(st.just("batch"), st.lists(_pair, min_size=12, max_size=24))
+_batch = st.tuples(st.just("batch"), st.lists(_pair, max_size=24), st.just(()))
+_sweep = st.tuples(st.just("batch"), st.lists(_pair, min_size=12, max_size=24),
+                   st.just(()))
+
+
+@st.composite
+def _conditioned_batch(draw):
+    """Pairs, repeats and reversals included, tested given one shared
+    conditioning set of one or two other columns."""
+    z = draw(st.lists(_index, min_size=1, max_size=2, unique=True))
+    pairs = draw(st.lists(_pair.filter(lambda p: not set(p) & set(z)),
+                          max_size=12))
+    return ("batch", pairs, tuple(z))
+
 _append = st.tuples(st.just("append"), st.integers(min_value=1, max_value=4))
 # Sweeps (long batches) and a doubled append weight make most pairs be
 # looked up again at later epochs: hits, stale reuse and forced retests.
@@ -144,6 +170,7 @@ _append = st.tuples(st.just("append"), st.integers(min_value=1, max_value=4))
 # later epoch must never be replayed.
 _operations = st.lists(st.one_of(
     st.tuples(st.just("scalar"), _pair), _batch, _sweep, _conditional(),
+    _conditioned_batch(),
     _block(), _block(), _named(),
     _append, _append, st.tuples(st.just("clear")),
     st.tuples(st.just("shift"), st.sampled_from([-2, -1, 1])),
@@ -174,13 +201,8 @@ def test_cached_ci_test_matches_per_pair_cache_replay(
                                max_stale_epochs=max_stale_epochs)
 
     subject_cache, reference_cache = make_cache(), make_cache()
-    # One SufficientStats behind both sides: a block refreshes the running
-    # sums at an epoch where the reference may test nothing, and sums
-    # folded in other chunks round differently.
-    stats = SufficientStats(data)
-    subject = CachedCITest(inner(data, stats=stats), subject_cache, epoch)
-    reference = _ReferenceCachedTest(inner(data, stats=stats),
-                                     reference_cache, epoch)
+    subject = CachedCITest(inner(data), subject_cache, epoch)
+    reference = _ReferenceCachedTest(inner(data), reference_cache, epoch)
 
     for operation in operations:
         kind = operation[0]
@@ -189,9 +211,9 @@ def test_cached_ci_test_matches_per_pair_cache_replay(
             assert subject.test_index(i, j, ()) == \
                 reference.test_index(i, j, ())
         elif kind == "batch":
-            pairs = operation[1]
-            assert subject.test_batch_index(pairs, ()) == \
-                reference.test_batch_index(pairs, ())
+            pairs, z = operation[1], operation[2]
+            assert subject.test_batch_index(pairs, z) == \
+                reference.test_batch_index(pairs, z)
         elif kind == "cond":
             (i, j), z = operation[1], operation[2]
             assert subject.test_index(i, j, z) == \
@@ -364,11 +386,9 @@ def test_searches_match_the_one_test_at_a_time_search(
         return CIDecisionCache(alpha=0.05, margin_factor=margin_factor)
 
     subject_cache, reference_cache = make_cache(), make_cache()
-    stats = SufficientStats(data)
-    subject = CachedCITest(MixedCITest(data, stats=stats), subject_cache,
-                           epoch)
+    subject = CachedCITest(MixedCITest(data), subject_cache, epoch)
     reference = _NamedReference(_ReferenceCachedTest(
-        MixedCITest(data, stats=stats), reference_cache, epoch), data, 0.05)
+        MixedCITest(data), reference_cache, epoch), data, 0.05)
     used = n_initial
     for count in [0, *appends]:
         if count:

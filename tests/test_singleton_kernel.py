@@ -198,3 +198,22 @@ def test_all_discrete_triples_are_left_to_the_g_test():
                           lambda: data.data_epoch)
     block = cached.singleton_block(first, second, third)
     assert (block.decided[discrete] == -1).all()
+
+
+def test_decisions_leave_folding_the_new_rows_to_performed_tests():
+    """Sums folded in other chunks round differently, so a block decided
+    between two appends must not fold the first one in on its own: a test
+    that tested nothing in between then answers as one that did, bit for
+    bit."""
+    columns = [f"c{k}" for k in range(8)]
+    rng = np.random.default_rng(4)
+    rows = (rng.normal(size=(27, 8)) * rng.uniform(0.1, 1000, 8)
+            + rng.uniform(-1e4, 1e4, 8))
+    data = Dataset(columns, rows[:20])
+    blocked, untouched = FisherZTest(data), FisherZTest(data)
+    first, second, third = _triples(8)
+    data.append_rows_inplace([dict(zip(columns, row)) for row in rows[20:23]])
+    blocked.singleton_decisions(first, second, third)
+    data.append_rows_inplace([dict(zip(columns, row)) for row in rows[23:]])
+    for i, j, k in zip(first.tolist(), second.tolist(), third.tolist()):
+        assert blocked.test_index(i, j, [k]) == untouched.test_index(i, j, [k])
