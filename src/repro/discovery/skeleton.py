@@ -361,10 +361,11 @@ def _subset_level(test, space: SkeletonSpace, columns: Sequence,
 #: first 4 candidates, then the next 12 of the edges still open, then all
 #: the others of the edges still open.  An edge closes once a candidate it
 #: is sure to keep is independent.  On the Table 3 debugging workload
-#: (SQLite, 130 options and 80 events) about 55% of the level-1 edges close
-#: in the first stage and 14% in the second, so the stages decide about 76k
-#: elements per relearn where one block over every candidate decides 197k;
-#: level 1 takes 33 ms per relearn instead of 70 ms (2-vCPU VM).
+#: (SQLite, 130 options and 80 events) about 55% of the level-1 edges need
+#: no block past the first stage and 69% none past the second, so the
+#: stages decide about 76k elements per relearn where one block over every
+#: candidate decides 197k; level 1 takes 33 ms per relearn instead of
+#: 70 ms (2-vCPU VM).
 _SINGLETON_STAGES = (4, 16, None)
 
 

@@ -1099,12 +1099,9 @@ class CachedCITest:
         slots, found = table.find(keys)
         present = found & table.present[slots]
         stored, confident = table.epoch[slots], table.confident[slots]
-        rest = ~self._cache.servable(present, stored, confident, epoch)
-        decided = (table.p_value[slots] > self.alpha).astype(np.int8)
-        corr = np.zeros(len(keys))
-        if rest.any():
-            corr[rest], decided[rest] = self._inner.singleton_decisions(
-                first[rest], second[rest], third[rest])
+        corr, decided = self._inner.singleton_decisions(first, second, third)
+        replayed = self._cache.servable(present, stored, confident, epoch)
+        decided[replayed] = table.p_value[slots[replayed]] > self.alpha
         return SingletonBlock(decided, keys, corr, present, stored,
                               confident, epoch)
 
