@@ -20,7 +20,7 @@ from repro import get_system
 from repro.baselines.pesmo import PESMOOptimizer
 from repro.core.optimizer import UnicornOptimizer
 from repro.core.unicorn import UnicornConfig
-from repro.evaluation import run_optimization_campaign
+from repro.evaluation import CampaignCell, run_campaign
 from repro.evaluation.relevant import relevant_options_for
 
 
@@ -46,10 +46,12 @@ def main() -> None:
     mode = "parallel" if args.parallel else "serial"
     print(f"Single-objective optimization campaign (budget {BUDGET}, "
           f"{mode}, {len(SCENARIOS)} cells)…")
-    rows = run_optimization_campaign(SCENARIOS, root_seed=SEED,
-                                     parallel=args.parallel,
-                                     max_workers=args.max_workers,
-                                     budget=BUDGET, initial_samples=15)
+    cells = [CampaignCell("single_objective_optimization", {
+        "system": system, "hardware": hardware, "objective": objective,
+        "budget": BUDGET, "initial_samples": 15,
+    }) for system, hardware, objective in SCENARIOS]
+    rows = run_campaign(cells, root_seed=SEED, parallel=args.parallel,
+                        max_workers=args.max_workers).results()
     for row in rows:
         print(f"  {row['system']:<9} {row['objective']:<14} "
               f"Unicorn best: {row['unicorn_best']:7.1f}   "

@@ -12,9 +12,9 @@ Each module corresponds to one family of experiments in the paper:
 * :mod:`repro.evaluation.case_study` — Section 5 / Fig. 12.
 * :mod:`repro.evaluation.fault_campaign` — Fig. 13 fault catalogue.
 * :mod:`repro.evaluation.service_campaign` — serving-layer throughput
-  (single-process and sharded drift-aware tiers;
-  concurrent :class:`~repro.service.service.QueryService` vs one-at-a-time
-  dispatch; no paper counterpart — it measures the north-star scaling goal).
+  (single-process and sharded drift-aware tiers), cold start / crash
+  recovery and rolling-refresh availability; no paper counterpart — it
+  measures the north-star scaling goal.
 * :mod:`repro.evaluation.self_debug_campaign` — the self-debugging loop:
   record a traced workload under a misconfigured deployment, debug it on
   the serving stack's causal twin
@@ -24,13 +24,20 @@ Each module corresponds to one family of experiments in the paper:
 Runners return plain dictionaries / dataclasses so benchmarks can both assert
 on them and print paper-style rows.
 
-Every experiment family also expresses its grid as **campaign cells**
-(:mod:`repro.evaluation.runner`): ``*_cells`` builders enumerate the grid,
-:class:`~repro.evaluation.runner.ParallelRunner` executes it serially or
+Grids run as **campaign cells** (:mod:`repro.evaluation.runner`): an
+experiment function registered as a cell kind is its own executor, so a
+:class:`~repro.evaluation.runner.CampaignCell` is just ``(kind, spec)``
+with ``spec`` the function's keyword arguments.
+:class:`~repro.evaluation.runner.ParallelRunner` (or
+:func:`~repro.evaluation.runner.run_campaign`) executes cells serially or
 over a process pool with per-cell seeds derived from one root
 :class:`numpy.random.SeedSequence` tree (serial and parallel runs are
 bit-identical), and the :class:`~repro.evaluation.store.ArtifactStore`
-makes interrupted campaigns resumable.
+makes interrupted campaigns resumable.  The registered kinds are
+``fault_catalogue`` (:func:`fault_campaign_cells` builds the Fig. 13
+grid), ``single_objective_optimization``, ``service_throughput``,
+``sharded_service_throughput``, ``cold_start_recovery``,
+``rolling_refresh`` and ``self_debugging``.
 """
 
 from repro.evaluation.relevant import relevant_options_for
@@ -44,45 +51,29 @@ from repro.evaluation.runner import (
     register_cell_kind,
     run_campaign,
 )
-from repro.evaluation.store import ArtifactStore, canonical_json, content_hash
+from repro.canonical import canonical_json, content_hash
+from repro.evaluation.store import ArtifactStore
 from repro.evaluation.debugging import (
     DebuggingComparison,
-    debugging_campaign_cells,
-    run_debugging_campaign,
     run_debugging_comparison,
 )
 from repro.evaluation.optimization import (
-    optimization_campaign_cells,
     run_multi_objective_comparison,
-    run_optimization_campaign,
     run_single_objective_comparison,
 )
 from repro.evaluation.transferability import (
     run_hardware_transfer,
     run_stability_analysis,
-    run_transfer_campaign,
     run_workload_transfer,
-    transfer_campaign_cells,
 )
-from repro.evaluation.scalability import (
-    run_scalability_campaign,
-    run_scalability_scenario,
-    scalability_campaign_cells,
-)
+from repro.evaluation.scalability import run_scalability_scenario
 from repro.evaluation.service_campaign import (
     run_cold_start_recovery,
-    run_gateway_throughput,
     run_rolling_refresh,
-    run_service_campaign,
     run_service_throughput,
     run_sharded_service_throughput,
-    service_campaign_cells,
 )
-from repro.evaluation.self_debug_campaign import (
-    run_self_debug_campaign,
-    run_self_debugging,
-    self_debug_campaign_cells,
-)
+from repro.evaluation.self_debug_campaign import run_self_debugging
 from repro.evaluation.case_study import run_case_study
 from repro.evaluation.fault_campaign import (
     FaultCampaignReport,
@@ -108,30 +99,17 @@ __all__ = [
     # experiment families
     "DebuggingComparison",
     "run_debugging_comparison",
-    "debugging_campaign_cells",
-    "run_debugging_campaign",
     "run_single_objective_comparison",
     "run_multi_objective_comparison",
-    "optimization_campaign_cells",
-    "run_optimization_campaign",
     "run_hardware_transfer",
     "run_workload_transfer",
     "run_stability_analysis",
-    "transfer_campaign_cells",
-    "run_transfer_campaign",
     "run_scalability_scenario",
-    "scalability_campaign_cells",
-    "run_scalability_campaign",
     "run_cold_start_recovery",
-    "run_gateway_throughput",
     "run_rolling_refresh",
     "run_service_throughput",
     "run_sharded_service_throughput",
-    "service_campaign_cells",
-    "run_service_campaign",
     "run_self_debugging",
-    "self_debug_campaign_cells",
-    "run_self_debug_campaign",
     "run_case_study",
     "FaultCampaignReport",
     "fault_campaign_cells",

@@ -21,8 +21,6 @@ from repro.baselines.encore import EnCoreDebugger
 from repro.core.debugger import DebugResult, UnicornDebugger
 from repro.core.unicorn import UnicornConfig
 from repro.evaluation.relevant import relevant_options_for
-from repro.evaluation.runner import CampaignCell, register_cell_kind, run_campaign
-from repro.evaluation.store import ArtifactStore
 from repro.metrics.debugging import ace_weighted_accuracy, precision_recall
 from repro.systems.base import ConfigurableSystem
 from repro.systems.faults import Fault, discover_faults
@@ -199,66 +197,6 @@ def run_debugging_comparison(system_name: str, hardware: str,
             samples=float(np.mean(samples)),
             results=per_fault)
     return comparison
-
-
-DEBUGGING_CELL = "debugging_comparison"
-
-
-@register_cell_kind(DEBUGGING_CELL)
-def _debugging_comparison_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: a full debugging comparison on one scenario."""
-    comparison = run_debugging_comparison(
-        spec["system"], spec["hardware"], list(spec["objectives"]),
-        approaches=tuple(spec.get("approaches",
-                                  ("unicorn", "cbi", "dd", "encore",
-                                   "bugdoc"))),
-        n_faults=int(spec.get("n_faults", 2)),
-        budget=int(spec.get("budget", 50)),
-        initial_samples=int(spec.get("initial_samples", 20)),
-        fault_percentile=float(spec.get("fault_percentile", 97.0)),
-        fault_samples=int(spec.get("fault_samples", 300)),
-        seed=seed)
-    return {
-        "system": comparison.system,
-        "hardware": comparison.environment,
-        "objectives": list(comparison.objectives),
-        "n_faults": comparison.n_faults,
-        "rows": comparison.rows(),
-        "best_accuracy": comparison.best_approach("accuracy"),
-    }
-
-
-def debugging_campaign_cells(scenarios: Sequence[tuple[str, str,
-                                                       Sequence[str]]],
-                             approaches: Sequence[str] = ("unicorn", "cbi",
-                                                          "dd", "encore",
-                                                          "bugdoc"),
-                             n_faults: int = 2, budget: int = 50,
-                             initial_samples: int = 20,
-                             fault_percentile: float = 97.0,
-                             fault_samples: int = 300) -> list[CampaignCell]:
-    """One cell per ``(system, hardware, objectives)`` scenario."""
-    return [CampaignCell(kind=DEBUGGING_CELL, spec={
-        "system": system, "hardware": hardware,
-        "objectives": list(objectives), "approaches": list(approaches),
-        "n_faults": int(n_faults), "budget": int(budget),
-        "initial_samples": int(initial_samples),
-        "fault_percentile": float(fault_percentile),
-        "fault_samples": int(fault_samples),
-    }) for system, hardware, objectives in scenarios]
-
-
-def run_debugging_campaign(scenarios: Sequence[tuple[str, str,
-                                                     Sequence[str]]],
-                           root_seed: int = 0, parallel: bool = False,
-                           max_workers: int | None = None,
-                           store: ArtifactStore | None = None,
-                           **cell_kwargs) -> list[dict]:
-    """Run the Table 2a/2b scenario grid through the campaign runner."""
-    cells = debugging_campaign_cells(scenarios, **cell_kwargs)
-    campaign = run_campaign(cells, root_seed=root_seed, parallel=parallel,
-                            max_workers=max_workers, store=store)
-    return campaign.results()
 
 
 def run_sample_efficiency(system_name: str, hardware: str, objective: str,

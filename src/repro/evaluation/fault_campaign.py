@@ -18,8 +18,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.canonical import canonical_json
 from repro.evaluation.runner import CampaignCell, register_cell_kind, run_campaign
-from repro.evaluation.store import ArtifactStore, canonical_json
+from repro.evaluation.store import ArtifactStore
 from repro.systems.base import ConfigurableSystem
 from repro.systems.faults import FaultCatalogue, discover_faults
 from repro.systems.registry import get_system
@@ -27,8 +28,6 @@ from repro.systems.registry import get_system
 #: The Fig. 13 subject-system grid.
 DEFAULT_SYSTEMS = ("deepstream", "xception", "bert", "deepspeech", "x264",
                    "sqlite")
-
-FAULT_CATALOGUE_CELL = "fault_catalogue"
 
 
 @dataclass
@@ -88,8 +87,12 @@ def _validated_objectives(system: ConfigurableSystem,
     return known
 
 
-@register_cell_kind(FAULT_CATALOGUE_CELL)
-def _fault_catalogue_cell(spec: Mapping, seed: int) -> dict:
+@register_cell_kind("fault_catalogue")
+def discover_fault_catalogue(system: str, hardware: str, n_samples: int,
+                             percentile: float, seed: int,
+                             objectives: Sequence[str] | None = None,
+                             simulate_measurement_seconds: float = 0.0
+                             ) -> dict:
     """Discover the fault catalogue of one system on one platform.
 
     ``simulate_measurement_seconds`` models the wall-clock latency of the
@@ -97,15 +100,14 @@ def _fault_catalogue_cell(spec: Mapping, seed: int) -> dict:
     the paper's systems take minutes per campaign), which is what the
     orchestration benchmarks overlap across workers.
     """
-    latency = float(spec.get("simulate_measurement_seconds", 0.0))
-    if latency > 0.0:
-        time.sleep(latency)
-    system = get_system(spec["system"], hardware=spec["hardware"])
-    wanted = _validated_objectives(system, spec.get("objectives"))
-    catalogue = discover_faults(system,
-                                n_samples=int(spec["n_samples"]),
-                                percentile=float(spec["percentile"]),
-                                objectives=wanted, seed=seed)
+    if simulate_measurement_seconds > 0.0:
+        time.sleep(float(simulate_measurement_seconds))
+    subject = get_system(system, hardware=hardware)
+    catalogue = discover_faults(subject, n_samples=int(n_samples),
+                                percentile=float(percentile),
+                                objectives=_validated_objectives(subject,
+                                                                 objectives),
+                                seed=seed)
     return catalogue.to_dict()
 
 
@@ -130,47 +132,41 @@ def fault_campaign_cells(systems: Sequence[str] = DEFAULT_SYSTEMS,
             if simulate_measurement_seconds:
                 spec["simulate_measurement_seconds"] = float(
                     simulate_measurement_seconds)
-            cells.append(CampaignCell(kind=FAULT_CATALOGUE_CELL, spec=spec))
+            cells.append(CampaignCell(kind="fault_catalogue", spec=spec))
     return cells
 
 
-def run_fault_campaign(systems: Sequence[str] = DEFAULT_SYSTEMS,
-                       hardware: str | Sequence[str] = "TX2",
-                       n_samples: int = 300,
-                       percentile: float = 98.0,
-                       objectives: Sequence[str] | None = None,
-                       seed: int = 0,
-                       parallel: bool = False,
+def run_fault_campaign(seed: int = 0, parallel: bool = False,
                        max_workers: int | None = None,
                        store: ArtifactStore | None = None,
-                       simulate_measurement_seconds: float = 0.0
-                       ) -> FaultCampaignReport:
+                       **grid) -> FaultCampaignReport:
     """Discover faults for every requested system through the campaign runner.
 
-    ``seed`` is the root of the per-cell seed tree; ``parallel`` /
-    ``max_workers`` select the execution mode (results are identical either
-    way) and ``store`` makes the campaign resumable.
+    ``grid`` holds the keyword arguments of :func:`fault_campaign_cells`
+    (systems, hardware, sample size, percentile, objectives).  ``seed`` is
+    the root of the per-cell seed tree; ``parallel`` / ``max_workers``
+    select the execution mode (results are identical either way) and
+    ``store`` makes the campaign resumable.  Catalogues are labelled by
+    system, or ``system@hardware`` when ``hardware`` names several
+    platforms.
 
     Raises :class:`ValueError` if, for any requested system, none of the
     requested ``objectives`` exist on that system.
     """
-    cells = fault_campaign_cells(
-        systems, hardware=hardware, n_samples=n_samples,
-        percentile=percentile, objectives=objectives,
-        simulate_measurement_seconds=simulate_measurement_seconds)
+    cells = fault_campaign_cells(**grid)
     # Validate eagerly so a misnamed objective fails fast and identically in
     # serial, parallel and store-resumed runs.
-    if objectives is not None:
-        for cell in cells:
+    for cell in cells:
+        if "objectives" in cell.spec:
             _validated_objectives(
                 get_system(cell.spec["system"],
                            hardware=cell.spec["hardware"]),
-                objectives)
+                cell.spec["objectives"])
     campaign = run_campaign(cells, root_seed=seed, parallel=parallel,
                             max_workers=max_workers, store=store)
 
     report = FaultCampaignReport()
-    multi_platform = not isinstance(hardware, str)
+    multi_platform = not isinstance(grid.get("hardware", ""), str)
     for outcome in campaign.outcomes:
         catalogue = FaultCatalogue.from_dict(outcome.result)
         label = catalogue.system

@@ -4,13 +4,15 @@
 Unicorn and SMAC over the same measurement budget (Fig. 15a/b);
 ``run_multi_objective_comparison`` compares Unicorn and the PESMO-style
 baseline on the joint latency/energy task, reporting hypervolume error over
-iterations and the final Pareto fronts (Fig. 15c/d).
+iterations and the final Pareto fronts (Fig. 15c/d).  The single-objective
+comparison is also the ``single_objective_optimization`` campaign cell kind
+(:func:`single_objective_summary`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,8 +21,7 @@ from repro.baselines.smac import SMACOptimizer
 from repro.core.optimizer import OptimizationResult, UnicornOptimizer
 from repro.core.unicorn import UnicornConfig
 from repro.evaluation.relevant import relevant_options_for
-from repro.evaluation.runner import CampaignCell, register_cell_kind, run_campaign
-from repro.evaluation.store import ArtifactStore
+from repro.evaluation.runner import register_cell_kind
 from repro.metrics.optimization import hypervolume_error, pareto_front
 from repro.systems.registry import get_system
 
@@ -30,6 +31,7 @@ class SingleObjectiveComparison:
     """Best-so-far traces of Unicorn and SMAC on one objective."""
 
     system: str
+    hardware: str
     objective: str
     unicorn: OptimizationResult
     smac: OptimizationResult
@@ -39,6 +41,18 @@ class SingleObjectiveComparison:
 
     def smac_best(self) -> float:
         return self.smac.best_objectives[self.objective]
+
+    def summary(self) -> dict:
+        """Best values and sample counts of both optimizers, as plain JSON."""
+        return {
+            "system": self.system,
+            "hardware": self.hardware,
+            "objective": self.objective,
+            "unicorn_best": self.unicorn_best(),
+            "smac_best": self.smac_best(),
+            "unicorn_samples": self.unicorn.samples_used,
+            "smac_samples": self.smac.samples_used,
+        }
 
 
 @dataclass
@@ -55,73 +69,38 @@ class MultiObjectiveComparison:
     pesmo_hv_error: float = 1.0
 
 
-def run_single_objective_comparison(system_name: str, hardware: str,
+def run_single_objective_comparison(system: str, hardware: str,
                                     objective: str, budget: int = 60,
                                     initial_samples: int = 20,
                                     seed: int = 0) -> SingleObjectiveComparison:
     """Unicorn vs SMAC on one objective with the same measurement budget."""
-    relevant = relevant_options_for(system_name)
+    relevant = relevant_options_for(system)
 
-    unicorn_system = get_system(system_name, hardware=hardware)
+    unicorn_system = get_system(system, hardware=hardware)
     unicorn = UnicornOptimizer(
         unicorn_system,
         UnicornConfig(initial_samples=initial_samples, budget=budget,
                       seed=seed, relevant_options=relevant))
     unicorn_result = unicorn.optimize(objectives=[objective])
 
-    smac_system = get_system(system_name, hardware=hardware)
+    smac_system = get_system(system, hardware=hardware)
     smac = SMACOptimizer(smac_system, budget=budget,
                          initial_samples=initial_samples, seed=seed,
                          relevant_options=relevant)
     smac_result = smac.optimize(objective)
 
-    return SingleObjectiveComparison(system=system_name, objective=objective,
+    return SingleObjectiveComparison(system=system, hardware=hardware,
+                                     objective=objective,
                                      unicorn=unicorn_result,
                                      smac=smac_result)
 
 
-OPTIMIZATION_CELL = "single_objective_optimization"
-
-
-@register_cell_kind(OPTIMIZATION_CELL)
-def _single_objective_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: Unicorn vs SMAC on one (system, objective) pair."""
-    comparison = run_single_objective_comparison(
-        spec["system"], spec["hardware"], spec["objective"],
-        budget=int(spec.get("budget", 60)),
-        initial_samples=int(spec.get("initial_samples", 20)), seed=seed)
-    return {
-        "system": comparison.system,
-        "hardware": spec["hardware"],
-        "objective": comparison.objective,
-        "unicorn_best": comparison.unicorn_best(),
-        "smac_best": comparison.smac_best(),
-        "unicorn_samples": comparison.unicorn.samples_used,
-        "smac_samples": comparison.smac.samples_used,
-    }
-
-
-def optimization_campaign_cells(scenarios: Sequence[tuple[str, str, str]],
-                                budget: int = 60,
-                                initial_samples: int = 20
-                                ) -> list[CampaignCell]:
-    """One cell per ``(system, hardware, objective)`` scenario."""
-    return [CampaignCell(kind=OPTIMIZATION_CELL, spec={
-        "system": system, "hardware": hardware, "objective": objective,
-        "budget": int(budget), "initial_samples": int(initial_samples),
-    }) for system, hardware, objective in scenarios]
-
-
-def run_optimization_campaign(scenarios: Sequence[tuple[str, str, str]],
-                              root_seed: int = 0, parallel: bool = False,
-                              max_workers: int | None = None,
-                              store: ArtifactStore | None = None,
-                              **cell_kwargs) -> list[dict]:
-    """Run the Fig. 15a/b scenario grid through the campaign runner."""
-    cells = optimization_campaign_cells(scenarios, **cell_kwargs)
-    campaign = run_campaign(cells, root_seed=root_seed, parallel=parallel,
-                            max_workers=max_workers, store=store)
-    return campaign.results()
+@register_cell_kind("single_objective_optimization")
+def single_objective_summary(**kwargs) -> dict:
+    """Campaign cell: :func:`run_single_objective_comparison` (same keyword
+    arguments) reduced to its JSON-serializable
+    :meth:`~SingleObjectiveComparison.summary`."""
+    return run_single_objective_comparison(**kwargs).summary()
 
 
 def _minimised_points(result: OptimizationResult,

@@ -5,9 +5,9 @@ workload × seed.  Every runner in :mod:`repro.evaluation` used to walk its
 grid serially inside one process; this module factors the walking out:
 
 * :class:`CampaignCell` — one cell of a campaign grid: a registered *kind*
-  (the executor to run) plus a plain-JSON *spec* (its parameters).  Cells
-  are pure data, picklable and content-hashable, so they can cross process
-  boundaries and key the artifact store.
+  (the experiment function to run) plus a plain-JSON *spec* (its keyword
+  arguments).  Cells are pure data, picklable and content-hashable, so
+  they can cross process boundaries and key the artifact store.
 * a **seed tree** — per-cell seeds derive from one root seed through a
   :class:`numpy.random.SeedSequence` spawn tree keyed by cell position, so
   a cell's random stream depends only on the root seed and its place in the
@@ -19,15 +19,20 @@ grid serially inside one process; this module factors the walking out:
   persists each result as it completes, and returns outcomes in enumeration
   order.
 
-Cell executors are module-level functions registered by name via
-:func:`register_cell_kind`; worker processes re-resolve the executor from
-the registry after importing :mod:`repro.evaluation`, so the runner works
-under both the cheap ``fork`` start method (preferred where available) and
-the portable ``spawn`` method.
+A cell kind is an experiment function registered by name via
+:func:`register_cell_kind`; the runner calls it as ``fn(seed=seed,
+**spec)``, so a spec holds exactly the function's keyword arguments —
+the function's own defaults fill whatever the spec leaves out, and a
+misspelt or unknown key is a :class:`TypeError` naming it.  The function
+must return a JSON-serializable dict.  Worker processes re-resolve the
+function from the registry after importing :mod:`repro.evaluation`, so
+the runner works under both the cheap ``fork`` start method (preferred
+where available) and the portable ``spawn`` method.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
 import time
@@ -35,20 +40,23 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-import json
-
 import numpy as np
 
-from repro.evaluation.store import ArtifactStore, content_hash
+from repro.canonical import content_hash
+from repro.evaluation.store import ArtifactStore
 
-#: A cell executor: ``(spec, seed) -> JSON-serializable result``.
-CellExecutor = Callable[[dict, int], dict]
+#: A cell executor: ``fn(seed=seed, **spec) -> JSON-serializable dict``.
+CellExecutor = Callable[..., dict]
 
 _CELL_KINDS: dict[str, CellExecutor] = {}
 
 
 def register_cell_kind(name: str) -> Callable[[CellExecutor], CellExecutor]:
-    """Register a module-level function as the executor for cell ``name``."""
+    """Register a module-level experiment function as cell kind ``name``.
+
+    The function is called as ``fn(seed=seed, **spec)`` and must return a
+    JSON-serializable dict.
+    """
 
     def decorate(fn: CellExecutor) -> CellExecutor:
         _CELL_KINDS[name] = fn
@@ -86,11 +94,13 @@ def _resolve_executor(kind: str) -> CellExecutor:
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One cell of a campaign grid: an executor kind plus its parameters.
+    """One cell of a campaign grid: a cell kind plus its keyword arguments.
 
-    ``spec`` must contain only JSON-serializable values (numbers, strings,
-    booleans, lists, dicts) — it crosses process boundaries and its
-    canonical JSON form keys the artifact store.
+    ``spec`` holds the keyword arguments of the kind's experiment function
+    (everything but ``seed``, which the runner derives).  It must contain
+    only JSON-serializable values (numbers, strings, booleans, lists,
+    dicts) — it crosses process boundaries and its canonical JSON form
+    keys the artifact store.
     """
 
     kind: str
@@ -157,7 +167,7 @@ def _execute_cell(kind: str, spec: dict, seed: int) -> tuple[dict, float]:
     """Run one cell; module-level so it pickles under ``spawn``."""
     executor = _resolve_executor(kind)
     started = time.perf_counter()
-    result = executor(spec, seed)
+    result = executor(seed=seed, **spec)
     return result, time.perf_counter() - started
 
 

@@ -10,15 +10,12 @@ the gain and total time per fault — the columns of Table 3.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.debugger import UnicornDebugger
 from repro.core.unicorn import Unicorn, UnicornConfig, LoopState
-from repro.evaluation.runner import CampaignCell, register_cell_kind, run_campaign
-from repro.evaluation.store import ArtifactStore
 from repro.systems.faults import discover_faults
 from repro.systems.registry import get_system
 
@@ -37,49 +34,6 @@ class ScalabilityRow:
     discovery_seconds: float
     query_seconds: float
     total_seconds: float
-
-
-SCALABILITY_CELL = "scalability_scenario"
-
-
-@register_cell_kind(SCALABILITY_CELL)
-def _scalability_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: one Table 3 row at the requested scale."""
-    row = run_scalability_scenario(
-        spec["system"], spec["hardware"],
-        n_extra_options=int(spec.get("n_extra_options", 0)),
-        n_extra_events=int(spec.get("n_extra_events", 0)),
-        objective=spec.get("objective", "QueryTime"),
-        n_samples=int(spec.get("n_samples", 60)),
-        debug_budget=int(spec.get("debug_budget", 40)),
-        seed=seed)
-    return asdict(row)
-
-
-def scalability_campaign_cells(scenarios: Sequence[Mapping]
-                               ) -> list[CampaignCell]:
-    """One cell per Table 3 scenario (a dict of run_scalability_scenario kwargs
-    with ``system`` and ``hardware`` mandatory)."""
-    cells = []
-    for scenario in scenarios:
-        spec = dict(scenario)
-        if "system" not in spec or "hardware" not in spec:
-            raise ValueError(
-                f"scalability scenario needs 'system' and 'hardware': {spec}")
-        cells.append(CampaignCell(kind=SCALABILITY_CELL, spec=spec))
-    return cells
-
-
-def run_scalability_campaign(scenarios: Sequence[Mapping],
-                             root_seed: int = 0, parallel: bool = False,
-                             max_workers: int | None = None,
-                             store: ArtifactStore | None = None
-                             ) -> list[dict]:
-    """Run the Table 3 scenario grid through the campaign runner."""
-    cells = scalability_campaign_cells(scenarios)
-    campaign = run_campaign(cells, root_seed=root_seed, parallel=parallel,
-                            max_workers=max_workers, store=store)
-    return campaign.results()
 
 
 def _evaluate_candidate_queries(engine, system, probe,

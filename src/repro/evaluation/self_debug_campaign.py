@@ -23,7 +23,8 @@ the loop in three phases:
    by a large factor while the answers stay byte-identical — serving
    knobs must never change *what* is answered, only *how fast*.
 
-The cell result is JSON-serializable and rides the standard campaign
+:func:`run_self_debugging` is registered as the ``self_debugging`` cell
+kind: its result is JSON-serializable and rides the standard campaign
 runner (seed trees, resumable artifact store); the companion benchmark
 ``benchmarks/test_self_debugging.py`` gates the improvement factor and
 ``docs/observability.md`` walks through the whole loop.
@@ -35,16 +36,20 @@ from typing import Mapping, Sequence
 
 from repro.core.debugger import UnicornDebugger
 from repro.core.unicorn import UnicornConfig
-from repro.evaluation.runner import CampaignCell, register_cell_kind, run_campaign
-from repro.evaluation.store import ArtifactStore
+from repro.evaluation.runner import register_cell_kind
+from repro.service.batcher import RequestBatcher
+from repro.service.registry import ModelRegistry
+from repro.service.service import QueryService
+from repro.service.sharding import ShardedQueryService
+from repro.service.tracing import TraceRecorder, Tracer, trace_summary
+from repro.service.workload import (
+    canonical_answers,
+    latency_percentiles,
+    mixed_workload,
+    serve_concurrently,
+)
 from repro.systems.registry import get_system
 from repro.systems.serving_system import configuration_to_service_kwargs
-
-# repro.service imports repro.evaluation.store for its content-hash keys,
-# so the service layer is imported lazily inside the functions below to
-# keep the package import graph acyclic (same rule as service_campaign).
-
-SELF_DEBUG_CELL = "self_debugging"
 
 #: The deliberately broken deployment the campaign starts from: a 50 ms
 #: dispatcher window (every request pays it), no result cache, and a
@@ -62,12 +67,6 @@ def _replay(specs: Mapping[str, Mapping], requests: Sequence,
             tracer=None) -> tuple[list, float, dict]:
     """Serve ``requests`` under one deployment; return (responses,
     seconds, latency percentiles)."""
-    from repro.service.batcher import RequestBatcher
-    from repro.service.registry import ModelRegistry
-    from repro.service.service import QueryService
-    from repro.service.sharding import ShardedQueryService
-    from repro.service.workload import latency_percentiles, serve_concurrently
-
     if int(service_kwargs["shards"]) <= 1:
         registry = ModelRegistry(
             capacity=max(2, len(specs)),
@@ -102,7 +101,8 @@ def _replay(specs: Mapping[str, Mapping], requests: Sequence,
     return responses, seconds, latency_percentiles(responses)
 
 
-def run_self_debugging(system_name: str = "cache_example",
+@register_cell_kind("self_debugging")
+def run_self_debugging(system: str = "cache_example",
                        hardware: str | None = None,
                        faulty_overrides: Mapping[str, float] | None = None,
                        n_clients: int = 8, requests_per_client: int = 12,
@@ -113,7 +113,7 @@ def run_self_debugging(system_name: str = "cache_example",
 
     Parameters
     ----------
-    system_name, hardware:
+    system, hardware:
         The *served subject* (what the workload queries); the *debugged
         system* is always the serving twin
         (:func:`~repro.systems.serving_system.make_serving_system`).
@@ -141,25 +141,19 @@ def run_self_debugging(system_name: str = "cache_example",
         configuration, the debugger's changed options, and a trace
         summary of the recorded run.
     """
-    from repro.service.tracing import TraceRecorder, Tracer, trace_summary
-    from repro.service.workload import canonical_answers, mixed_workload
-
     serving_system = get_system("serving")
     faulty = serving_system.space.clamp(dict(
         DEFAULT_FAULTY_OVERRIDES if faulty_overrides is None
         else faulty_overrides))
 
     # --- phase 1: record the misconfigured deployment ------------------
-    from repro.service.registry import ModelRegistry
-
-    subject_spec = {"system": system_name, "hardware": hardware,
+    subject_spec = {"system": system, "hardware": hardware,
                     "n_samples": int(n_samples), "seed": int(seed)}
-    specs = {system_name: subject_spec}
+    specs = {system: subject_spec}
     reference = ModelRegistry(capacity=2, result_cache_size=None)
-    entry = reference.register_spec(system_name, subject_spec)
-    system = get_system(system_name, hardware=hardware)
+    entry = reference.register_spec(system, subject_spec)
     requests = mixed_workload(
-        system_name, entry.engine, system.objectives,
+        system, entry.engine, get_system(system, hardware=hardware).objectives,
         int(n_clients) * int(requests_per_client), seed=seed)
 
     faulty_kwargs = configuration_to_service_kwargs(faulty)
@@ -190,7 +184,7 @@ def run_self_debugging(system_name: str = "cache_example",
     improvement = (baseline_latency["p99_ms"]
                    / max(recommended_latency["p99_ms"], 1e-9))
     return {
-        "system": system_name,
+        "system": system,
         "n_queries": len(requests),
         "n_clients": int(n_clients),
         "faulty_configuration": {k: float(v) for k, v in faulty.items()},
@@ -209,51 +203,3 @@ def run_self_debugging(system_name: str = "cache_example",
         "trace_records": len(traces),
         "trace_summary": trace_summary(traces),
     }
-
-
-@register_cell_kind(SELF_DEBUG_CELL)
-def _self_debug_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: one record→debug→replay self-debugging run."""
-    return run_self_debugging(
-        spec.get("system", "cache_example"), spec.get("hardware"),
-        faulty_overrides=spec.get("faulty_overrides"),
-        n_clients=int(spec.get("n_clients", 8)),
-        requests_per_client=int(spec.get("requests_per_client", 12)),
-        n_samples=int(spec.get("n_samples", 60)),
-        seed=seed,
-        initial_samples=int(spec.get("initial_samples", 30)),
-        budget=int(spec.get("budget", 60)),
-        trace_path=spec.get("trace_path"))
-
-
-def self_debug_campaign_cells(scenarios: Sequence[Mapping]
-                              ) -> list[CampaignCell]:
-    """One ``self_debugging`` cell per scenario (dicts of
-    :func:`run_self_debugging` kwargs)."""
-    return [CampaignCell(kind=SELF_DEBUG_CELL, spec=dict(scenario))
-            for scenario in scenarios]
-
-
-def run_self_debug_campaign(scenarios: Sequence[Mapping],
-                            root_seed: int = 0, parallel: bool = False,
-                            max_workers: int | None = None,
-                            store: ArtifactStore | None = None
-                            ) -> list[dict]:
-    """Run a grid of self-debugging scenarios through the campaign runner.
-
-    Parameters
-    ----------
-    scenarios:
-        See :func:`self_debug_campaign_cells`.
-    root_seed, parallel, max_workers, store:
-        Forwarded to :func:`repro.evaluation.runner.run_campaign`.
-
-    Returns
-    -------
-    list of dict
-        One :func:`run_self_debugging` result per scenario, in order.
-    """
-    cells = self_debug_campaign_cells(scenarios)
-    campaign = run_campaign(cells, root_seed=root_seed, parallel=parallel,
-                            max_workers=max_workers, store=store)
-    return campaign.results()

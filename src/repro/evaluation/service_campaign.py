@@ -2,37 +2,35 @@
 
 The north-star system serves heavy concurrent query traffic; this module
 measures how well it does so, with the same campaign machinery (cells, seed
-trees, resumable artifacts) the paper experiments use.  Two cell kinds:
+trees, resumable artifacts) the paper experiments use.  Each function below
+is registered as the cell kind named in parentheses, so
+``CampaignCell(kind, spec)`` runs it with ``spec`` as its keyword
+arguments:
 
-* ``service_throughput`` — one subject, one concurrency level: a
-  deterministic mixed workload answered once through one-at-a-time engine
-  dispatch and once through a concurrent
+* :func:`run_service_throughput` (``service_throughput``) — one subject,
+  one concurrency level: a deterministic mixed workload answered once
+  through one-at-a-time engine dispatch and once through a concurrent
   :class:`~repro.service.service.QueryService`; reports throughput,
   latency percentiles, the coalescing ratio and byte-identity.
-* ``sharded_service_throughput`` — the long-horizon story: many subjects,
-  many rounds of queries interleaved with (drifting) observation streams,
-  served three ways — the eager single-process baseline (PR 4 semantics:
-  every ``observe`` relearns), a drift-aware single-process run, and the
-  drift-aware :class:`~repro.service.sharding.ShardedQueryService` —
-  reporting the sharded tier's speedup over the eager baseline, the
-  relearn counts of each side, and whether the sharded answers stayed
-  byte-identical to the same-knob single-process run.
-* ``cold_start_recovery`` — the durability story: a long-horizon workload
-  primes a persistent :class:`~repro.service.store.ModelStore`, then
-  worker **cold start** (a fresh service generation over the populated
-  store vs refit-from-spec plus full-history replay) and **crash
-  recovery** (snapshot restore plus journal-*suffix* replay vs refit plus
-  full-journal replay) are timed head to head, with byte-identity of
-  every recovered tier's answers against a single-process reference.
-* ``gateway_throughput`` — the wire story: the identical per-client
-  request streams (:func:`repro.service.workload.wire_workload`) are
-  answered once by direct in-process ``submit_many`` calls and once by
-  concurrent :class:`~repro.service.gateway.GatewayClient` connections
-  through a :class:`~repro.service.gateway.GatewayServer` socket;
-  reports wire availability, per-call gateway overhead, protocol error
-  counts and byte-identity of every answer across the wire.
-* ``rolling_refresh`` — the availability story: per-subject probe
-  clients keep querying while
+* :func:`run_sharded_service_throughput` (``sharded_service_throughput``)
+  — the long-horizon story: many subjects, many rounds of queries
+  interleaved with (drifting) observation streams, served three ways —
+  the eager single-process baseline (every ``observe`` relearns), a
+  drift-aware single-process run, and the drift-aware
+  :class:`~repro.service.sharding.ShardedQueryService` — reporting the
+  sharded tier's speedup over the eager baseline, the relearn counts of
+  each side, and whether the sharded answers stayed byte-identical to the
+  same-knob single-process run.
+* :func:`run_cold_start_recovery` (``cold_start_recovery``) — the
+  durability story: a long-horizon workload primes a persistent
+  :class:`~repro.service.store.ModelStore`, then worker **cold start** (a
+  fresh service generation over the populated store vs refit-from-spec
+  plus full-history replay) and **crash recovery** (snapshot restore plus
+  journal-*suffix* replay vs refit plus full-journal replay) are timed
+  head to head, with byte-identity of every recovered tier's answers
+  against a single-process reference.
+* :func:`run_rolling_refresh` (``rolling_refresh``) — the availability
+  story: per-subject probe clients keep querying while
   :meth:`~repro.service.sharding.ShardedQueryService.rolling_refresh`
   upgrades the fleet onto new specs one shard at a time; reports probe
   availability and admission counts against a no-refresh baseline
@@ -45,24 +43,96 @@ trees, resumable artifacts) the paper experiments use.  Two cell kinds:
 
 from __future__ import annotations
 
+import tempfile
 import time
 from typing import Mapping, Sequence
 
-from repro.evaluation.runner import CampaignCell, register_cell_kind, run_campaign
-from repro.evaluation.store import ArtifactStore
+from repro.evaluation.runner import register_cell_kind
+from repro.service.batcher import RequestBatcher
+from repro.service.registry import ModelRegistry
+from repro.service.service import QueryService
+from repro.service.sharding import (
+    RollingRefreshError,
+    ShardedQueryService,
+    registry_from_specs,
+    shard_of,
+)
+from repro.service.workload import (
+    _derived_seed,
+    canonical_answers,
+    drifting_measurement_stream,
+    latency_percentiles,
+    long_horizon_workload,
+    mixed_workload,
+    observe_all,
+    probe_while,
+    refresh_under_traffic,
+    serve_concurrently,
+    serve_rounds,
+)
 from repro.systems.registry import get_system
 
-# repro.service imports repro.evaluation.store for its content-hash keys, so
-# the service layer is imported lazily here to keep package import acyclic.
 
-SERVICE_CELL = "service_throughput"
-SHARDED_SERVICE_CELL = "sharded_service_throughput"
-COLD_START_CELL = "cold_start_recovery"
-ROLLING_REFRESH_CELL = "rolling_refresh"
-GATEWAY_CELL = "gateway_throughput"
+def _fleet(system: str, hardware: str | None, n_subjects: int,
+           n_samples: int, seed: int, salt: int) -> tuple[dict, dict]:
+    """Fit specs and simulators of ``n_subjects`` models of one system.
+
+    Subjects are named ``{system}-{i}``; subject ``i`` is fitted with the
+    seed at position ``(salt, i)`` of the ``seed`` tree.  Returns
+    ``(specs, systems)``, both keyed by subject.
+    """
+    specs = {
+        f"{system}-{i}": {
+            "system": system, "hardware": hardware,
+            "n_samples": int(n_samples), "seed": _derived_seed(seed, salt, i),
+        }
+        for i in range(int(n_subjects))
+    }
+    systems = {subject: get_system(system, hardware=hardware)
+               for subject in specs}
+    return specs, systems
 
 
-def run_service_throughput(system_name: str, hardware: str | None = None,
+def _probe_workload(registry: ModelRegistry, systems: Mapping[str, object],
+                    probe_queries: int, seed: int, salt: int) -> list:
+    """``probe_queries`` mixed queries split evenly over the subjects,
+    grouped by subject in name order; the subject at position ``p`` draws
+    from seed-tree position ``(salt, p)``."""
+    probes = []
+    for position, subject in enumerate(sorted(systems)):
+        probes.extend(mixed_workload(
+            subject, registry.get(subject).engine,
+            systems[subject].objectives,
+            max(int(probe_queries) // len(systems), 1),
+            seed=_derived_seed(seed, salt, position)))
+    return probes
+
+
+def _serial_answers(registry: ModelRegistry, probes: Sequence) -> list[str]:
+    """Canonical one-at-a-time answers to subject-grouped ``probes``."""
+    batcher = RequestBatcher()
+    return canonical_answers([
+        response
+        for subject in sorted({probe.subject for probe in probes})
+        for response in batcher.serial_dispatch(
+            registry.get(subject),
+            [probe for probe in probes if probe.subject == subject])])
+
+
+def _crash_and_recover(service: ShardedQueryService, shard: int, probe,
+                       probes: Sequence) -> tuple[float, list[str]]:
+    """Kill ``shard``; time the next answered ``probe``, then return
+    ``(seconds, canonical answers to every probe)``."""
+    service._inject_crash(shard)
+    started = time.perf_counter()
+    service.submit(probe, timeout=600.0)
+    seconds = time.perf_counter() - started
+    return seconds, canonical_answers(service.submit_many(probes,
+                                                          timeout=600.0))
+
+
+@register_cell_kind("service_throughput")
+def run_service_throughput(system: str, hardware: str | None = None,
                            n_clients: int = 16, requests_per_client: int = 4,
                            n_samples: int = 60, seed: int = 0,
                            batch_window: float = 0.004) -> dict:
@@ -70,7 +140,7 @@ def run_service_throughput(system_name: str, hardware: str | None = None,
 
     Parameters
     ----------
-    system_name, hardware:
+    system, hardware:
         Subject system (a :func:`repro.systems.registry.get_system` name)
         and optional hardware platform.
     n_clients:
@@ -95,19 +165,12 @@ def run_service_throughput(system_name: str, hardware: str | None = None,
         ``coalesced_ratio``, ``identical`` (byte-identity of service vs
         one-at-a-time answers) and latency percentiles.
     """
-    from repro.service.batcher import RequestBatcher
-    from repro.service.registry import ModelRegistry
-    from repro.service.service import QueryService
-    from repro.service.workload import (canonical_answers,
-                                        latency_percentiles, mixed_workload,
-                                        serve_concurrently)
-
     registry = ModelRegistry(capacity=2)
-    entry = registry.get_or_fit({"system": system_name, "hardware": hardware,
+    entry = registry.get_or_fit({"system": system, "hardware": hardware,
                                  "n_samples": int(n_samples),
                                  "seed": int(seed)})
-    system = get_system(system_name, hardware=hardware)
-    requests = mixed_workload(entry.key, entry.engine, system.objectives,
+    directions = get_system(system, hardware=hardware).objectives
+    requests = mixed_workload(entry.key, entry.engine, directions,
                               int(n_clients) * int(requests_per_client),
                               seed=seed)
 
@@ -127,7 +190,7 @@ def run_service_throughput(system_name: str, hardware: str | None = None,
 
     identical = canonical_answers(serial) == canonical_answers(responses)
     result = {
-        "system": system_name,
+        "system": system,
         "n_clients": int(n_clients),
         "n_queries": len(requests),
         "serial_seconds": serial_seconds,
@@ -141,7 +204,8 @@ def run_service_throughput(system_name: str, hardware: str | None = None,
     return result
 
 
-def run_sharded_service_throughput(system_name: str,
+@register_cell_kind("sharded_service_throughput")
+def run_sharded_service_throughput(system: str,
                                    hardware: str | None = None,
                                    n_subjects: int = 4, shards: int = 2,
                                    n_clients: int = 32, n_rounds: int = 6,
@@ -184,7 +248,7 @@ def run_sharded_service_throughput(system_name: str,
 
     Parameters
     ----------
-    system_name, hardware:
+    system, hardware:
         Subject system; each of the ``n_subjects`` models gets its own
         seed-tree-derived fit seed.
     n_subjects, shards, n_clients, n_rounds, queries_per_round,
@@ -207,20 +271,8 @@ def run_sharded_service_throughput(system_name: str,
         ``throughput_qps``, relearn counters per tier, and
         ``identical``.
     """
-    from repro.service.service import QueryService
-    from repro.service.sharding import ShardedQueryService, registry_from_specs
-    from repro.service.workload import (_derived_seed, canonical_answers,
-                                        long_horizon_workload, serve_rounds)
-
-    specs = {
-        f"{system_name}-{i}": {
-            "system": system_name, "hardware": hardware,
-            "n_samples": int(n_samples), "seed": _derived_seed(seed, 3, i),
-        }
-        for i in range(int(n_subjects))
-    }
-    systems = {subject: get_system(system_name, hardware=hardware)
-               for subject in specs}
+    specs, systems = _fleet(system, hardware, n_subjects, n_samples, seed,
+                            salt=3)
 
     # The workload is generated once, before any serving begins, from the
     # eager tier's freshly fitted engines (generation only reads them;
@@ -260,7 +312,7 @@ def run_sharded_service_throughput(system_name: str,
 
     identical = canonical_answers(responses) == canonical_answers(reference)
     return {
-        "system": system_name,
+        "system": system,
         "n_subjects": int(n_subjects),
         "shards": int(shards),
         "n_clients": int(n_clients),
@@ -281,7 +333,8 @@ def run_sharded_service_throughput(system_name: str,
     }
 
 
-def run_cold_start_recovery(system_name: str, hardware: str | None = None,
+@register_cell_kind("cold_start_recovery")
+def run_cold_start_recovery(system: str, hardware: str | None = None,
                             n_subjects: int = 4, shards: int = 2,
                             n_clients: int = 32, n_rounds: int = 6,
                             queries_per_round: int = 64,
@@ -320,7 +373,7 @@ def run_cold_start_recovery(system_name: str, hardware: str | None = None,
 
     Parameters
     ----------
-    system_name, hardware:
+    system, hardware:
         Subject system; each of the ``n_subjects`` models gets its own
         seed-tree-derived fit seed.
     n_subjects, shards, n_clients, n_rounds, queries_per_round,
@@ -351,25 +404,8 @@ def run_cold_start_recovery(system_name: str, hardware: str | None = None,
         (bounded with the store, full without), store counters and
         ``identical``.
     """
-    import tempfile
-    import shutil
-
-    from repro.service.batcher import RequestBatcher
-    from repro.service.sharding import (ShardedQueryService,
-                                        registry_from_specs, shard_of)
-    from repro.service.workload import (_derived_seed, canonical_answers,
-                                        long_horizon_workload, mixed_workload,
-                                        serve_rounds)
-
-    specs = {
-        f"{system_name}-{i}": {
-            "system": system_name, "hardware": hardware,
-            "n_samples": int(n_samples), "seed": _derived_seed(seed, 5, i),
-        }
-        for i in range(int(n_subjects))
-    }
-    systems = {subject: get_system(system_name, hardware=hardware)
-               for subject in specs}
+    specs, systems = _fleet(system, hardware, n_subjects, n_samples, seed,
+                            salt=5)
 
     # Reference: one single-process registry folds the same history the
     # services will see; its serial answers define the converged state
@@ -388,30 +424,19 @@ def run_cold_start_recovery(system_name: str, hardware: str | None = None,
             for batch in batches:
                 reference.observe(subject, batch)
                 observation_ops += 1
-    probes = []
-    for position, subject in enumerate(sorted(specs)):
-        probes.extend(mixed_workload(
-            subject, reference.get(subject).engine,
-            systems[subject].objectives,
-            max(int(probe_queries) // len(specs), 1),
-            seed=_derived_seed(seed, 7, position)))
-    serial = []
-    for subject in sorted(specs):
-        serial.extend(RequestBatcher().serial_dispatch(
-            reference.get(subject),
-            [p for p in probes if p.subject == subject]))
-    reference_answers = canonical_answers(serial)
+    probes = _probe_workload(reference, systems, probe_queries, seed, salt=7)
+    reference_answers = _serial_answers(reference, probes)
     # Crash the shard of the alphabetically first subject (every shard
     # with at least one subject behaves identically).
     crash_subject = sorted(specs)[0]
     crash_shard = shard_of(crash_subject, int(shards))
+    crash_probe = next(p for p in probes if p.subject == crash_subject)
 
-    store_dir = store_root or tempfile.mkdtemp(prefix="model-store-")
     service_options = dict(shards=int(shards),
                            use_processes=bool(use_processes),
                            batch_window=float(batch_window))
-    identical = True
-    try:
+    with tempfile.TemporaryDirectory(prefix="model-store-") as scratch:
+        store_dir = store_root or scratch
         # ---- priming + crash recovery WITH the store -------------------
         with ShardedQueryService(specs, store_path=store_dir,
                                  snapshot_every=int(snapshot_every),
@@ -420,13 +445,9 @@ def run_cold_start_recovery(system_name: str, hardware: str | None = None,
             journal_len_store = max(len(s.journal)
                                     for s in primed._shards)
             compacted_ops = primed.stats.journal_ops_compacted
-            primed._inject_crash(crash_shard)
-            started = time.perf_counter()
-            probe = next(p for p in probes if p.subject == crash_subject)
-            primed.submit(probe, timeout=600.0)
-            recovery_store_seconds = time.perf_counter() - started
-            recovered = primed.submit_many(probes, timeout=600.0)
-            identical &= canonical_answers(recovered) == reference_answers
+            recovery_store_seconds, recovered = _crash_and_recover(
+                primed, crash_shard, crash_probe, probes)
+            identical = recovered == reference_answers
 
         # ---- cold start WITH the store ---------------------------------
         started = time.perf_counter()
@@ -438,37 +459,22 @@ def run_cold_start_recovery(system_name: str, hardware: str | None = None,
             identical &= canonical_answers(answers) == reference_answers
             restarted_stats = restarted.worker_stats()
 
-        # ---- baseline: refit from specs + full-history replay ----------
-        started = time.perf_counter()
-        with ShardedQueryService(specs, store_path=None,
-                                 **service_options) as baseline:
-            for round_spec in rounds:
-                acks = []
-                for subject, batches in round_spec["observations"].items():
-                    for batch in batches:
-                        acks.append(baseline.observe(subject, batch,
-                                                     block=False))
-                baseline.quiesce()
-                for ack in acks:
-                    ack.result(timeout=600.0)
-            cold_baseline_seconds = time.perf_counter() - started
-            journal_len_baseline = max(len(s.journal)
-                                       for s in baseline._shards)
-            answers = baseline.submit_many(probes, timeout=600.0)
-            identical &= canonical_answers(answers) == reference_answers
-            baseline._inject_crash(crash_shard)
-            started = time.perf_counter()
-            probe = next(p for p in probes if p.subject == crash_subject)
-            baseline.submit(probe, timeout=600.0)
-            recovery_baseline_seconds = time.perf_counter() - started
-            recovered = baseline.submit_many(probes, timeout=600.0)
-            identical &= canonical_answers(recovered) == reference_answers
-    finally:
-        if store_root is None:
-            shutil.rmtree(store_dir, ignore_errors=True)
+    # ---- baseline: refit from specs + full-history replay --------------
+    started = time.perf_counter()
+    with ShardedQueryService(specs, store_path=None,
+                             **service_options) as baseline:
+        for round_spec in rounds:
+            observe_all(baseline, round_spec["observations"])
+        cold_baseline_seconds = time.perf_counter() - started
+        journal_len_baseline = max(len(s.journal) for s in baseline._shards)
+        answers = baseline.submit_many(probes, timeout=600.0)
+        identical &= canonical_answers(answers) == reference_answers
+        recovery_baseline_seconds, recovered = _crash_and_recover(
+            baseline, crash_shard, crash_probe, probes)
+        identical &= recovered == reference_answers
 
     return {
-        "system": system_name,
+        "system": system,
         "n_subjects": int(n_subjects),
         "shards": int(shards),
         "n_clients": int(n_clients),
@@ -493,123 +499,6 @@ def run_cold_start_recovery(system_name: str, hardware: str | None = None,
     }
 
 
-def run_gateway_throughput(system_name: str, hardware: str | None = None,
-                           n_clients: int = 8, requests_per_client: int = 4,
-                           n_samples: int = 60, seed: int = 0,
-                           batch_window: float = 0.002,
-                           quota: int | None = None) -> dict:
-    """Measure the wire gateway against direct in-process submission.
-
-    :func:`repro.service.workload.wire_workload` generates one
-    deterministic request stream per client; the streams are answered
-    twice against the *same* fitted service — first directly
-    (``service.submit_many`` per stream, the in-process baseline), then
-    by ``n_clients`` concurrent
-    :class:`~repro.service.gateway.GatewayClient` connections through a
-    :class:`~repro.service.gateway.GatewayServer` socket, each client
-    pipelining its own stream.  Since CI is single-core, the verdicts
-    are correctness and overhead, not parallel speedup:
-
-    * ``identical`` — every wire answer byte-equal (canonical JSON) to
-      its direct-call twin;
-    * ``availability`` — fraction of wire requests answered (the soak
-      gate demands 1.0);
-    * ``overhead_ms_per_call`` — added wall milliseconds per request of
-      going through framing + socket + server threads;
-    * ``protocol_errors`` — gateway-counted wire violations (must be 0
-      for well-formed traffic).
-
-    Parameters
-    ----------
-    system_name, hardware:
-        Subject system and optional hardware platform.
-    n_clients, requests_per_client:
-        Wire concurrency and per-client stream length.
-    n_samples, seed:
-        Model fit size and the root of the workload seed tree.
-    batch_window:
-        Dispatcher accumulation window of the fronted service.
-    quota:
-        Optional per-tenant lifetime query budget (``None`` =
-        unlimited; the soak needs every request admitted).
-
-    Returns
-    -------
-    dict
-        JSON-serializable cell result with the four verdicts plus raw
-        seconds, throughput and the gateway's counter snapshot.
-    """
-    import threading
-
-    from repro.service.gateway import GatewayClient, GatewayServer, Tenant
-    from repro.service.registry import ModelRegistry
-    from repro.service.service import QueryService
-    from repro.service.workload import canonical_answers, wire_workload
-
-    registry = ModelRegistry(capacity=2)
-    entry = registry.get_or_fit({"system": system_name, "hardware": hardware,
-                                 "n_samples": int(n_samples),
-                                 "seed": int(seed)})
-    system = get_system(system_name, hardware=hardware)
-    streams = wire_workload(entry.key, entry.engine, system.objectives,
-                            int(n_clients), int(requests_per_client),
-                            seed=seed)
-    n_queries = sum(len(stream) for stream in streams)
-
-    with QueryService(registry, batch_window=batch_window,
-                      max_batch=512) as service:
-        # Direct baseline: the same per-client streams, in-process.
-        service.submit_many([r for stream in streams for r in stream])
-        started = time.perf_counter()
-        direct = [service.submit_many(stream) for stream in streams]
-        direct_seconds = time.perf_counter() - started
-
-        tenants = {f"key-{i}": Tenant(f"client-{i}", quota=quota)
-                   for i in range(int(n_clients))}
-        wire: list[list | None] = [None] * int(n_clients)
-        failures: list[str] = []
-        with GatewayServer(service, tenants=tenants,
-                           recv_timeout=60.0) as gateway:
-            def client(index: int) -> None:
-                try:
-                    with GatewayClient(gateway.address,
-                                       api_key=f"key-{index}") as conn:
-                        wire[index] = conn.submit_many(streams[index])
-                except Exception as exc:  # noqa: BLE001 - recorded verdict
-                    failures.append(f"{type(exc).__name__}: {exc}")
-
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(int(n_clients))]
-            started = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            wire_seconds = time.perf_counter() - started
-            gateway_stats = gateway.stats.as_dict()
-
-    answered = sum(len(stream) for stream in wire if stream is not None)
-    identical = all(
-        stream is not None
-        and canonical_answers(stream) == canonical_answers(direct[index])
-        for index, stream in enumerate(wire))
-    return {
-        "system": system_name,
-        "n_clients": int(n_clients),
-        "n_queries": n_queries,
-        "direct_seconds": direct_seconds,
-        "wire_seconds": wire_seconds,
-        "throughput_qps": n_queries / max(wire_seconds, 1e-9),
-        "overhead_ms_per_call": max(
-            (wire_seconds - direct_seconds) / max(n_queries, 1), 0.0) * 1e3,
-        "availability": answered / max(n_queries, 1),
-        "client_failures": failures,
-        "protocol_errors": gateway_stats["protocol_errors"],
-        "identical": identical,
-        "gateway_stats": gateway_stats,
-    }
-
-
 def _max_window_overlap(windows: Sequence[Mapping]) -> int:
     """Peak number of refresh windows open at one instant (0 if none)."""
     events: list[tuple[float, int]] = []
@@ -624,7 +513,8 @@ def _max_window_overlap(windows: Sequence[Mapping]) -> int:
     return peak
 
 
-def run_rolling_refresh(system_name: str, hardware: str | None = None,
+@register_cell_kind("rolling_refresh")
+def run_rolling_refresh(system: str, hardware: str | None = None,
                         n_subjects: int = 4, shards: int = 2,
                         observation_rounds: int = 2,
                         observations_per_round: int = 6,
@@ -667,7 +557,7 @@ def run_rolling_refresh(system_name: str, hardware: str | None = None,
 
     Parameters
     ----------
-    system_name, hardware:
+    system, hardware:
         Subject system; each of the ``n_subjects`` models gets its own
         seed-tree-derived fit seed.
     n_subjects, shards:
@@ -708,45 +598,20 @@ def run_rolling_refresh(system_name: str, hardware: str | None = None,
         probe counts, refresh wall seconds, per-service admission
         deltas and the service's refresh counters).
     """
-    import tempfile
-    import shutil
-
-    from repro.service.sharding import (RollingRefreshError,
-                                        ShardedQueryService,
-                                        registry_from_specs, shard_of)
-    from repro.service.batcher import RequestBatcher
-    from repro.service.workload import (_derived_seed, canonical_answers,
-                                        drifting_measurement_stream,
-                                        mixed_workload, refresh_under_traffic)
-    import threading
-
-    specs = {
-        f"{system_name}-{i}": {
-            "system": system_name, "hardware": hardware,
-            "n_samples": int(n_samples), "seed": _derived_seed(seed, 9, i),
-        }
-        for i in range(int(n_subjects))
-    }
+    specs, systems = _fleet(system, hardware, n_subjects, n_samples, seed,
+                            salt=9)
     new_specs = {subject: dict(spec, n_samples=int(new_n_samples))
                  for subject, spec in specs.items()}
-    systems = {subject: get_system(system_name, hardware=hardware)
-               for subject in specs}
 
     # Probe workloads come from the old generation's engines (payload
     # vocabulary only; the requests are equally valid against the new
-    # models), one batch per subject plus a single hot probe each for
-    # the live-traffic clients.
-    old_reference = registry_from_specs(specs)
-    probes = []
-    probe_map = {}
-    for position, subject in enumerate(sorted(specs)):
-        subject_probes = mixed_workload(
-            subject, old_reference.get(subject).engine,
-            systems[subject].objectives,
-            max(int(probe_queries) // len(specs), 1),
-            seed=_derived_seed(seed, 11, position))
-        probes.extend(subject_probes)
-        probe_map[subject] = subject_probes[0]
+    # models), one batch per subject; each subject's first probe is the
+    # hot probe of its live-traffic client.
+    probes = _probe_workload(registry_from_specs(specs), systems,
+                             probe_queries, seed, salt=11)
+    probe_map: dict = {}
+    for probe in probes:
+        probe_map.setdefault(probe.subject, probe)
     streams = {
         subject: drifting_measurement_stream(
             systems[subject], int(observation_rounds),
@@ -754,298 +619,92 @@ def run_rolling_refresh(system_name: str, hardware: str | None = None,
             seed=_derived_seed(seed, 13, position))
         for position, subject in enumerate(sorted(specs))
     }
-
     # The byte-identity reference: a cold single-process registry fitted
     # directly on the NEW specs — what the upgraded fleet must match.
-    new_reference = registry_from_specs(new_specs)
-    new_reference_answers = canonical_answers([
-        response
-        for subject in sorted(specs)
-        for response in RequestBatcher().serial_dispatch(
-            new_reference.get(subject),
-            [p for p in probes if p.subject == subject])])
+    new_reference_answers = _serial_answers(registry_from_specs(new_specs),
+                                            probes)
 
-    def prime(service):
-        acks = []
-        for round_index in range(int(observation_rounds)):
-            for subject in sorted(specs):
-                acks.append(service.observe(
-                    subject, streams[subject][round_index], block=False))
-        service.quiesce()
-        for ack in acks:
-            ack.result(timeout=600.0)
-
-    def probe_window(service, duration: float) -> list[dict]:
-        """No-refresh control: the refresh's probe loop, without the
-        refresh."""
-        records: list[dict] = []
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def prober(subject, request):
-            while not stop.is_set():
-                entry = {"subject": subject, "started": time.monotonic()}
-                try:
-                    response = service.submit(request, timeout=600.0)
-                    entry["ok"] = bool(response.ok)
-                    entry["error"] = response.error
-                except BaseException as exc:  # noqa: BLE001 - recorded
-                    entry["ok"] = False
-                    entry["error"] = f"{type(exc).__name__}: {exc}"
-                entry["finished"] = time.monotonic()
-                with lock:
-                    records.append(entry)
-                if poll_interval:
-                    time.sleep(poll_interval)
-
-        threads = [threading.Thread(target=prober, args=item)
-                   for item in sorted(probe_map.items())]
-        for thread in threads:
-            thread.start()
-        time.sleep(float(duration))
-        stop.set()
-        for thread in threads:
-            thread.join()
-        return records
-
-    store_dir = store_root or tempfile.mkdtemp(prefix="rolling-refresh-")
     service_options = dict(shards=int(shards),
                            use_processes=bool(use_processes),
                            batch_window=float(batch_window))
     result: dict = {
-        "system": system_name,
+        "system": system,
         "n_subjects": int(n_subjects),
         "shards": int(shards),
         "n_probe_queries": len(probes),
     }
-    try:
-        with ShardedQueryService(specs, store_path=store_dir,
-                                 **service_options) as service:
-            prime(service)
-            rejected_before = service.stats.rejected
-            baseline_records = probe_window(service,
-                                            float(baseline_window))
-            baseline_rejected = service.stats.rejected - rejected_before
+    with (tempfile.TemporaryDirectory(prefix="rolling-refresh-") as scratch,
+          ShardedQueryService(specs, store_path=store_root or scratch,
+                              **service_options) as service):
+        observe_all(service, streams)
+        rejected_before = service.stats.rejected
+        _, baseline_records = probe_while(
+            service, probe_map, lambda: time.sleep(float(baseline_window)),
+            timeout=drain_timeout, poll_interval=poll_interval)
+        baseline_rejected = service.stats.rejected - rejected_before
 
-            rejected_before = service.stats.rejected
-            started = time.perf_counter()
-            windows, records = refresh_under_traffic(
-                service, new_specs, probe_map,
-                drain_timeout=float(drain_timeout),
-                poll_interval=float(poll_interval))
-            refresh_seconds = time.perf_counter() - started
-            refresh_rejected = service.stats.rejected - rejected_before
+        rejected_before = service.stats.rejected
+        started = time.perf_counter()
+        windows, records = refresh_under_traffic(
+            service, new_specs, probe_map,
+            drain_timeout=float(drain_timeout),
+            poll_interval=float(poll_interval))
+        refresh_seconds = time.perf_counter() - started
+        refresh_rejected = service.stats.rejected - rejected_before
 
-            answers = service.submit_many(probes, timeout=600.0)
-            identical = canonical_answers(answers) == new_reference_answers
-            overlap = _max_window_overlap(windows)
-            ok_probes = sum(1 for r in records if r["ok"])
-            result.update({
-                "refresh_seconds": refresh_seconds,
-                "refresh_windows": len(windows),
-                "probes_during_refresh": len(records),
-                "probe_errors": len(records) - ok_probes,
-                "refresh_availability": (ok_probes / len(records)
-                                         if records else 1.0),
-                "max_concurrent_refreshing": overlap,
-                "refresh_capacity_fraction": (
-                    1.0 if int(shards) == 1 or overlap <= 1
-                    else (int(shards) - overlap)
-                    / max(int(shards) - 1, 1)),
-                "refresh_rejected": refresh_rejected,
-                "baseline_probes": len(baseline_records),
-                "baseline_probe_errors": sum(
-                    1 for r in baseline_records if not r["ok"]),
-                "baseline_rejected": baseline_rejected,
-                "extra_rejections": refresh_rejected - baseline_rejected,
-                "identical": identical,
-                "rolling_refreshes": service.stats.rolling_refreshes,
-            })
+        answers = service.submit_many(probes, timeout=600.0)
+        identical = canonical_answers(answers) == new_reference_answers
+        overlap = _max_window_overlap(windows)
+        ok_probes = sum(1 for r in records if r["ok"])
+        result.update({
+            "refresh_seconds": refresh_seconds,
+            "refresh_windows": len(windows),
+            "probes_during_refresh": len(records),
+            "probe_errors": len(records) - ok_probes,
+            "refresh_availability": (ok_probes / len(records)
+                                     if records else 1.0),
+            "max_concurrent_refreshing": overlap,
+            "refresh_capacity_fraction": (
+                1.0 if int(shards) == 1 or overlap <= 1
+                else (int(shards) - overlap)
+                / max(int(shards) - 1, 1)),
+            "refresh_rejected": refresh_rejected,
+            "baseline_probes": len(baseline_records),
+            "baseline_probe_errors": sum(
+                1 for r in baseline_records if not r["ok"]),
+            "baseline_rejected": baseline_rejected,
+            "extra_rejections": refresh_rejected - baseline_rejected,
+            "identical": identical,
+            "rolling_refreshes": service.stats.rolling_refreshes,
+        })
 
-        if check_rollback:
-            # A separate fleet, a poisoned sweep: the subject on the
-            # highest-indexed populated shard fails, so every shard that
-            # upgraded before it must be downgraded back.
-            rollback_dir = tempfile.mkdtemp(prefix="rolling-rollback-")
+    if check_rollback:
+        # A separate fleet, a poisoned sweep: the subject on the
+        # highest-indexed populated shard fails, so every shard that
+        # upgraded before it must be downgraded back.
+        with (tempfile.TemporaryDirectory(prefix="rolling-rollback-")
+              as rollback_dir,
+              ShardedQueryService(specs, store_path=rollback_dir,
+                                  **service_options) as victim):
+            observe_all(victim, streams)
+            before = canonical_answers(
+                victim.submit_many(probes, timeout=600.0))
+            poison = max(sorted(specs),
+                         key=lambda s: shard_of(s, int(shards)))
+            bad_specs = dict(new_specs)
+            bad_specs[poison] = {"system": "no-such-system",
+                                 "n_samples": int(new_n_samples)}
+            failed = False
             try:
-                with ShardedQueryService(specs, store_path=rollback_dir,
-                                         **service_options) as victim:
-                    prime(victim)
-                    before = canonical_answers(
-                        victim.submit_many(probes, timeout=600.0))
-                    poison = max(sorted(specs),
-                                 key=lambda s: shard_of(s, int(shards)))
-                    bad_specs = dict(new_specs)
-                    bad_specs[poison] = {"system": "no-such-system",
-                                         "n_samples": int(new_n_samples)}
-                    failed = False
-                    try:
-                        victim.rolling_refresh(
-                            bad_specs, drain_timeout=float(drain_timeout))
-                    except RollingRefreshError:
-                        failed = True
-                    after = canonical_answers(
-                        victim.submit_many(probes, timeout=600.0))
-                    result.update({
-                        "rollback_refresh_failed": failed,
-                        "rollback_identical": failed and after == before,
-                        "refresh_rollbacks":
-                            victim.stats.refresh_rollbacks,
-                    })
-            finally:
-                shutil.rmtree(rollback_dir, ignore_errors=True)
-    finally:
-        if store_root is None:
-            shutil.rmtree(store_dir, ignore_errors=True)
+                victim.rolling_refresh(bad_specs,
+                                       drain_timeout=float(drain_timeout))
+            except RollingRefreshError:
+                failed = True
+            after = canonical_answers(
+                victim.submit_many(probes, timeout=600.0))
+            result.update({
+                "rollback_refresh_failed": failed,
+                "rollback_identical": failed and after == before,
+                "refresh_rollbacks": victim.stats.refresh_rollbacks,
+            })
     return result
-
-
-@register_cell_kind(SERVICE_CELL)
-def _service_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: one service-throughput measurement."""
-    return run_service_throughput(
-        spec["system"], spec.get("hardware"),
-        n_clients=int(spec.get("n_clients", 16)),
-        requests_per_client=int(spec.get("requests_per_client", 4)),
-        n_samples=int(spec.get("n_samples", 60)),
-        seed=seed,
-        batch_window=float(spec.get("batch_window", 0.004)))
-
-
-@register_cell_kind(SHARDED_SERVICE_CELL)
-def _sharded_service_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: one sharded long-horizon measurement."""
-    return run_sharded_service_throughput(
-        spec["system"], spec.get("hardware"),
-        n_subjects=int(spec.get("n_subjects", 4)),
-        shards=int(spec.get("shards", 2)),
-        n_clients=int(spec.get("n_clients", 32)),
-        n_rounds=int(spec.get("n_rounds", 6)),
-        queries_per_round=int(spec.get("queries_per_round", 64)),
-        observations_per_round=int(spec.get("observations_per_round", 8)),
-        n_samples=int(spec.get("n_samples", 50)),
-        seed=seed,
-        drift_threshold=float(spec.get("drift_threshold", 6.0)),
-        drift_rounds=tuple(spec.get("drift_rounds", (3,))),
-        drift_scale=float(spec.get("drift_scale", 1.6)),
-        drift_min_window=int(spec.get("drift_min_window", 4)),
-        observation_batches_per_round=int(
-            spec.get("observation_batches_per_round", 1)),
-        use_processes=bool(spec.get("use_processes", True)),
-        batch_window=float(spec.get("batch_window", 0.002)))
-
-
-@register_cell_kind(COLD_START_CELL)
-def _cold_start_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: one cold-start/crash-recovery measurement."""
-    return run_cold_start_recovery(
-        spec["system"], spec.get("hardware"),
-        n_subjects=int(spec.get("n_subjects", 4)),
-        shards=int(spec.get("shards", 2)),
-        n_clients=int(spec.get("n_clients", 32)),
-        n_rounds=int(spec.get("n_rounds", 6)),
-        queries_per_round=int(spec.get("queries_per_round", 64)),
-        observations_per_round=int(spec.get("observations_per_round", 8)),
-        observation_batches_per_round=int(
-            spec.get("observation_batches_per_round", 1)),
-        n_samples=int(spec.get("n_samples", 50)),
-        seed=seed,
-        snapshot_every=int(spec.get("snapshot_every", 4)),
-        probe_queries=int(spec.get("probe_queries", 40)),
-        use_processes=bool(spec.get("use_processes", True)),
-        store_root=spec.get("store_root"),
-        batch_window=float(spec.get("batch_window", 0.002)))
-
-
-@register_cell_kind(GATEWAY_CELL)
-def _gateway_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: one wire-gateway throughput measurement."""
-    quota = spec.get("quota")
-    return run_gateway_throughput(
-        spec["system"], spec.get("hardware"),
-        n_clients=int(spec.get("n_clients", 8)),
-        requests_per_client=int(spec.get("requests_per_client", 4)),
-        n_samples=int(spec.get("n_samples", 60)),
-        seed=seed,
-        batch_window=float(spec.get("batch_window", 0.002)),
-        quota=None if quota is None else int(quota))
-
-
-@register_cell_kind(ROLLING_REFRESH_CELL)
-def _rolling_refresh_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: one rolling-refresh availability measurement."""
-    return run_rolling_refresh(
-        spec["system"], spec.get("hardware"),
-        n_subjects=int(spec.get("n_subjects", 4)),
-        shards=int(spec.get("shards", 2)),
-        observation_rounds=int(spec.get("observation_rounds", 2)),
-        observations_per_round=int(spec.get("observations_per_round", 6)),
-        n_samples=int(spec.get("n_samples", 40)),
-        new_n_samples=int(spec.get("new_n_samples", 60)),
-        seed=seed,
-        probe_queries=int(spec.get("probe_queries", 24)),
-        baseline_window=float(spec.get("baseline_window", 0.25)),
-        poll_interval=float(spec.get("poll_interval", 0.0)),
-        use_processes=bool(spec.get("use_processes", True)),
-        store_root=spec.get("store_root"),
-        batch_window=float(spec.get("batch_window", 0.002)),
-        drain_timeout=float(spec.get("drain_timeout", 120.0)),
-        check_rollback=bool(spec.get("check_rollback", True)))
-
-
-def service_campaign_cells(scenarios: Sequence[Mapping]) -> list[CampaignCell]:
-    """One cell per serving scenario (dicts of
-    :func:`run_service_throughput` kwargs — or, with ``"shards"`` in the
-    scenario, of :func:`run_sharded_service_throughput` kwargs, with
-    ``"cold_start": True``, of :func:`run_cold_start_recovery` kwargs,
-    with ``"rolling_refresh": True``, of :func:`run_rolling_refresh`
-    kwargs, or, with ``"gateway": True``, of
-    :func:`run_gateway_throughput` kwargs; ``system`` is mandatory).
-
-    Raises
-    ------
-    ValueError
-        If a scenario does not name its subject system.
-    """
-    cells = []
-    for scenario in scenarios:
-        spec = dict(scenario)
-        if "system" not in spec:
-            raise ValueError(f"service scenario needs 'system': {spec}")
-        if spec.pop("gateway", False):
-            kind = GATEWAY_CELL
-        elif spec.pop("rolling_refresh", False):
-            kind = ROLLING_REFRESH_CELL
-        elif spec.pop("cold_start", False):
-            kind = COLD_START_CELL
-        elif "shards" in spec:
-            kind = SHARDED_SERVICE_CELL
-        else:
-            kind = SERVICE_CELL
-        cells.append(CampaignCell(kind=kind, spec=spec))
-    return cells
-
-
-def run_service_campaign(scenarios: Sequence[Mapping], root_seed: int = 0,
-                         parallel: bool = False,
-                         max_workers: int | None = None,
-                         store: ArtifactStore | None = None) -> list[dict]:
-    """Run a grid of serving scenarios through the campaign runner.
-
-    Parameters
-    ----------
-    scenarios:
-        See :func:`service_campaign_cells`.
-    root_seed, parallel, max_workers, store:
-        Forwarded to :func:`repro.evaluation.runner.run_campaign`.
-
-    Returns
-    -------
-    list of dict
-        One :func:`run_service_throughput` result per scenario, in
-        scenario order.
-    """
-    cells = service_campaign_cells(scenarios)
-    campaign = run_campaign(cells, root_seed=root_seed, parallel=parallel,
-                            max_workers=max_workers, store=store)
-    return campaign.results()

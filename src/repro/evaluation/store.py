@@ -19,27 +19,12 @@ artifacts are treated as absent and recomputed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Iterator
 
-
-def canonical_json(payload: object) -> str:
-    """Serialize ``payload`` to a canonical JSON string.
-
-    Keys are sorted and separators fixed so that equal payloads always
-    produce byte-identical documents — the basis of both the content hash
-    and the serial-vs-parallel determinism guarantee.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
-
-
-def content_hash(payload: object) -> str:
-    """SHA-256 hex digest of the canonical JSON form of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+from repro.canonical import canonical_json
 
 
 class ArtifactStore:

@@ -15,8 +15,8 @@ Three runners:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from repro.core.transfer import TransferMode, transfer_debug, transfer_optimize
 from repro.core.unicorn import UnicornConfig
 from repro.discovery.pipeline import CausalModelLearner
 from repro.evaluation.relevant import relevant_options_for
-from repro.evaluation.runner import CampaignCell, register_cell_kind, run_campaign
-from repro.evaluation.store import ArtifactStore
 from repro.metrics.debugging import ace_weighted_accuracy, gain, precision_recall
 from repro.metrics.regression import (
     mean_absolute_percentage_error,
@@ -113,50 +111,6 @@ def run_hardware_transfer(system_name: str, source_hardware: str,
             gain=result.gains[objective],
             hours=result.simulated_hours)
     return outcomes
-
-
-HARDWARE_TRANSFER_CELL = "hardware_transfer"
-
-
-@register_cell_kind(HARDWARE_TRANSFER_CELL)
-def _hardware_transfer_cell(spec: Mapping, seed: int) -> dict:
-    """One campaign cell: the Fig. 16 transfer-mode comparison."""
-    outcomes = run_hardware_transfer(
-        spec["system"], spec["source_hardware"], spec["target_hardware"],
-        spec["objective"], budget=int(spec.get("budget", 50)), seed=seed,
-        include_bugdoc=bool(spec.get("include_bugdoc", True)))
-    return {
-        "system": spec["system"],
-        "source_hardware": spec["source_hardware"],
-        "target_hardware": spec["target_hardware"],
-        "objective": spec["objective"],
-        "outcomes": {name: asdict(outcome)
-                     for name, outcome in outcomes.items()},
-    }
-
-
-def transfer_campaign_cells(scenarios: Sequence[tuple[str, str, str, str]],
-                            budget: int = 50,
-                            include_bugdoc: bool = True
-                            ) -> list[CampaignCell]:
-    """One cell per ``(system, source_hw, target_hw, objective)`` scenario."""
-    return [CampaignCell(kind=HARDWARE_TRANSFER_CELL, spec={
-        "system": system, "source_hardware": source,
-        "target_hardware": target, "objective": objective,
-        "budget": int(budget), "include_bugdoc": bool(include_bugdoc),
-    }) for system, source, target, objective in scenarios]
-
-
-def run_transfer_campaign(scenarios: Sequence[tuple[str, str, str, str]],
-                          root_seed: int = 0, parallel: bool = False,
-                          max_workers: int | None = None,
-                          store: ArtifactStore | None = None,
-                          **cell_kwargs) -> list[dict]:
-    """Run the Fig. 16 / Table 15 scenario grid through the campaign runner."""
-    cells = transfer_campaign_cells(scenarios, **cell_kwargs)
-    campaign = run_campaign(cells, root_seed=root_seed, parallel=parallel,
-                            max_workers=max_workers, store=store)
-    return campaign.results()
 
 
 # ---------------------------------------------------------------------------

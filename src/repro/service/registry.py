@@ -9,7 +9,7 @@ performance model.  :class:`ModelRegistry` keeps those models:
   eviction drops the model, not the subject: a later query re-fits it).
 * **Content-hash keyed** — a subject fitted from a spec is keyed by the
   SHA-256 hash of the spec's canonical JSON (the same
-  :func:`~repro.evaluation.store.content_hash` the campaign artifact store
+  :func:`~repro.canonical.content_hash` the campaign artifact store
   uses), so equal specs resolve to the same entry and never fit twice.
 * **Incrementally refreshed** — :meth:`ModelRegistry.observe` appends new
   measurements and routes through :meth:`repro.core.unicorn.Unicorn.learn`,

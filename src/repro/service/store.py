@@ -40,7 +40,7 @@ import os
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.evaluation.store import canonical_json, content_hash
+from repro.canonical import canonical_json, content_hash
 from repro.systems.base import Measurement
 
 #: Snapshot document schema version; bumped on incompatible layout changes.

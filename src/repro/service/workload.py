@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.canonical import canonical_json
 from repro.inference.engine import CausalInferenceEngine
 from repro.inference.queries import QoSConstraint
 from repro.service.requests import (
@@ -337,15 +338,45 @@ def long_horizon_workload(engines: Mapping[str, CausalInferenceEngine],
     return rounds
 
 
+def observe_all(service, observations: Mapping[str, Sequence],
+                timeout: float = 600.0) -> None:
+    """Stream observation batches into a serving tier and wait them out.
+
+    Every batch of ``observations`` (``subject -> [batch, ...]``) goes
+    through ``service.observe`` pipelined — no per-batch acknowledgement
+    wait — then ``service.quiesce()`` both confirms their delivery and
+    lands any refresh they triggered.  The acknowledgements are collected
+    last, so an observe failure surfaces here rather than as a silent
+    identity mismatch later.
+
+    Parameters
+    ----------
+    service:
+        Any serving tier with ``observe(subject, batch, block=False)``
+        and ``quiesce()``.
+    observations:
+        ``subject -> list of measurement batches``; each subject's
+        batches are observed in order.
+    timeout:
+        Seconds to wait for each acknowledgement after the barrier.
+    """
+    acks = [service.observe(subject, batch, block=False)
+            for subject, batches in observations.items()
+            for batch in batches]
+    service.quiesce()
+    for ack in acks:
+        ack.result(timeout=timeout)
+
+
 def serve_rounds(service, rounds: Sequence[Mapping], n_clients: int
                  ) -> tuple[list, float]:
     """Drive a long-horizon workload through a serving tier, timed.
 
     For every round: answer the query batch with ``n_clients``
-    barrier-started concurrent clients (:func:`serve_concurrently`),
-    stream each subject's observation batch through ``service.observe``,
-    and ``service.quiesce()`` so any triggered model refresh lands before
-    the next round — the deterministic phase alignment that lets two
+    barrier-started concurrent clients (:func:`serve_concurrently`), then
+    stream each subject's observation batches in and quiesce
+    (:func:`observe_all`) so any triggered model refresh lands before the
+    next round — the deterministic phase alignment that lets two
     services' serving histories be compared byte for byte.  Works with
     both :class:`~repro.service.service.QueryService` and
     :class:`~repro.service.sharding.ShardedQueryService` (any object with
@@ -364,20 +395,79 @@ def serve_rounds(service, rounds: Sequence[Mapping], n_clients: int
         answered, _, _ = serve_concurrently(service, round_spec["queries"],
                                             n_clients)
         responses.extend(answered)
-        # Observation batches are pipelined (no per-batch acknowledgement
-        # wait); the quiesce barrier below both confirms their delivery
-        # and lands any refresh they triggered before the next round.
-        acks = []
-        for subject, batches in round_spec["observations"].items():
-            for batch in batches:
-                acks.append(service.observe(subject, batch, block=False))
-        service.quiesce()
-        # The FIFO barrier guarantees every ack already arrived; collect
-        # them so an observe failure surfaces here, at its round, rather
-        # than as a silent identity mismatch later.
-        for ack in acks:
-            ack.result(timeout=60)
+        observe_all(service, round_spec["observations"], timeout=60)
     return responses, time.perf_counter() - started
+
+
+def probe_while(service, probes: Mapping[str, QueryRequest],
+                action: Callable[[], object],
+                timeout: float | None = 120.0,
+                poll_interval: float = 0.0) -> tuple[object, list[dict]]:
+    """Run ``action()`` while one probe client per subject keeps asking.
+
+    One prober thread per entry of ``probes`` submits its request in a
+    tight loop, every answer recorded with monotonic start/finish stamps;
+    all probers start together behind a barrier, then the calling thread
+    runs ``action`` and stops the probers when it returns.  The probe
+    records and anything ``action`` timestamps share one clock.
+
+    Parameters
+    ----------
+    service:
+        A started serving tier (anything with ``submit``).
+    probes:
+        ``subject -> request`` probe traffic; one client thread each.
+    action:
+        Called once in the calling thread while the probers run.
+    timeout:
+        Each probe's ``submit`` timeout.
+    poll_interval:
+        Optional sleep between a probe's answer and its next submission
+        (0 = back-to-back).
+
+    Returns
+    -------
+    tuple
+        ``(outcome, records)``: what ``action`` returned and one
+        ``{"subject", "started", "finished", "ok", "error"}`` dict per
+        answered probe.  An exception from ``action`` propagates *after*
+        the probers have been joined.
+    """
+    records: list[dict] = []
+    lock = threading.Lock()
+    stop = threading.Event()
+    barrier = threading.Barrier(len(probes) + 1)
+
+    def prober(subject: str, request: QueryRequest) -> None:
+        barrier.wait()
+        while not stop.is_set():
+            entry = {"subject": subject, "started": time.monotonic()}
+            try:
+                response = service.submit(request, timeout=timeout)
+                entry["ok"] = bool(response.ok)
+                entry["error"] = response.error
+            except BaseException as exc:  # noqa: BLE001 - recorded verdict
+                entry["ok"] = False
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+            entry["finished"] = time.monotonic()
+            with lock:
+                records.append(entry)
+            if poll_interval:
+                time.sleep(poll_interval)
+
+    threads = [threading.Thread(target=prober, args=(subject, request),
+                                name=f"probe-{subject}")
+               for subject, request in sorted(probes.items())]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
+    try:
+        outcome = action()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    return outcome, records
 
 
 def refresh_under_traffic(service, new_specs: Mapping[str, Mapping],
@@ -387,8 +477,7 @@ def refresh_under_traffic(service, new_specs: Mapping[str, Mapping],
                           ) -> tuple[list[dict], list[dict]]:
     """Roll a sharded fleet onto new specs while probe clients keep asking.
 
-    One prober thread per entry of ``probes`` submits its request in a
-    tight loop (every answer recorded with monotonic start/finish stamps)
+    :func:`probe_while` keeps one prober per entry of ``probes`` busy
     while the calling thread runs
     :meth:`~repro.service.sharding.ShardedQueryService.rolling_refresh`.
     The two timelines share one clock, so correlating the probe records
@@ -417,46 +506,15 @@ def refresh_under_traffic(service, new_specs: Mapping[str, Mapping],
     -------
     tuple
         ``(windows, records)``: the refresh windows from
-        ``rolling_refresh`` and one ``{"subject", "started", "finished",
-        "ok", "error"}`` dict per answered probe.  A refresh failure
-        propagates *after* the probers have been joined.
+        ``rolling_refresh`` and the probe records of
+        :func:`probe_while`.  A refresh failure propagates *after* the
+        probers have been joined.
     """
-    records: list[dict] = []
-    lock = threading.Lock()
-    stop = threading.Event()
-    barrier = threading.Barrier(len(probes) + 1)
-
-    def prober(subject: str, request: QueryRequest) -> None:
-        barrier.wait()
-        while not stop.is_set():
-            entry = {"subject": subject, "started": time.monotonic()}
-            try:
-                response = service.submit(request, timeout=drain_timeout)
-                entry["ok"] = bool(response.ok)
-                entry["error"] = response.error
-            except BaseException as exc:  # noqa: BLE001 - recorded verdict
-                entry["ok"] = False
-                entry["error"] = f"{type(exc).__name__}: {exc}"
-            entry["finished"] = time.monotonic()
-            with lock:
-                records.append(entry)
-            if poll_interval:
-                time.sleep(poll_interval)
-
-    threads = [threading.Thread(target=prober, args=(subject, request),
-                                name=f"refresh-probe-{subject}")
-               for subject, request in sorted(probes.items())]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    try:
-        windows = service.rolling_refresh(new_specs,
-                                          drain_timeout=drain_timeout)
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    return windows, records
+    return probe_while(
+        service, probes,
+        lambda: service.rolling_refresh(new_specs,
+                                        drain_timeout=drain_timeout),
+        timeout=drain_timeout, poll_interval=poll_interval)
 
 
 def canonical_answers(responses: Sequence) -> list[str]:
@@ -467,8 +525,6 @@ def canonical_answers(responses: Sequence) -> list[str]:
     service campaign cell and the example, so the three call sites
     cannot drift apart.
     """
-    from repro.evaluation.store import canonical_json
-
     return [canonical_json(response.canonical_value())
             for response in responses]
 

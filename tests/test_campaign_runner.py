@@ -30,12 +30,26 @@ SMALL = dict(n_samples=50, percentile=95.0)
 # ---------------------------------------------------------------------------
 # Cells and seed tree
 # ---------------------------------------------------------------------------
-def test_every_experiment_family_registers_a_cell_kind():
-    kinds = cell_kinds()
-    for expected in ("fault_catalogue", "debugging_comparison",
-                     "single_objective_optimization", "hardware_transfer",
-                     "scalability_scenario"):
-        assert expected in kinds
+def test_registered_cell_kinds():
+    assert cell_kinds() == [
+        "cold_start_recovery", "fault_catalogue", "rolling_refresh",
+        "self_debugging", "service_throughput",
+        "sharded_service_throughput", "single_objective_optimization"]
+
+
+@pytest.mark.parametrize("cell, bad_key", [
+    (CampaignCell("fault_catalogue", {
+        "system": "x264", "hardware": "TX2", "n_samples": 50,
+        "percentile": 95.0, "objective": ["EncodingTime"]}), "objective"),
+    (CampaignCell("service_throughput", {
+        "system": "cache_example", "n_client": 2, "requests_per_client": 2,
+        "n_samples": 30}), "n_client"),
+])
+def test_misspelt_spec_key_is_an_error_naming_it(cell, bad_key):
+    # A spec is the experiment function's keyword arguments: a key the
+    # function does not take must fail loudly, not run on a default.
+    with pytest.raises(TypeError, match=f"'{bad_key}'"):
+        run_campaign([cell])
 
 
 def test_cell_key_is_content_addressed():

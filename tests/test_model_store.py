@@ -379,12 +379,14 @@ def test_shutdown_flush_makes_cold_start_byte_identical(tmp_path):
 
 # ---------------------------------------------------------- campaign runner
 def test_cold_start_recovery_runner_smoke():
-    from repro.evaluation import run_cold_start_recovery
+    from repro.evaluation import CampaignCell, run_campaign
 
-    result = run_cold_start_recovery(
-        "cache_example", n_subjects=2, shards=2, n_clients=4, n_rounds=2,
-        queries_per_round=8, observations_per_round=4, n_samples=30,
-        seed=3, snapshot_every=2, probe_queries=8, use_processes=False)
+    cell = CampaignCell("cold_start_recovery", {
+        "system": "cache_example", "n_subjects": 2, "shards": 2,
+        "n_clients": 4, "n_rounds": 2, "queries_per_round": 8,
+        "observations_per_round": 4, "n_samples": 30, "snapshot_every": 2,
+        "probe_queries": 8, "use_processes": False})
+    [result] = run_campaign([cell], root_seed=3).results()
     assert result["identical"] is True
     assert result["journal_len_store"] < result["journal_len_baseline"]
     assert result["journal_ops_compacted"] > 0

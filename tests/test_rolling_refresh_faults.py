@@ -235,13 +235,15 @@ def test_rolling_refresh_argument_validation(tmp_path):
 
 # ------------------------------------------------------------ campaign runner
 def test_rolling_refresh_runner_smoke():
-    from repro.evaluation import run_rolling_refresh
+    from repro.evaluation import CampaignCell, run_campaign
 
-    result = run_rolling_refresh(
-        "cache_example", n_subjects=3, shards=2, observation_rounds=1,
-        observations_per_round=4, n_samples=30, new_n_samples=40, seed=3,
-        probe_queries=6, baseline_window=0.05, use_processes=False,
-        check_rollback=True)
+    cell = CampaignCell("rolling_refresh", {
+        "system": "cache_example", "n_subjects": 3, "shards": 2,
+        "observation_rounds": 1, "observations_per_round": 4,
+        "n_samples": 30, "new_n_samples": 40, "probe_queries": 6,
+        "baseline_window": 0.05, "use_processes": False,
+        "check_rollback": True})
+    [result] = run_campaign([cell], root_seed=3).results()
     assert result["refresh_availability"] == 1.0
     assert result["refresh_capacity_fraction"] == 1.0
     assert result["extra_rejections"] <= 0

@@ -19,15 +19,12 @@ from __future__ import annotations
 import pytest
 
 from repro.evaluation import (
-    run_self_debug_campaign,
+    CampaignCell,
+    cell_kinds,
+    run_campaign,
     run_self_debugging,
-    self_debug_campaign_cells,
 )
-from repro.evaluation.runner import cell_kinds
-from repro.evaluation.self_debug_campaign import (
-    DEFAULT_FAULTY_OVERRIDES,
-    SELF_DEBUG_CELL,
-)
+from repro.evaluation.self_debug_campaign import DEFAULT_FAULTY_OVERRIDES
 from repro.service.tracing import TraceRecorder
 
 
@@ -114,12 +111,11 @@ def test_replay_supports_sharded_recommendations():
 
 
 def test_campaign_cells_and_runner():
-    assert SELF_DEBUG_CELL in cell_kinds()
-    scenarios = [{"n_clients": 4, "requests_per_client": 4,
-                  "n_samples": 40, "budget": 40}]
-    cells = self_debug_campaign_cells(scenarios)
-    assert len(cells) == 1 and cells[0].kind == SELF_DEBUG_CELL
-    results = run_self_debug_campaign(scenarios, root_seed=9)
+    assert "self_debugging" in cell_kinds()
+    cells = [CampaignCell("self_debugging", {
+        "n_clients": 4, "requests_per_client": 4, "n_samples": 40,
+        "budget": 40})]
+    results = run_campaign(cells, root_seed=9).results()
     assert len(results) == 1
     assert results[0]["identical"] is True
     assert results[0]["p99_improvement"] > 1.0

@@ -344,19 +344,20 @@ def test_random_query_mixes_coalesced_equals_serial(served, seed, n_requests):
 
 # ------------------------------------------------------------ campaign cell
 def test_service_throughput_campaign_cell(tmp_path):
-    from repro.evaluation import ArtifactStore, run_service_campaign
+    from repro.evaluation import ArtifactStore, CampaignCell, run_campaign
 
-    scenarios = [{"system": "cache_example", "n_clients": 4,
-                  "requests_per_client": 3, "n_samples": 30}]
+    cells = [CampaignCell("service_throughput", {
+        "system": "cache_example", "n_clients": 4,
+        "requests_per_client": 3, "n_samples": 30})]
     store = ArtifactStore(tmp_path / "cells")
-    first = run_service_campaign(scenarios, root_seed=5, store=store)
+    first = run_campaign(cells, root_seed=5, store=store).results()
     assert len(first) == 1
     result = first[0]
     assert result["identical"] is True
     assert result["n_queries"] == 12
     assert result["coalesced_ratio"] >= 1.0
     # Resume: the completed cell replays from the artifact store.
-    again = run_service_campaign(scenarios, root_seed=5, store=store)
+    again = run_campaign(cells, root_seed=5, store=store).results()
     assert again == first
 
 

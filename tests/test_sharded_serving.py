@@ -530,22 +530,23 @@ def test_long_horizon_workload_shape_and_determinism(reference):
 
 # -------------------------------------------------- sharded campaign cell
 def test_sharded_service_campaign_cell(tmp_path):
-    from repro.evaluation import ArtifactStore, run_service_campaign
+    from repro.evaluation import ArtifactStore, CampaignCell, run_campaign
 
-    scenarios = [{"system": "cache_example", "n_subjects": 2, "shards": 2,
-                  "n_clients": 2, "n_rounds": 2, "queries_per_round": 8,
-                  "observations_per_round": 4, "n_samples": 30,
-                  "drift_rounds": [1], "drift_scale": 1.8,
-                  "drift_min_window": 4, "use_processes": False}]
+    cells = [CampaignCell("sharded_service_throughput", {
+        "system": "cache_example", "n_subjects": 2, "shards": 2,
+        "n_clients": 2, "n_rounds": 2, "queries_per_round": 8,
+        "observations_per_round": 4, "n_samples": 30,
+        "drift_rounds": [1], "drift_scale": 1.8,
+        "drift_min_window": 4, "use_processes": False})]
     store = ArtifactStore(tmp_path / "cells")
-    first = run_service_campaign(scenarios, root_seed=3, store=store)
+    first = run_campaign(cells, root_seed=3, store=store).results()
     assert len(first) == 1
     result = first[0]
     assert result["identical"] is True
     assert result["shards"] == 2
     assert result["eager_refreshes"] > result["sharded_refreshes"] >= 1
     # Resume: the completed cell replays from the artifact store.
-    again = run_service_campaign(scenarios, root_seed=3, store=store)
+    again = run_campaign(cells, root_seed=3, store=store).results()
     assert again == first
 
 
