@@ -10,6 +10,11 @@ reference path, while producing a byte-identical repair ranking — the same
 A second (informational, softly gated) measurement times the
 satisfaction-probability path, whose scalar form replays one counterfactual
 per observed context.
+
+Both speedups are the median of per-pair ratios: each pair times the scalar
+then the batched call back to back, so a swing in host speed moves both
+sides of a ratio together, and the median over many pairs drops the few
+pairs a swing splits.
 """
 
 from __future__ import annotations
@@ -28,19 +33,26 @@ from repro.inference.repairs import generate_repair_set
 from repro.systems.sqlite import make_sqlite
 
 QUICK = os.environ.get("BATCHED_BENCH_QUICK") == "1"
-ROUNDS = 3 if QUICK else 7
+PAIRS = 5 if QUICK else 21
 REQUIRED_SPEEDUP = 5.0
 N_CANDIDATES = 256
 TOP_K = 10
 
 
-def _median_seconds(function, rounds: int = ROUNDS) -> float:
-    timings = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        function()
-        timings.append(time.perf_counter() - started)
-    return float(np.median(timings))
+def _paired_speedup(scalar, batched,
+                    pairs: int = PAIRS) -> tuple[float, float, float]:
+    """Median scalar and batched seconds, and the median per-pair ratio."""
+    scalar_seconds: list[float] = []
+    batched_seconds: list[float] = []
+    for _ in range(pairs):
+        for function, seconds in ((scalar, scalar_seconds),
+                                  (batched, batched_seconds)):
+            started = time.perf_counter()
+            function()
+            seconds.append(time.perf_counter() - started)
+    ratios = [s / b for s, b in zip(scalar_seconds, batched_seconds)]
+    return (float(np.median(scalar_seconds)),
+            float(np.median(batched_seconds)), float(np.median(ratios)))
 
 
 def _build_scan():
@@ -105,9 +117,8 @@ def test_batched_repair_scan_speedup_and_identity(results_recorder):
     assert np.allclose([r.ice for r in batched_set],
                        [r.ice for r in scalar_set], rtol=1e-9, atol=1e-9)
 
-    scalar_seconds = _median_seconds(scalar)
-    batched_seconds = _median_seconds(batched)
-    speedup = scalar_seconds / batched_seconds
+    scalar_seconds, batched_seconds, speedup = _paired_speedup(scalar,
+                                                               batched)
 
     payload = {
         "n_candidates": len(scalar_set),
@@ -148,9 +159,8 @@ def test_batched_satisfaction_probability_speedup(results_recorder):
     batched_value = batched()
     assert scalar_value == batched_value
 
-    scalar_seconds = _median_seconds(scalar)
-    batched_seconds = _median_seconds(batched)
-    speedup = scalar_seconds / batched_seconds
+    scalar_seconds, batched_seconds, speedup = _paired_speedup(scalar,
+                                                               batched)
     payload = {
         "scalar_ms": scalar_seconds * 1000.0,
         "batched_ms": batched_seconds * 1000.0,

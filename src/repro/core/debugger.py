@@ -225,10 +225,7 @@ class UnicornDebugger:
         """
         causes = list(root_causes)
         if len(causes) < limit and engine is not None:
-            totals: dict[str, float] = {}
-            for objective in objective_names:
-                for option, effect in engine.option_effects(objective).items():
-                    totals[option] = totals.get(option, 0.0) + effect
+            totals = engine.total_option_effects(objective_names)
             for option in sorted(totals, key=totals.get, reverse=True):
                 if len(causes) >= limit:
                     break

@@ -41,6 +41,13 @@ def _permissible_values(model: FittedPerformanceModel, variable: str,
     return values
 
 
+def _mean_step(expectations) -> float:
+    """Mean of the successive differences of a value sweep's expectations."""
+    diffs = [expectations[i + 1] - expectations[i]
+             for i in range(len(expectations) - 1)]
+    return float(np.mean(diffs))
+
+
 def average_causal_effect(model: FittedPerformanceModel, target: str,
                           treatment: str,
                           domains: Mapping[str, Sequence[float]] | None = None,
@@ -50,24 +57,74 @@ def average_causal_effect(model: FittedPerformanceModel, target: str,
 
     When a :class:`repro.scm.batched.BatchedFittedModel` is passed as
     ``evaluator`` the per-value interventional expectations are computed in
-    one batched sweep; the scalar path is the reference oracle.
+    one batched sweep (:func:`average_causal_effects_table`); the scalar path
+    is the reference oracle.
     """
+    if evaluator is not None:
+        return average_causal_effects_table(
+            model, [target], [treatment], domains=domains,
+            max_contexts=max_contexts, evaluator=evaluator)[0][0]
     values = _permissible_values(model, treatment, domains)
     if len(values) < 2:
         return 0.0
-    if evaluator is not None:
-        expectations = evaluator.interventional_expectation_batch(
-            target, [{treatment: value} for value in values],
-            max_contexts=max_contexts)
-    else:
-        expectations = [
-            model.interventional_expectation(target, {treatment: value},
-                                             max_contexts=max_contexts)
-            for value in values
-        ]
-    diffs = [expectations[i + 1] - expectations[i]
-             for i in range(len(expectations) - 1)]
-    return float(np.mean(diffs))
+    return _mean_step([
+        model.interventional_expectation(target, {treatment: value},
+                                         max_contexts=max_contexts)
+        for value in values
+    ])
+
+
+def average_causal_effects_table(model: FittedPerformanceModel,
+                                 targets: Sequence[str],
+                                 treatments: Sequence[str],
+                                 domains: Mapping[str, Sequence[float]] | None = None,
+                                 max_contexts: int = 100,
+                                 evaluator=None) -> list[list[float]]:
+    """Signed ACE of several treatments on several targets in one sweep.
+
+    Every treatment's value sweep is concatenated into a single
+    ``interventional_expectation_table`` call, which executes each
+    intervention key set's program once for all targets; the expectations
+    are sliced back per target and treatment.  Because the batched evaluator
+    groups interventions by key set and reads each target from the same
+    execution, every entry is bitwise equal to a standalone
+    :func:`average_causal_effect` call for that pair.  Without an
+    ``evaluator`` each pair takes the scalar reference path.
+
+    Parameters
+    ----------
+    model, domains, max_contexts, evaluator:
+        As in :func:`average_causal_effect`.
+    targets:
+        The variables the effects are measured on.
+    treatments:
+        The options whose effects are wanted.
+
+    Returns
+    -------
+    list of list of float
+        One row per target, in ``targets`` order, of one signed ACE per
+        treatment, in ``treatments`` order.
+    """
+    if evaluator is None:
+        return [[average_causal_effect(model, target, treatment,
+                                       domains=domains,
+                                       max_contexts=max_contexts)
+                 for treatment in treatments]
+                for target in targets]
+    interventions: list[dict[str, float]] = []
+    slices: list[tuple[int, int]] = []
+    for treatment in treatments:
+        values = _permissible_values(model, treatment, domains)
+        start = len(interventions)
+        if len(values) >= 2:
+            interventions.extend({treatment: value} for value in values)
+        slices.append((start, len(interventions)))
+    table = evaluator.interventional_expectation_table(
+        targets, interventions, max_contexts=max_contexts)
+    return [[_mean_step(expectations[start:end]) if end - start >= 2
+             else 0.0 for start, end in slices]
+            for expectations in table]
 
 
 def average_causal_effects_batch(model: FittedPerformanceModel, target: str,
@@ -77,52 +134,12 @@ def average_causal_effects_batch(model: FittedPerformanceModel, target: str,
                                  evaluator=None) -> list[float]:
     """Signed ACE of several treatments on one target in one batched sweep.
 
-    The serving layer's batcher answers a drained group of ACE queries with
-    this: every treatment's value sweep is concatenated into a single
-    ``interventional_expectation_batch`` call and sliced back per
-    treatment.  Because the batched evaluator groups interventions by key
-    set, each treatment's rows form their own subgroup, so every returned
-    ACE is bitwise equal to a standalone :func:`average_causal_effect`
-    call for that treatment.
-
-    Parameters
-    ----------
-    model, target, domains, max_contexts, evaluator:
-        As in :func:`average_causal_effect`.
-    treatments:
-        The options whose effects on ``target`` are wanted.
-
-    Returns
-    -------
-    list of float
-        One signed ACE per treatment, in ``treatments`` order.
+    The one-target row of :func:`average_causal_effects_table`; the serving
+    layer's batcher answers a drained group of ACE queries with it.
     """
-    if evaluator is None:
-        return [average_causal_effect(model, target, treatment,
-                                      domains=domains,
-                                      max_contexts=max_contexts)
-                for treatment in treatments]
-    sweeps = [_permissible_values(model, treatment, domains)
-              for treatment in treatments]
-    interventions: list[dict[str, float]] = []
-    slices: list[tuple[int, int]] = []
-    for treatment, values in zip(treatments, sweeps):
-        start = len(interventions)
-        if len(values) >= 2:
-            interventions.extend({treatment: value} for value in values)
-        slices.append((start, len(interventions)))
-    expectations = (evaluator.interventional_expectation_batch(
-        target, interventions, max_contexts=max_contexts)
-        if interventions else [])
-    effects: list[float] = []
-    for start, end in slices:
-        if end - start < 2:
-            effects.append(0.0)
-            continue
-        window = expectations[start:end]
-        diffs = [window[i + 1] - window[i] for i in range(len(window) - 1)]
-        effects.append(float(np.mean(diffs)))
-    return effects
+    return average_causal_effects_table(
+        model, [target], treatments, domains=domains,
+        max_contexts=max_contexts, evaluator=evaluator)[0]
 
 
 def path_average_causal_effect(model: FittedPerformanceModel,
@@ -156,19 +173,36 @@ def option_effects_on_objective(model: FittedPerformanceModel,
     vector of the ACE-weighted Jaccard accuracy metric.  With a batched
     ``evaluator`` the whole option set is answered by one
     :func:`average_causal_effects_batch` sweep (bitwise equal to the
-    per-option calls, see its docstring) instead of one engine round-trip
-    per option.
+    per-option calls, see :func:`average_causal_effects_table`) instead of
+    one engine round-trip per option.
     """
     options = list(options)
-    if evaluator is not None:
-        signed = average_causal_effects_batch(
-            model, objective, options, domains=domains,
-            max_contexts=max_contexts, evaluator=evaluator)
-        return {option: abs(effect)
-                for option, effect in zip(options, signed)}
-    effects: dict[str, float] = {}
-    for option in options:
-        effects[option] = abs(average_causal_effect(
-            model, objective, option, domains=domains,
-            max_contexts=max_contexts, evaluator=evaluator))
-    return effects
+    signed = average_causal_effects_batch(
+        model, objective, options, domains=domains,
+        max_contexts=max_contexts, evaluator=evaluator)
+    return {option: abs(effect) for option, effect in zip(options, signed)}
+
+
+def total_option_effects(model: FittedPerformanceModel,
+                         objectives: Sequence[str], options: Sequence[str],
+                         domains: Mapping[str, Sequence[float]] | None = None,
+                         max_contexts: int = 100,
+                         evaluator=None) -> dict[str, float]:
+    """Each option's |ACE| summed over ``objectives``, from one sweep.
+
+    The Stage III exploration weights and the debugger's root-cause padding
+    both rank options by this total.  One
+    :func:`average_causal_effects_table` sweep answers every objective, and
+    the sums run in ``objectives`` order, so the result is bitwise equal
+    (values and key order) to summing :func:`option_effects_on_objective`
+    per objective.
+    """
+    options = list(options)
+    table = average_causal_effects_table(
+        model, list(objectives), options, domains=domains,
+        max_contexts=max_contexts, evaluator=evaluator)
+    totals: dict[str, float] = {}
+    for signed in table:
+        for option, effect in zip(options, signed):
+            totals[option] = totals.get(option, 0.0) + abs(effect)
+    return totals

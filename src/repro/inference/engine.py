@@ -22,6 +22,7 @@ from repro.inference.effects import (
     average_causal_effect,
     average_causal_effects_batch,
     option_effects_on_objective,
+    total_option_effects,
 )
 from repro.inference.paths import CausalPath, extract_ranked_paths, root_cause_options
 from repro.inference.queries import (
@@ -260,16 +261,32 @@ class CausalInferenceEngine:
             self._fitted, objective, list(options), domains=self._domains,
             max_contexts=self._max_contexts, evaluator=self._evaluator())
 
+    def _intervenable_options(self) -> list[str]:
+        return [o for o in self.constraints.options()
+                if self.constraints.is_intervenable(o)
+                and o in self._learned.data.columns]
+
     def option_effects(self, objective: str,
                        options: Sequence[str] | None = None) -> dict[str, float]:
         """|ACE| of every (intervenable) option on an objective."""
         if options is None:
-            options = [o for o in self.constraints.options()
-                       if self.constraints.is_intervenable(o)
-                       and o in self._learned.data.columns]
+            options = self._intervenable_options()
         return option_effects_on_objective(
             self._fitted, objective, options, domains=self._domains,
             max_contexts=self._max_contexts, evaluator=self._evaluator())
+
+    def total_option_effects(self, objectives: Sequence[str]
+                             ) -> dict[str, float]:
+        """|ACE| of every intervenable option, summed over ``objectives``.
+
+        One Stage III sweep answers every objective (see
+        :func:`repro.inference.effects.total_option_effects`); the result
+        equals summing :meth:`option_effects` per objective bit for bit.
+        """
+        return total_option_effects(
+            self._fitted, objectives, self._intervenable_options(),
+            domains=self._domains, max_contexts=self._max_contexts,
+            evaluator=self._evaluator())
 
     def ranked_paths(self, objectives: Sequence[str]) -> list[CausalPath]:
         """Top-K causal paths per objective, ranked by Path_ACE."""
@@ -459,10 +476,7 @@ class CausalInferenceEngine:
         options with larger causal effects are more likely to be changed,
         which is the Stage III exploration heuristic.
         """
-        totals: dict[str, float] = {}
-        for objective in objectives:
-            for option, effect in self.option_effects(objective).items():
-                totals[option] = totals.get(option, 0.0) + effect
+        totals = self.total_option_effects(objectives)
         values = np.array(list(totals.values()), dtype=float)
         if values.sum() <= 0:
             uniform = 1.0 / max(len(totals), 1)

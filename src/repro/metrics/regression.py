@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def mean_absolute_percentage_error(actual: Sequence[float],
@@ -33,7 +32,9 @@ def rank_correlation(source_terms: Mapping[str, float],
         return {"rho": 0.0, "p_value": 1.0, "common_terms": float(len(common))}
     source_values = [source_terms[t] for t in common]
     target_values = [target_terms[t] for t in common]
-    rho, p_value = scipy_stats.spearmanr(source_values, target_values)
+    from scipy.stats import spearmanr
+
+    rho, p_value = spearmanr(source_values, target_values)
     if np.isnan(rho):
         rho, p_value = 0.0, 1.0
     return {"rho": float(rho), "p_value": float(p_value),

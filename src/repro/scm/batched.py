@@ -42,9 +42,8 @@ from repro.scm.fitting import FittedPerformanceModel
 from repro.scm.fused import FusedProgram, compile_fused_program
 from repro.scm.model import StructuralCausalModel
 
-#: compiled fused programs kept per plan before the cache is dropped
-#: wholesale (distinct intervention key sets are few in practice).
-_MAX_FUSED_PROGRAMS = 128
+#: floor of :attr:`StructuralPlan.program_capacity` for small models.
+_MIN_FUSED_PROGRAMS = 128
 
 
 def evaluate_mechanism_batch(mechanism, columns: Mapping[str, np.ndarray],
@@ -144,6 +143,19 @@ class StructuralPlan:
             cached = self._schedules[key] = tuple(
                 v for v in self._topo if v in affected and v not in key)
         return cached
+
+    @property
+    def program_capacity(self) -> int:
+        """Compiled fused programs kept before the cache is dropped wholesale.
+
+        Derived from the model size: an ACE sweep compiles one program per
+        intervened option, so a bound below the variable count would clear
+        the cache mid-sweep and make every later sweep at the same model
+        version recompile everything.  Twice the variable count holds one
+        single-variable program per variable plus as many multi-key repair
+        and satisfaction programs.
+        """
+        return max(_MIN_FUSED_PROGRAMS, 2 * len(self._topo))
 
     def fused_programs(self, owner: object) -> dict:
         """The fused-program cache, claimed for ``owner``.
@@ -356,21 +368,23 @@ class BatchedFittedModel:
     def plan(self) -> StructuralPlan:
         return self._plan
 
+    def _cached(self, key, build):
+        """Fetch ``key`` from the plan's fused-program table, or ``build`` it."""
+        programs = self._plan.fused_programs(self._model)
+        entry = programs.get(key)
+        if entry is None:
+            if len(programs) >= self._plan.program_capacity:
+                programs.clear()
+            entry = programs[key] = build()
+        return entry
+
     def _program(self, key, schedule: Sequence[str], known,
                  missing: str = "skip", column_names: Iterable[str] = (),
                  vector: Iterable[str] = ()) -> FusedProgram:
         """Compile-or-fetch the fused program for one cache ``key``."""
-        programs = self._plan.fused_programs(self._model)
-        program = programs.get(key)
-        if program is None:
-            if len(programs) >= _MAX_FUSED_PROGRAMS:
-                programs.clear()
-            program = compile_fused_program(self._model, schedule, known,
-                                            missing=missing,
-                                            column_names=column_names,
-                                            vector=vector)
-            programs[key] = program
-        return program
+        return self._cached(key, lambda: compile_fused_program(
+            self._model, schedule, known, missing=missing,
+            column_names=column_names, vector=vector))
 
     def _column_mean(self, variable: str) -> float:
         epoch = self._model.data.data_epoch
@@ -443,15 +457,29 @@ class BatchedFittedModel:
             max_contexts: int = 200) -> np.ndarray:
         """Vectorized ``E[target | do(...)]`` over the empirical contexts.
 
+        The one-target row of :meth:`interventional_expectation_table`.
+        """
+        return self.interventional_expectation_table(
+            (target,), interventions, max_contexts=max_contexts)[0]
+
+    def interventional_expectation_table(
+            self, targets: Sequence[str],
+            interventions: Sequence[Mapping[str, float]],
+            max_contexts: int = 200) -> np.ndarray:
+        """``E[t | do(...)]`` for every target ``t``, as a ``(T, N)`` array.
+
         For each group of interventions sharing a key set, the observed
         contexts are tiled row-major into ``(N * R,)`` columns (only the
         columns the compiled program reads are materialised), the
         intervened columns are clamped, and only the variables downstream of
         an intervened one are re-propagated — the batched analogue of the
-        scalar truncated factorisation.
+        scalar truncated factorisation.  The program and its schedule do not
+        depend on the target, so each group executes once and every target's
+        row is read from that one execution: row ``t`` is bitwise equal to a
+        one-target call for ``targets[t]``.
         """
         interventions = list(interventions)
-        out = np.zeros(len(interventions), dtype=float)
+        out = np.zeros((len(targets), len(interventions)), dtype=float)
         context = self._context_matrix(max_contexts)
         n_contexts = context.shape[0]
         if n_contexts == 0:
@@ -473,17 +501,18 @@ class BatchedFittedModel:
                                    for i in idx], dtype=float)
                 values[key] = np.repeat(column, n_contexts)
             program.execute(values, n)
-            if target in program.produces:
-                column = values[target]
-                if isinstance(column, np.ndarray):
-                    out[idx] = column.reshape(len(idx),
-                                              n_contexts).mean(axis=1)
-                else:
-                    out[idx] = float(column)
-            elif target in keyset:
-                out[idx] = [float(interventions[i][target]) for i in idx]
-            elif target in self._column_index:
-                out[idx] = context[:, self._column_index[target]].mean()
+            for row, target in zip(out, targets):
+                if target in program.produces:
+                    column = values[target]
+                    if isinstance(column, np.ndarray):
+                        row[idx] = column.reshape(len(idx),
+                                                  n_contexts).mean(axis=1)
+                    else:
+                        row[idx] = float(column)
+                elif target in keyset:
+                    row[idx] = [float(interventions[i][target]) for i in idx]
+                elif target in self._column_index:
+                    row[idx] = context[:, self._column_index[target]].mean()
         return out
 
     # -------------------------------------------------------- counterfactual
@@ -615,14 +644,9 @@ class BatchedFittedModel:
         if not union:
             return out
         keys = tuple(sorted(union))
-        guard_key = ("cfm-guard", keys, frozenset(observation))
-        programs = self._plan.fused_programs(self._model)
-        eligible = programs.get(guard_key)
-        if eligible is None:
-            eligible = self._merged_guard(keys, union, observation)
-            if len(programs) >= _MAX_FUSED_PROGRAMS:
-                programs.clear()
-            programs[guard_key] = eligible
+        eligible = self._cached(
+            ("cfm-guard", keys, frozenset(observation)),
+            lambda: self._merged_guard(keys, union, observation))
         if not eligible:
             return None
         schedule = self._plan.propagation_schedule(keys)

@@ -42,7 +42,6 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 from scipy import special as scipy_special
-from scipy import stats as scipy_stats
 
 from repro.stats.dataset import Dataset
 from repro.stats.entropy import mutual_information
@@ -354,7 +353,7 @@ def g_square(x: np.ndarray, y: np.ndarray,
         z_cells = len(np.unique(
             [tuple(row) for row in conditioning.astype(np.int64)], axis=0))
     dof = max((x_levels - 1) * (y_levels - 1) * z_cells, 1)
-    p_value = float(scipy_stats.chi2.sf(statistic, dof))
+    p_value = float(scipy_special.chdtrc(dof, statistic))
     return CIResult(independent=bool(p_value > alpha), p_value=p_value,
                     statistic=float(statistic))
 

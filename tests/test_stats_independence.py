@@ -1,7 +1,15 @@
 """Tests for the conditional-independence tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import special, stats
+
+import repro
 
 from repro.stats.dataset import Dataset
 from repro.stats.independence import (
@@ -124,3 +132,26 @@ def test_mixed_batch_matches_single_tests_across_both_dispatch_paths(
         assert [r.independent for r in batch] == [r.independent for r in single]
         assert [r.p_value for r in batch] == pytest.approx(
             [r.p_value for r in single], rel=1e-9, abs=1e-12)
+
+
+def test_g_square_tail_is_the_chi2_survival_function():
+    """``chdtrc(dof, x)`` is the kernel of ``chi2.sf(x, dof)``, bit for bit."""
+    rng = np.random.default_rng(3)
+    statistics = rng.exponential(10.0, size=2000) * rng.choice(
+        [0.01, 1.0, 10.0], size=2000)
+    dofs = rng.integers(1, 400, size=2000)
+    for statistic, dof in zip(statistics, dofs):
+        assert float(special.chdtrc(int(dof), statistic)) == \
+            float(stats.chi2.sf(statistic, int(dof)))
+
+
+@pytest.mark.parametrize("module", ["repro.core", "repro.service"])
+def test_import_does_not_load_scipy_stats(module):
+    """``scipy.stats`` takes about a second to import; the library's
+    import path must not pay it."""
+    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"
