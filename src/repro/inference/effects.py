@@ -106,6 +106,8 @@ def average_causal_effects_table(model: FittedPerformanceModel,
         One row per target, in ``targets`` order, of one signed ACE per
         treatment, in ``treatments`` order.
     """
+    if not targets:
+        return []
     if evaluator is None:
         return [[average_causal_effect(model, target, treatment,
                                        domains=domains,
@@ -170,39 +172,30 @@ def option_effects_on_objective(model: FittedPerformanceModel,
 
     Used both as the sampling heuristic of Stage III (options are perturbed
     with probability proportional to their causal effect) and as the weight
-    vector of the ACE-weighted Jaccard accuracy metric.  With a batched
-    ``evaluator`` the whole option set is answered by one
-    :func:`average_causal_effects_batch` sweep (bitwise equal to the
-    per-option calls, see :func:`average_causal_effects_table`) instead of
-    one engine round-trip per option.
+    vector of the ACE-weighted Jaccard accuracy metric.  The one-objective
+    row of :func:`option_effects_on_objectives`.
     """
-    options = list(options)
-    signed = average_causal_effects_batch(
-        model, objective, options, domains=domains,
-        max_contexts=max_contexts, evaluator=evaluator)
-    return {option: abs(effect) for option, effect in zip(options, signed)}
+    return option_effects_on_objectives(
+        model, [objective], options, domains=domains,
+        max_contexts=max_contexts, evaluator=evaluator)[0]
 
 
-def total_option_effects(model: FittedPerformanceModel,
-                         objectives: Sequence[str], options: Sequence[str],
-                         domains: Mapping[str, Sequence[float]] | None = None,
-                         max_contexts: int = 100,
-                         evaluator=None) -> dict[str, float]:
-    """Each option's |ACE| summed over ``objectives``, from one sweep.
+def option_effects_on_objectives(model: FittedPerformanceModel,
+                                 objectives: Sequence[str],
+                                 options: Sequence[str],
+                                 domains: Mapping[str, Sequence[float]] | None = None,
+                                 max_contexts: int = 100,
+                                 evaluator=None) -> list[dict[str, float]]:
+    """|ACE| of each option on every objective, from one sweep.
 
-    The Stage III exploration weights and the debugger's root-cause padding
-    both rank options by this total.  One
-    :func:`average_causal_effects_table` sweep answers every objective, and
-    the sums run in ``objectives`` order, so the result is bitwise equal
-    (values and key order) to summing :func:`option_effects_on_objective`
-    per objective.
+    One :func:`average_causal_effects_table` sweep answers every objective
+    (with a batched ``evaluator``, one program execution per option), so
+    each returned dict, in ``objectives`` order, is bitwise equal to a
+    standalone per-objective sweep.
     """
     options = list(options)
     table = average_causal_effects_table(
         model, list(objectives), options, domains=domains,
         max_contexts=max_contexts, evaluator=evaluator)
-    totals: dict[str, float] = {}
-    for signed in table:
-        for option, effect in zip(options, signed):
-            totals[option] = totals.get(option, 0.0) + abs(effect)
-    return totals
+    return [{option: abs(effect) for option, effect in zip(options, signed)}
+            for signed in table]

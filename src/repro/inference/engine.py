@@ -22,7 +22,7 @@ from repro.inference.effects import (
     average_causal_effect,
     average_causal_effects_batch,
     option_effects_on_objective,
-    total_option_effects,
+    option_effects_on_objectives,
 )
 from repro.inference.paths import CausalPath, extract_ranked_paths, root_cause_options
 from repro.inference.queries import (
@@ -275,18 +275,28 @@ class CausalInferenceEngine:
             self._fitted, objective, options, domains=self._domains,
             max_contexts=self._max_contexts, evaluator=self._evaluator())
 
+    def _option_effects_per_objective(self, objectives: Sequence[str]
+                                      ) -> list[dict[str, float]]:
+        """:meth:`option_effects` of every objective, from one sweep."""
+        return option_effects_on_objectives(
+            self._fitted, objectives, self._intervenable_options(),
+            domains=self._domains, max_contexts=self._max_contexts,
+            evaluator=self._evaluator())
+
     def total_option_effects(self, objectives: Sequence[str]
                              ) -> dict[str, float]:
         """|ACE| of every intervenable option, summed over ``objectives``.
 
-        One Stage III sweep answers every objective (see
-        :func:`repro.inference.effects.total_option_effects`); the result
-        equals summing :meth:`option_effects` per objective bit for bit.
+        One Stage III sweep answers every objective and the sums run in
+        ``objectives`` order, so the result equals summing
+        :meth:`option_effects` per objective bit for bit (values and key
+        order).
         """
-        return total_option_effects(
-            self._fitted, objectives, self._intervenable_options(),
-            domains=self._domains, max_contexts=self._max_contexts,
-            evaluator=self._evaluator())
+        totals: dict[str, float] = {}
+        for effects in self._option_effects_per_objective(objectives):
+            for option, effect in effects.items():
+                totals[option] = totals.get(option, 0.0) + effect
+        return totals
 
     def ranked_paths(self, objectives: Sequence[str]) -> list[CausalPath]:
         """Top-K causal paths per objective, ranked by Path_ACE."""
@@ -455,8 +465,9 @@ class CausalInferenceEngine:
             estimates[constraint.objective] = self.satisfaction_probability(
                 constraint, query.intervention)
         elif query.kind is QueryKind.OPTIMIZE:
-            for objective, direction in query.objectives.items():
-                effects = self.option_effects(objective)
+            objectives = list(query.objectives)
+            for objective, effects in zip(
+                    objectives, self._option_effects_per_objective(objectives)):
                 if effects:
                     best_option = max(effects, key=effects.get)
                     estimates[objective] = effects[best_option]

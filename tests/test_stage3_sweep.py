@@ -22,6 +22,7 @@ from repro.inference.effects import (
     average_causal_effects_table,
 )
 from repro.inference.engine import CausalInferenceEngine
+from repro.inference.queries import PerformanceQuery
 from repro.scm.batched import BatchedFittedModel
 from repro.scm.fitting import FittedPerformanceModel
 from repro.stats.dataset import Dataset
@@ -96,7 +97,40 @@ def test_sqlite_130x80_sweep_equals_per_objective_sums(sqlite_engine):
     assert _bits(engine.total_option_effects(objectives)) == _bits(reference)
     assert _bits(engine.sampling_probabilities(objectives)) == \
         _bits(_probabilities(reference))
+
+
+def test_sweep_over_no_objectives_does_no_work(sqlite_engine, monkeypatch):
+    system, engine = sqlite_engine
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an empty sweep executed a program")
+
+    monkeypatch.setattr(BatchedFittedModel,
+                        "interventional_expectation_table", fail)
     assert engine.total_option_effects([]) == {}
+    assert engine.answer(PerformanceQuery.optimize({})).estimates == {}
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+def test_optimize_answer_equals_per_objective_sweeps(case_study_engine,
+                                                     case_study_system,
+                                                     batched):
+    """The OPTIMIZE query reads every objective's largest |ACE| from one
+    sweep; each estimate and note equals the per-objective sweep's."""
+    engine = (case_study_engine if batched
+              else _scalar_twin(case_study_engine))
+    objectives = case_study_system.objective_names
+    answer = engine.answer(PerformanceQuery.optimize(
+        {objective: "minimize" for objective in objectives}))
+    expected, note = {}, ""
+    for objective in objectives:
+        effects = engine.option_effects(objective)
+        best = max(effects, key=effects.get)
+        expected[objective] = effects[best]
+        note = (f"option with the largest causal effect on "
+                f"{objective}: {best}")
+    assert _bits(answer.estimates) == _bits(expected)
+    assert answer.notes == note
 
 
 def test_expectation_table_rows_equal_one_target_calls(sqlite_engine):
