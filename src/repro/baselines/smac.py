@@ -15,7 +15,7 @@ import time
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtr
 
 from repro.baselines.trees import RandomForestRegressor
 from repro.core.optimizer import OptimizationResult
@@ -132,4 +132,7 @@ class SMACOptimizer:
                               best: float) -> np.ndarray:
         std = np.maximum(std, 1e-9)
         z = (best - mean) / std
-        return (best - mean) * scipy_stats.norm.cdf(z) + std * scipy_stats.norm.pdf(z)
+        # The standard normal cdf and pdf, bit for bit as scipy.stats.norm
+        # computes them, without importing scipy.stats.
+        pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+        return (best - mean) * ndtr(z) + std * pdf

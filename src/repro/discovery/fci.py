@@ -15,12 +15,14 @@ import itertools
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.discovery.constraints import StructuralConstraints
 from repro.discovery.skeleton import (SkeletonResult, SkeletonSpace,
                                       learn_skeleton)
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
-from repro.graph.separation import possible_d_sep
+from repro.graph.separation import possible_d_sep_reach
 from repro.stats.independence import CITest
 
 
@@ -184,13 +186,31 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
                  max_subsets_per_edge: int = 50) -> int:
     """Second FCI pruning phase using Possible-D-Sep sets.
 
-    Returns the number of CI tests performed.  ``max_subsets_per_edge`` caps
-    the number of conditioning subsets examined per edge so the phase stays
-    tractable on dense intermediate graphs.  A test with ``test_index`` is
-    run on column indices, so it meets the decisions the skeleton search
-    stored under the same keys.
+    Every edge of the graph as it stands, in ``MixedGraph.edges()`` order,
+    is tested against the subsets of its current Possible-D-Sep
+    candidates (the conditioning-allowed nodes of Possible-D-Sep(x, y) and
+    Possible-D-Sep(y, x), in name order), size by size from 1 up to
+    ``max_condition_size`` and at most ``max_subsets_per_edge`` subsets a
+    size (the ``max_combinations`` idiom), up to the first independent
+    one; the edge is then removed with that separating set.  Returns the
+    number of CI tests performed.  A test with ``test_index`` is run on
+    column indices, so it meets the decisions the skeleton search stored
+    under the same keys.
+
+    Removing an edge only shrinks Possible-D-Sep sets, so each edge's
+    candidates under the graph before pruning hold all it can be tested
+    against.  With ``singleton_block`` their ``|Z| = 1`` tests are decided
+    in one block; the walk over the edges takes, for each, the candidates
+    still in its current sets, so it performs exactly the one-at-a-time
+    tests.  A ``-1`` decision, a subset of two or more, and every test of
+    a test without ``singleton_block`` goes to ``test_index`` (or
+    ``test``) when the walk reaches it; the block elements the walk
+    performed go to ``settle_singletons``.  The sets come from
+    :func:`possible_d_sep_reach`, kept per node and walked again only
+    after a removal that can change them.
     """
-    tests = 0
+    if max_condition_size < 1:
+        return 0
     required = set()
     if constraints is not None:
         required = {frozenset(edge) for edge in constraints.required_edges}
@@ -202,27 +222,79 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
         column = {name: name for name in graph.nodes}
     allowed = {name for name in graph.nodes
                if constraints is None or constraints.conditioning_allowed(name)}
-    for edge in list(graph.edges()):
-        x, y = edge.u, edge.v
-        if not graph.has_edge(x, y) or frozenset((x, y)) in required:
-            continue
-        candidates = sorted((possible_d_sep(graph, x, y)
-                             | possible_d_sep(graph, y, x)) & allowed)
-        found = False
+    reach = _Reach(graph)
+    edges = [(edge.u, edge.v) for edge in graph.edges()
+             if frozenset((edge.u, edge.v)) not in required]
+    candidates = [sorted(((reach(x) | reach(y)) - {x, y}) & allowed)
+                  for x, y in edges]
+    bounds = list(itertools.accumulate(map(len, candidates), initial=0))
+    block = None
+    if hasattr(ci_test, "singleton_block") and bounds[-1]:
+        sizes = np.diff(bounds)
+        block = ci_test.singleton_block(
+            np.repeat([column[x] for x, _ in edges], sizes),
+            np.repeat([column[y] for _, y in edges], sizes),
+            np.array([column[c] for names in candidates for c in names],
+                     dtype=np.intp))
+        decisions = block.decided.tolist()
+    else:
+        decisions = [-1] * bounds[-1]
+    performed: list[int] = []
+    tests = 0
+    for e, (x, y) in enumerate(edges):
+        near_x, near_y = reach(x), reach(y)
+        live = [(at, name) for at, name in enumerate(candidates[e], bounds[e])
+                if name in near_x or name in near_y]
+        names = [name for _, name in live]
         i, j = column[x], column[y]
-        for size in range(1, min(len(candidates), max_condition_size) + 1):
-            subsets = itertools.islice(
-                itertools.combinations(candidates, size), max_subsets_per_edge)
-            for subset in subsets:
+        found = None
+        for at, name in live[:max_subsets_per_edge]:
+            tests += 1
+            decision = decisions[at]
+            if decision < 0:
+                decision = test(i, j, [column[name]]).independent
+            else:
+                performed.append(at)
+            if decision:
+                found = (name,)
+                break
+        for size in range(2, min(len(names), max_condition_size) + 1):
+            if found is not None:
+                break
+            for subset in itertools.islice(itertools.combinations(names, size),
+                                           max_subsets_per_edge):
                 tests += 1
                 if test(i, j, [column[c] for c in subset]).independent:
-                    graph.remove_edge(x, y)
-                    separating_sets[frozenset((x, y))] = set(subset)
-                    found = True
+                    found = subset
                     break
-            if found:
-                break
+        if found is not None:
+            reach.remove_edge(x, y)
+            separating_sets[frozenset((x, y))] = set(found)
+    if block is not None:
+        ci_test.settle_singletons(block, performed)
     return tests
+
+
+class _Reach:
+    """:func:`possible_d_sep_reach` of every node of ``graph``, walked on
+    first use and again only after :meth:`remove_edge` removed an edge
+    with both ends in the node's set (or at the node itself)."""
+
+    def __init__(self, graph: MixedGraph) -> None:
+        self._graph = graph
+        self._sets: dict[str, set[str]] = {}
+
+    def __call__(self, node: str) -> set[str]:
+        found = self._sets.get(node)
+        if found is None:
+            found = self._sets[node] = possible_d_sep_reach(self._graph, node)
+        return found
+
+    def remove_edge(self, x: str, y: str) -> None:
+        self._graph.remove_edge(x, y)
+        self._sets = {node: found for node, found in self._sets.items()
+                      if not ((node == x or x in found)
+                              and (node == y or y in found))}
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.discovery.constraints import StructuralConstraints
+from repro.discovery.constraints import StructuralConstraints, VariableRole
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
 from repro.stats.independence import CITest
@@ -133,37 +133,43 @@ class SkeletonSpace:
     conditioning set (``None`` when every variable is).  ``pair_names`` maps
     each pair to its separating-set key, ``frozenset`` of the two names,
     ``testable_names`` lists those keys in ``testable`` order and
-    ``testable_position`` maps them back to it.
+    ``testable_position`` maps them back to it.  The pairs come out of
+    boolean matrices over the ids (:func:`_pair_masks`), one array pass,
+    not one ``adjacency_allowed`` call per pair.
     """
 
     def __init__(self, variables: Sequence[str],
                  constraints: StructuralConstraints | None = None) -> None:
         self.variables = list(variables)
         self.names = sorted(self.variables)
+        size = len(self.names)
         local = {name: k for k, name in enumerate(self.names)}
-        self.position = [0] * len(self.names)
+        self.position = [0] * size
         for p, name in enumerate(self.variables):
             self.position[local[name]] = p
-        allowed = (constraints.adjacency_allowed if constraints is not None
-                   else lambda u, v: True)
-        self.pairs = [(local[u], v)
-                      for p, u in enumerate(self.variables)
-                      for v, name in enumerate(self.names)
-                      if self.position[v] > p and allowed(u, name)]
-        self.pair_names = {(u, v): frozenset((self.names[u], self.names[v]))
-                           for u, v in self.pairs}
-        required = set() if constraints is None else {
-            frozenset(edge) for edge in constraints.required_edges}
-        self.required = frozenset(pair for pair, key in self.pair_names.items()
-                                  if key in required)
-        self.testable = [pair for pair in self.pairs
-                         if pair not in self.required]
-        self.testable_names = [self.pair_names[pair]
-                               for pair in self.testable]
+        allowed, required = _pair_masks(self.names, local, constraints)
+        # Row p holds the ids of the variables after variables[p]; the
+        # nonzero entries come out row by row, ids ascending in a row.
+        position = np.asarray(self.position, dtype=np.intp)
+        by_position = np.argsort(position)
+        rows, second = np.nonzero(
+            (position > np.arange(size)[:, None]) & allowed[by_position])
+        first = by_position[rows]
+        self.pairs = list(zip(first.tolist(), second.tolist()))
+        keys = list(map(frozenset, zip(
+            [self.names[u] for u in first.tolist()],
+            [self.names[v] for v in second.tolist()])))
+        self.pair_names = dict(zip(self.pairs, keys))
+        forced = required[first, second]
+        self.required = frozenset(itertools.compress(self.pairs,
+                                                     forced.tolist()))
+        kept = (~forced).tolist()
+        self.testable = list(itertools.compress(self.pairs, kept))
+        self.testable_names = list(itertools.compress(keys, kept))
         self.testable_position = {key: k for k, key
                                   in enumerate(self.testable_names)}
-        self._testable_ids = np.array(self.testable,
-                                      dtype=np.intp).reshape(-1, 2)
+        self._testable_ids = np.stack([first[~forced], second[~forced]],
+                                      axis=1)
         self._required_ids = np.array(sorted(self.required),
                                       dtype=np.intp).reshape(-1, 2)
         self.conditioning = None if constraints is None else frozenset(
@@ -218,6 +224,31 @@ class SkeletonSpace:
                                                  position[p[1]])):
             graph.add_edge(names[u], names[v], Mark.CIRCLE, Mark.CIRCLE)
         return graph
+
+
+def _pair_masks(names: Sequence[str], local: dict[str, int],
+                constraints: StructuralConstraints | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(allowed, required)`` boolean matrices over the local ids of
+    ``names``: ``constraints.adjacency_allowed`` from the variable roles
+    and the forbidden edges, and the pairs of the required edges."""
+    size = len(names)
+    allowed = np.ones((size, size), dtype=bool)
+    required = np.zeros((size, size), dtype=bool)
+    if constraints is None:
+        return allowed, required
+    option = np.array([constraints.roles[name] is VariableRole.OPTION
+                       for name in names], dtype=bool)
+    if constraints.forbid_option_option_edges:
+        allowed[np.ix_(option, option)] = False
+    forbidden = constraints.forbidden_edges
+    for u, v in forbidden:
+        if (v, u) in forbidden and u in local and v in local:
+            allowed[local[u], local[v]] = allowed[local[v], local[u]] = False
+    for u, v in constraints.required_edges:
+        if u in local and v in local:
+            required[local[u], local[v]] = required[local[v], local[u]] = True
+    return allowed, required
 
 
 def initial_graph(variables: list[str],

@@ -43,6 +43,7 @@ arguments:
 
 from __future__ import annotations
 
+import statistics
 import tempfile
 import time
 from typing import Mapping, Sequence
@@ -71,6 +72,12 @@ from repro.service.workload import (
     serve_rounds,
 )
 from repro.systems.registry import get_system
+
+#: Crash-recovery timings per side of :func:`run_cold_start_recovery`,
+#: taken as store/baseline pairs back to back: a swing in host speed moves
+#: both sides of a pair's ratio together, and the median over the pairs
+#: drops the few pairs a swing splits.
+_RECOVERY_PAIRS = 5
 
 
 def _fleet(system: str, hardware: str | None, n_subjects: int,
@@ -365,7 +372,8 @@ def run_cold_start_recovery(system: str, hardware: str | None = None,
       store the respawn restores snapshots and replays only the journal
       *suffix* past each subject's snapshot watermark (the parent
       compacted the rest); the baseline refits and replays its full
-      journal.
+      journal.  Both services stay up while the crashes alternate
+      between them, store then baseline, in ``_RECOVERY_PAIRS`` pairs.
 
     Every recovered tier must answer a converged-state probe workload
     byte-identically to a single-process reference registry that folded
@@ -399,8 +407,9 @@ def run_cold_start_recovery(system: str, hardware: str | None = None,
     -------
     dict
         JSON-serializable cell result: priming/cold-start/recovery
-        seconds per side, ``cold_start_speedup`` and
-        ``recovery_speedup`` (baseline over store), journal lengths
+        seconds per side (crash recovery: the median over the pairs),
+        ``cold_start_speedup`` and ``recovery_speedup`` (baseline over
+        store; for recovery the median per-pair ratio), journal lengths
         (bounded with the store, full without), store counters and
         ``identical``.
     """
@@ -437,7 +446,7 @@ def run_cold_start_recovery(system: str, hardware: str | None = None,
                            batch_window=float(batch_window))
     with tempfile.TemporaryDirectory(prefix="model-store-") as scratch:
         store_dir = store_root or scratch
-        # ---- priming + crash recovery WITH the store -------------------
+        # ---- priming WITH the store ------------------------------------
         with ShardedQueryService(specs, store_path=store_dir,
                                  snapshot_every=int(snapshot_every),
                                  **service_options) as primed:
@@ -445,9 +454,29 @@ def run_cold_start_recovery(system: str, hardware: str | None = None,
             journal_len_store = max(len(s.journal)
                                     for s in primed._shards)
             compacted_ops = primed.stats.journal_ops_compacted
-            recovery_store_seconds, recovered = _crash_and_recover(
-                primed, crash_shard, crash_probe, probes)
-            identical = recovered == reference_answers
+
+            # ---- baseline: refit from specs + full-history replay ------
+            started = time.perf_counter()
+            with ShardedQueryService(specs, store_path=None,
+                                     **service_options) as baseline:
+                for round_spec in rounds:
+                    observe_all(baseline, round_spec["observations"])
+                cold_baseline_seconds = time.perf_counter() - started
+                journal_len_baseline = max(len(s.journal)
+                                           for s in baseline._shards)
+                answers = baseline.submit_many(probes, timeout=600.0)
+                identical = canonical_answers(answers) == reference_answers
+
+                # ---- crash recovery, store then baseline, in pairs -----
+                store_seconds: list[float] = []
+                baseline_seconds: list[float] = []
+                for _ in range(_RECOVERY_PAIRS):
+                    for service, seconds in ((primed, store_seconds),
+                                             (baseline, baseline_seconds)):
+                        elapsed, recovered = _crash_and_recover(
+                            service, crash_shard, crash_probe, probes)
+                        seconds.append(elapsed)
+                        identical &= recovered == reference_answers
 
         # ---- cold start WITH the store ---------------------------------
         started = time.perf_counter()
@@ -458,20 +487,6 @@ def run_cold_start_recovery(system: str, hardware: str | None = None,
             answers = restarted.submit_many(probes, timeout=600.0)
             identical &= canonical_answers(answers) == reference_answers
             restarted_stats = restarted.worker_stats()
-
-    # ---- baseline: refit from specs + full-history replay --------------
-    started = time.perf_counter()
-    with ShardedQueryService(specs, store_path=None,
-                             **service_options) as baseline:
-        for round_spec in rounds:
-            observe_all(baseline, round_spec["observations"])
-        cold_baseline_seconds = time.perf_counter() - started
-        journal_len_baseline = max(len(s.journal) for s in baseline._shards)
-        answers = baseline.submit_many(probes, timeout=600.0)
-        identical &= canonical_answers(answers) == reference_answers
-        recovery_baseline_seconds, recovered = _crash_and_recover(
-            baseline, crash_shard, crash_probe, probes)
-        identical &= recovered == reference_answers
 
     return {
         "system": system,
@@ -487,10 +502,12 @@ def run_cold_start_recovery(system: str, hardware: str | None = None,
         "cold_baseline_seconds": cold_baseline_seconds,
         "cold_start_speedup": cold_baseline_seconds
         / max(cold_store_seconds, 1e-9),
-        "recovery_store_seconds": recovery_store_seconds,
-        "recovery_baseline_seconds": recovery_baseline_seconds,
-        "recovery_speedup": recovery_baseline_seconds
-        / max(recovery_store_seconds, 1e-9),
+        "recovery_store_seconds": statistics.median(store_seconds),
+        "recovery_baseline_seconds": statistics.median(baseline_seconds),
+        "recovery_speedup": statistics.median(
+            b / max(s, 1e-9)
+            for s, b in zip(store_seconds, baseline_seconds)),
+        "recovery_pairs": _RECOVERY_PAIRS,
         "journal_len_store": journal_len_store,
         "journal_len_baseline": journal_len_baseline,
         "journal_ops_compacted": compacted_ops,

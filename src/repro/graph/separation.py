@@ -78,12 +78,25 @@ def possible_d_sep(graph: MixedGraph, x: str, y: str) -> set[str]:
     A node ``v`` is in Possible-D-Sep(x, y) iff there is a path between ``x``
     and ``v`` on which every non-endpoint vertex is either a collider on the
     path or adjacent to both of its path-neighbours (i.e. part of a triangle).
+    It is :func:`possible_d_sep_reach` of ``x`` without ``x`` and ``y``.
+    """
+    return possible_d_sep_reach(graph, x) - {x, y}
+
+
+def possible_d_sep_reach(graph: MixedGraph, x: str) -> set[str]:
+    """Every node such a path from ``x`` reaches, ``x`` itself included
+    when a path returns to it.
+
+    The set does not depend on the other end of the tested edge, so a
+    caller testing many edges can keep one per node.  Removing an edge
+    only removes paths, and it changes the set only when both of its
+    ends are ``x`` or in the set.
     """
     # The search reads the graph's live adjacency and marks views, without
-    # per-call copies: it runs once per edge per FCI pruning pass, on every
-    # relearn.
+    # per-call copies: it runs for every endpoint of an FCI pruning pass,
+    # on every relearn.
     adjacency, marks, arrow = graph.adjacency, graph.marks, Mark.ARROW
-    pdsep: set[str] = set()
+    reached: set[str] = set()
     # frontier entries are (previous, current) node pairs along a path.
     visited: set[tuple[str, str]] = set()
     frontier = [(x, n) for n in adjacency[x]]
@@ -93,7 +106,7 @@ def possible_d_sep(graph: MixedGraph, x: str, y: str) -> set[str]:
             continue
         visited.add(step)
         prev, current = step
-        pdsep.add(current)
+        reached.add(current)
         into_current = marks[step] is arrow
         near_prev = adjacency[prev]
         for nxt in adjacency[current]:
@@ -102,6 +115,4 @@ def possible_d_sep(graph: MixedGraph, x: str, y: str) -> set[str]:
             if nxt != prev and (nxt in near_prev or (
                     into_current and marks[(nxt, current)] is arrow)):
                 frontier.append((current, nxt))
-    pdsep.discard(x)
-    pdsep.discard(y)
-    return pdsep
+    return reached

@@ -88,8 +88,11 @@ def average_causal_effects_table(model: FittedPerformanceModel,
     are sliced back per target and treatment.  Because the batched evaluator
     groups interventions by key set and reads each target from the same
     execution, every entry is bitwise equal to a standalone
-    :func:`average_causal_effect` call for that pair.  Without an
-    ``evaluator`` each pair takes the scalar reference path.
+    :func:`average_causal_effect` call for that pair.  A target outside a
+    treatment's downstream set reads one value ``c`` across the
+    treatment's slice, so its effect is ``c - c`` with no differences
+    averaged.  Without an ``evaluator`` each pair takes the scalar
+    reference path.
 
     Parameters
     ----------
@@ -124,9 +127,23 @@ def average_causal_effects_table(model: FittedPerformanceModel,
         slices.append((start, len(interventions)))
     table = evaluator.interventional_expectation_table(
         targets, interventions, max_contexts=max_contexts)
-    return [[_mean_step(expectations[start:end]) if end - start >= 2
-             else 0.0 for start, end in slices]
-            for expectations in table]
+    affected = evaluator.plan.affected_variables
+    reached = [affected((treatment,)) for treatment in treatments]
+    effects = []
+    for target, expectations in zip(targets, table):
+        row = []
+        for (start, end), reach in zip(slices, reached):
+            if end - start < 2:
+                row.append(0.0)
+            elif target in reach:
+                row.append(_mean_step(expectations[start:end]))
+            else:
+                # Off the treatment's downstream set the slice repeats one
+                # value c, so every successive difference is c - c.
+                constant = float(expectations[start])
+                row.append(constant - constant)
+        effects.append(row)
+    return effects
 
 
 def average_causal_effects_batch(model: FittedPerformanceModel, target: str,

@@ -477,6 +477,13 @@ class BatchedFittedModel:
         depend on the target, so each group executes once and every target's
         row is read from that one execution: row ``t`` is bitwise equal to a
         one-target call for ``targets[t]``.
+
+        A group none of whose targets lies downstream of an intervened
+        variable compiles and executes nothing: every row it would read
+        is the intervened value, the target's context mean (taken once
+        per call) or zero, and it writes those directly.  In a Stage III
+        sweep that is most option key sets, since few options reach an
+        objective.
         """
         interventions = list(interventions)
         out = np.zeros((len(targets), len(interventions)), dtype=float)
@@ -484,25 +491,32 @@ class BatchedFittedModel:
         n_contexts = context.shape[0]
         if n_contexts == 0:
             return out
+        context_means = {
+            target: context[:, self._column_index[target]].mean()
+            for target in targets if target in self._column_index}
         for keys, idx in group_by_keyset(interventions):
             keyset = set(keys)
-            schedule = self._plan.propagation_schedule(keys)
-            known = keyset | set(self._column_index)
-            program = self._program(("do", keys), schedule, known,
-                                    vector=known)
-            n = len(idx) * n_contexts
+            affected = self._plan.affected_variables(keys)
             values: dict = {}
-            for name in program.reads:
-                if name not in keyset:
-                    values[name] = np.tile(
-                        context[:, self._column_index[name]], len(idx))
-            for key in keys:
-                column = np.array([float(interventions[i][key])
-                                   for i in idx], dtype=float)
-                values[key] = np.repeat(column, n_contexts)
-            program.execute(values, n)
+            produces: tuple[str, ...] = ()
+            if any(target in affected and target not in keyset
+                   for target in targets):
+                schedule = self._plan.propagation_schedule(keys)
+                known = keyset | set(self._column_index)
+                program = self._program(("do", keys), schedule, known,
+                                        vector=known)
+                for name in program.reads:
+                    if name not in keyset:
+                        values[name] = np.tile(
+                            context[:, self._column_index[name]], len(idx))
+                for key in keys:
+                    column = np.array([float(interventions[i][key])
+                                       for i in idx], dtype=float)
+                    values[key] = np.repeat(column, n_contexts)
+                program.execute(values, len(idx) * n_contexts)
+                produces = program.produces
             for row, target in zip(out, targets):
-                if target in program.produces:
+                if target in produces:
                     column = values[target]
                     if isinstance(column, np.ndarray):
                         row[idx] = column.reshape(len(idx),
@@ -511,8 +525,8 @@ class BatchedFittedModel:
                         row[idx] = float(column)
                 elif target in keyset:
                     row[idx] = [float(interventions[i][target]) for i in idx]
-                elif target in self._column_index:
-                    row[idx] = context[:, self._column_index[target]].mean()
+                elif target in context_means:
+                    row[idx] = context_means[target]
         return out
 
     # -------------------------------------------------------- counterfactual

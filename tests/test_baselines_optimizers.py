@@ -71,3 +71,23 @@ def test_smac_relevant_options_restriction():
     assert smac.option_names == ["GPUFrequency", "CPUFrequency"]
     result = smac.optimize("FPS")
     assert result.best_objectives["FPS"] > 0
+
+
+def test_expected_improvement_equals_the_scipy_stats_form_bit_for_bit():
+    """SMAC's EI takes the normal cdf from ``scipy.special.ndtr`` and the pdf
+    from its closed form; both equal ``scipy.stats.norm`` bit for bit."""
+    from scipy import stats
+
+    rng = np.random.default_rng(7)
+    mean = rng.normal(scale=40.0, size=100_000)
+    std = np.abs(rng.normal(scale=3.0, size=mean.size))
+    std[:100] = 0.0  # clamped to 1e-9: |z| up to ~1e11
+    mean[100:103] = [np.inf, -np.inf, np.nan]
+    best = 1.5
+    clamped = np.maximum(std, 1e-9)
+    z = (best - mean) / clamped
+    with np.errstate(invalid="ignore"):
+        got = SMACOptimizer._expected_improvement(mean, std, best)
+        want = ((best - mean) * stats.norm.cdf(z)
+                + clamped * stats.norm.pdf(z))
+    assert got.tobytes() == want.tobytes()

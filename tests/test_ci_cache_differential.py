@@ -19,14 +19,16 @@ epochs are compared the same way, against the one-test-at-a-time search.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.discovery.constraints import StructuralConstraints
-from repro.discovery.fci import fci
+from repro.discovery.fci import _pdsep_prune, fci, orient_colliders
 from repro.discovery.skeleton import SkeletonSpace, learn_skeleton
+from repro.graph.separation import possible_d_sep
 from repro.stats.dataset import Dataset
 from repro.stats.independence import (
     CachedCITest,
@@ -413,3 +415,105 @@ def test_searches_match_the_one_test_at_a_time_search(
         assert got.tests_performed == want.tests_performed
         assert asdict(subject_cache.counters) == \
             asdict(reference_cache.counters)
+
+
+def _reference_pdsep_prune(graph, test, column, separating_sets,
+                           max_condition_size, constraints,
+                           max_subsets_per_edge):
+    """Possible-D-Sep pruning one test at a time: every edge, in
+    ``graph.edges()`` order, against the subsets of its current
+    Possible-D-Sep candidates, size by size, each size up to the window."""
+    tests = 0
+    required = {frozenset(edge) for edge in constraints.required_edges} \
+        if constraints is not None else set()
+    allowed = {name for name in graph.nodes
+               if constraints is None or constraints.conditioning_allowed(name)}
+    for edge in list(graph.edges()):
+        x, y = edge.u, edge.v
+        if frozenset((x, y)) in required:
+            continue
+        candidates = sorted((possible_d_sep(graph, x, y)
+                             | possible_d_sep(graph, y, x)) & allowed)
+        found = False
+        for size in range(1, min(len(candidates), max_condition_size) + 1):
+            for subset in itertools.islice(
+                    itertools.combinations(candidates, size),
+                    max_subsets_per_edge):
+                tests += 1
+                if test(column[x], column[y],
+                        [column[c] for c in subset]).independent:
+                    graph.remove_edge(x, y)
+                    separating_sets[frozenset((x, y))] = set(subset)
+                    found = True
+                    break
+            if found:
+                break
+    return tests
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n_initial=st.integers(min_value=4, max_value=40),
+       appends=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                        max_size=4),
+       max_subsets=st.integers(min_value=1, max_value=4),
+       max_condition_size=st.integers(min_value=1, max_value=2),
+       margin_factor=st.sampled_from([1.0, 8.0]),
+       constrained=st.booleans())
+def test_pdsep_prune_matches_the_one_test_at_a_time_prune(
+        seed, n_initial, appends, max_subsets, max_condition_size,
+        margin_factor, constrained):
+    """``_pdsep_prune`` with one block of singleton decisions, and its walk
+    over a name-based test, against the sequential prune: the same graph,
+    separating sets, test count and cache counters after every epoch.  The
+    all-discrete triples over o0, o1 and e5 are ``-1`` decisions."""
+    pool = _search_rows(seed, n_initial + sum(appends))
+    # e5 becomes a discrete collider of o0 and o1.
+    rng = np.random.default_rng(seed)
+    pool[:, 7] = pool[:, 0] + pool[:, 1] + rng.integers(0, 2, len(pool))
+    data = Dataset(SEARCH_COLUMNS, pool[:n_initial],
+                   discrete=["o0", "o1", "e5"])
+    constraints = StructuralConstraints.from_variable_lists(
+        options=["o0", "o1"], events=["e0", "e1", "e2", "e3", "e4", "e5"],
+        objectives=["t0", "t1"], required_edges={("e1", "t0")},
+        forbid_option_option_edges=False) if constrained else None
+    space = SkeletonSpace(SEARCH_COLUMNS, constraints)
+
+    def epoch():
+        return data.data_epoch
+
+    caches = [CIDecisionCache(alpha=0.05, margin_factor=margin_factor)
+              for _ in range(3)]
+    blocked = CachedCITest(MixedCITest(data), caches[0], epoch)
+    reference = _ReferenceCachedTest(MixedCITest(data), caches[1], epoch)
+    named = [_NamedReference(test, data, 0.05) for test in (
+        reference,
+        _ReferenceCachedTest(MixedCITest(data), caches[2], epoch))]
+    column = {name: data.column_index(name) for name in SEARCH_COLUMNS}
+    used = n_initial
+    for count in [0, *appends]:
+        if count:
+            data.append_rows_inplace([dict(zip(SEARCH_COLUMNS, row))
+                                      for row in pool[used:used + count]])
+        used += count
+        outcomes = []
+        for side, test in enumerate((blocked, *named)):
+            skeleton = learn_skeleton(
+                SEARCH_COLUMNS, test,
+                constraints=constraints,
+                max_condition_size=max_condition_size,
+                max_subsets_per_edge=1, space=space)
+            graph, sepsets = skeleton.graph, skeleton.separating_sets
+            orient_colliders(graph, sepsets, constraints)
+            if side == 1:
+                tests = _reference_pdsep_prune(
+                    graph, reference.test_index, column, sepsets,
+                    max_condition_size, constraints, max_subsets)
+            else:
+                tests = _pdsep_prune(graph, test, sepsets,
+                                     max_condition_size, constraints,
+                                     max_subsets_per_edge=max_subsets)
+            outcomes.append((graph.to_dict(), dict(sepsets), tests,
+                             asdict(caches[side].counters)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[2] == outcomes[1]

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.discovery.constraints import StructuralConstraints
+from repro.discovery.constraints import StructuralConstraints, VariableRole
 from repro.discovery.fci import apply_orientation_rules, fci, orient_colliders
-from repro.discovery.skeleton import initial_graph, learn_skeleton
+from repro.discovery.skeleton import (SkeletonSpace, initial_graph,
+                                      learn_skeleton)
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
 from repro.stats.dataset import Dataset
@@ -207,3 +209,84 @@ def test_level0_separating_sets_are_a_view_over_the_sweep():
     del sepsets[bd]
     assert bd not in sepsets and len(sepsets) == 2
     assert sepsets == {ac: {"b"}, ab: {"d"}}
+
+
+def _reference_space(variables, constraints) -> dict:
+    """The fields of a :class:`SkeletonSpace`, one
+    ``adjacency_allowed`` call per pair."""
+    names = sorted(variables)
+    local = {name: k for k, name in enumerate(names)}
+    position = [0] * len(names)
+    for p, name in enumerate(variables):
+        position[local[name]] = p
+    allowed = (constraints.adjacency_allowed if constraints is not None
+               else lambda u, v: True)
+    pairs = [(local[u], v)
+             for p, u in enumerate(variables)
+             for v, name in enumerate(names)
+             if position[v] > p and allowed(u, name)]
+    pair_names = {(u, v): frozenset((names[u], names[v])) for u, v in pairs}
+    forced = set() if constraints is None else {
+        frozenset(edge) for edge in constraints.required_edges}
+    required = frozenset(pair for pair, key in pair_names.items()
+                         if key in forced)
+    testable = [pair for pair in pairs if pair not in required]
+    testable_names = [pair_names[pair] for pair in testable]
+    return {"names": names, "position": position, "pairs": pairs,
+            "pair_names": pair_names, "required": required,
+            "testable": testable, "testable_names": testable_names,
+            "testable_position": {key: k for k, key
+                                  in enumerate(testable_names)}}
+
+
+@st.composite
+def _constrained_spaces(draw):
+    """Variables in a random order, and constraints over random roles with
+    forbidden and required edges (some between options, some naming a
+    variable outside the space), or no constraints."""
+    variables = draw(st.permutations([f"v{k}" for k in range(
+        draw(st.integers(0, 9)))]))
+    if not draw(st.booleans()):
+        return variables, None
+    roles = {name: draw(st.sampled_from(list(VariableRole)))
+             for name in variables}
+    names = [*variables, "outside"]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    forbidden = draw(st.lists(pairs, max_size=8))
+    forbidden += [(v, u) for u, v in forbidden if draw(st.booleans())]
+    return variables, StructuralConstraints(
+        roles=roles, forbid_option_option_edges=draw(st.booleans()),
+        forbidden_edges=set(forbidden),
+        required_edges=set(draw(st.lists(pairs, max_size=5))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constrained_spaces())
+def test_skeleton_space_equals_the_per_pair_comprehension(case):
+    variables, constraints = case
+    space = SkeletonSpace(variables, constraints)
+    want = _reference_space(variables, constraints)
+    for field, value in want.items():
+        assert getattr(space, field) == value, field
+    assert list(space.pair_names) == want["pairs"]
+    first, second = space.testable_columns(list(range(len(variables))))
+    assert list(zip(first.tolist(), second.tolist())) == want["testable"]
+    # The required pairs enter the candidate graph of the level-1 blocks.
+    _, order = space.singleton_candidates(first, second)
+    for u, v in want["required"]:
+        assert order[u, v] == order[v, u] == len(first)
+
+
+def test_skeleton_space_of_the_sqlite_130x80_subject():
+    """The Table 3 debugging subject: 130 options, 80 events, 3 objectives."""
+    from repro.systems.registry import get_system
+
+    system = get_system("sqlite", hardware="Xavier", n_extra_options=96,
+                        n_extra_events=61)
+    constraints = system.constraints()
+    variables = list(constraints.roles)
+    space = SkeletonSpace(variables, constraints)
+    want = _reference_space(variables, constraints)
+    for field, value in want.items():
+        assert getattr(space, field) == value, field
+    assert len(space.pairs) == 14193

@@ -18,6 +18,8 @@ import pytest
 import repro.scm.batched as batched_module
 from repro.core.unicorn import LoopState, Unicorn, UnicornConfig
 from repro.inference.effects import (
+    _mean_step,
+    _permissible_values,
     average_causal_effect,
     average_causal_effects_table,
 )
@@ -160,6 +162,66 @@ def test_expectation_table_rows_equal_one_target_calls(sqlite_engine):
     assert not table[-1].any()
 
 
+def test_keyset_with_no_target_downstream_executes_nothing(sqlite_engine,
+                                                          monkeypatch):
+    """A key set none of whose targets is downstream compiles nothing, and
+    its rows (an untouched column, the intervened key, an unknown name)
+    equal those of a call that executes the key set's program for a
+    downstream target as well."""
+    system, engine = sqlite_engine
+    model = engine.fitted_model
+    objective = system.objective_names[0]
+    option = next(o for o in engine.domains
+                  if objective in model.dag.descendants(o))
+    untouched = next(v for v in model.data.columns
+                     if v != option
+                     and v not in model.dag.descendants(option))
+    interventions = [{option: v} for v in engine.domains[option]]
+    targets = [untouched, option, "not-a-variable"]
+    compiles = _counting_compiles(monkeypatch)
+    fresh = CausalInferenceEngine(engine.learned_model, engine.domains,
+                                  prefitted=model)
+    evaluator = fresh.batched_evaluator
+    skipped = evaluator.interventional_expectation_table(
+        targets, interventions, max_contexts=60)
+    assert not compiles
+    executed = evaluator.interventional_expectation_table(
+        [*targets, objective], interventions, max_contexts=60)
+    assert len(compiles) == 1
+    assert skipped.tobytes() == executed[:len(targets)].tobytes()
+    assert list(skipped[1]) == [i[option] for i in interventions]
+    assert not skipped[2].any()
+    scalar = [model.interventional_expectation(untouched, i, max_contexts=60)
+              for i in interventions]
+    np.testing.assert_allclose(skipped[0], scalar, rtol=1e-12)
+
+
+def test_effects_off_the_downstream_set_equal_mean_steps(sqlite_engine):
+    """Every signed ACE equals the mean step of its expectation slice,
+    also where the treatment does not reach the target and the slice is
+    not looked at."""
+    system, engine = sqlite_engine
+    model, evaluator = engine.fitted_model, engine.batched_evaluator
+    options = list(engine.domains)
+    targets = [*system.objective_names, options[0]]
+    table = average_causal_effects_table(
+        model, targets, options, domains=engine.domains, max_contexts=60,
+        evaluator=evaluator)
+    off = 0
+    for option, column in zip(options, zip(*table)):
+        values = _permissible_values(model, option, engine.domains)
+        if len(values) < 2:
+            assert set(column) == {0.0}
+            continue
+        rows = evaluator.interventional_expectation_table(
+            targets, [{option: v} for v in values], max_contexts=60)
+        reached = evaluator.plan.affected_variables((option,))
+        off += sum(target not in reached for target in targets)
+        assert [float(e).hex() for e in column] == \
+            [float(_mean_step(row)).hex() for row in rows]
+    assert off > 100
+
+
 def test_table_with_zero_contexts_is_zero(sqlite_engine):
     system, engine = sqlite_engine
     model = engine.fitted_model
@@ -190,11 +252,7 @@ def test_effects_table_matches_pairwise_ace(case_study_engine,
                     evaluator=evaluator)).hex()
 
 
-def test_repeated_sweep_compiles_nothing(sqlite_engine, monkeypatch):
-    """At one model version a sweep compiles at most one program per
-    treatment key set, and repeating it compiles none: the program cache
-    holds a whole sweep at 213 variables."""
-    system, engine = sqlite_engine
+def _counting_compiles(monkeypatch) -> list[int]:
     compiles: list[int] = []
     original = batched_module.compile_fused_program
 
@@ -203,13 +261,30 @@ def test_repeated_sweep_compiles_nothing(sqlite_engine, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(batched_module, "compile_fused_program", counting)
+    return compiles
+
+
+def test_repeated_sweep_compiles_nothing(sqlite_engine, monkeypatch):
+    """At one model version a sweep compiles one program per treatment key
+    set with an objective downstream and none for the others, and
+    repeating it compiles none: the program cache holds a whole sweep at
+    213 variables."""
+    system, engine = sqlite_engine
+    compiles = _counting_compiles(monkeypatch)
     fresh = CausalInferenceEngine(engine.learned_model, engine.domains,
                                   prefitted=engine.fitted_model)
     assert fresh.query_plan.program_capacity >= len(
         engine.fitted_model.dag.nodes)
+    objectives = set(system.objective_names)
+    reaching = [
+        option for option in engine.domains
+        if len(_permissible_values(engine.fitted_model, option,
+                                   engine.domains)) >= 2
+        and objectives & (fresh.query_plan.affected_variables((option,))
+                          - {option})]
     fresh.sampling_probabilities(system.objective_names)
     first = len(compiles)
-    assert 0 < first <= 130
+    assert 0 < first == len(reaching) < 130
     fresh.sampling_probabilities(system.objective_names)
     for objective in system.objective_names:
         fresh.option_effects(objective)

@@ -145,7 +145,8 @@ def test_g_square_tail_is_the_chi2_survival_function():
             float(stats.chi2.sf(statistic, int(dof)))
 
 
-@pytest.mark.parametrize("module", ["repro.core", "repro.service"])
+@pytest.mark.parametrize("module", ["repro.core", "repro.service",
+                                    "repro.baselines", "repro.evaluation"])
 def test_import_does_not_load_scipy_stats(module):
     """``scipy.stats`` takes about a second to import; the library's
     import path must not pay it."""
