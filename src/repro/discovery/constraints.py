@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class VariableRole(enum.Enum):
@@ -88,6 +90,34 @@ class StructuralConstraints:
                 and (v, u) in self.forbidden_edges):
             return False
         return True
+
+    def adjacency_matrices(self, names: Sequence[str]
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """``(allowed, required)`` boolean matrices over the positions of
+        ``names``.
+
+        ``allowed[i, j]`` is ``adjacency_allowed(names[i], names[j])`` and
+        ``required[i, j]`` holds when a required edge joins the two, either
+        way round.  The roles are read once into a mask; only the few
+        forbidden and required edges are looped over.
+        """
+        size = len(names)
+        local = {name: k for k, name in enumerate(names)}
+        allowed = np.ones((size, size), dtype=bool)
+        required = np.zeros((size, size), dtype=bool)
+        if self.forbid_option_option_edges:
+            option = np.array([self.roles[name] is VariableRole.OPTION
+                               for name in names], dtype=bool)
+            allowed[np.ix_(option, option)] = False
+        for u, v in self.forbidden_edges:
+            if (v, u) in self.forbidden_edges and u in local and v in local:
+                allowed[local[u], local[v]] = allowed[local[v], local[u]] = \
+                    False
+        for u, v in self.required_edges:
+            if u in local and v in local:
+                required[local[u], local[v]] = \
+                    required[local[v], local[u]] = True
+        return allowed, required
 
     # ------------------------------------------------------------ direction
     def direction_allowed(self, cause: str, effect: str) -> bool:

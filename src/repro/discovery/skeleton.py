@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.discovery.constraints import StructuralConstraints, VariableRole
+from repro.discovery.constraints import StructuralConstraints
 from repro.graph.edges import Mark
 from repro.graph.mixed_graph import MixedGraph
 from repro.stats.independence import CITest
@@ -134,7 +134,8 @@ class SkeletonSpace:
     each pair to its separating-set key, ``frozenset`` of the two names,
     ``testable_names`` lists those keys in ``testable`` order and
     ``testable_position`` maps them back to it.  The pairs come out of
-    boolean matrices over the ids (:func:`_pair_masks`), one array pass,
+    boolean matrices over the ids
+    (:meth:`StructuralConstraints.adjacency_matrices`), one array pass,
     not one ``adjacency_allowed`` call per pair.
     """
 
@@ -147,7 +148,11 @@ class SkeletonSpace:
         self.position = [0] * size
         for p, name in enumerate(self.variables):
             self.position[local[name]] = p
-        allowed, required = _pair_masks(self.names, local, constraints)
+        if constraints is None:
+            allowed = np.ones((size, size), dtype=bool)
+            required = np.zeros((size, size), dtype=bool)
+        else:
+            allowed, required = constraints.adjacency_matrices(self.names)
         # Row p holds the ids of the variables after variables[p]; the
         # nonzero entries come out row by row, ids ascending in a row.
         position = np.asarray(self.position, dtype=np.intp)
@@ -224,31 +229,6 @@ class SkeletonSpace:
                                                  position[p[1]])):
             graph.add_edge(names[u], names[v], Mark.CIRCLE, Mark.CIRCLE)
         return graph
-
-
-def _pair_masks(names: Sequence[str], local: dict[str, int],
-                constraints: StructuralConstraints | None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """``(allowed, required)`` boolean matrices over the local ids of
-    ``names``: ``constraints.adjacency_allowed`` from the variable roles
-    and the forbidden edges, and the pairs of the required edges."""
-    size = len(names)
-    allowed = np.ones((size, size), dtype=bool)
-    required = np.zeros((size, size), dtype=bool)
-    if constraints is None:
-        return allowed, required
-    option = np.array([constraints.roles[name] is VariableRole.OPTION
-                       for name in names], dtype=bool)
-    if constraints.forbid_option_option_edges:
-        allowed[np.ix_(option, option)] = False
-    forbidden = constraints.forbidden_edges
-    for u, v in forbidden:
-        if (v, u) in forbidden and u in local and v in local:
-            allowed[local[u], local[v]] = allowed[local[v], local[u]] = False
-    for u, v in constraints.required_edges:
-        if u in local and v in local:
-            required[local[u], local[v]] = required[local[v], local[u]] = True
-    return allowed, required
 
 
 def initial_graph(variables: list[str],

@@ -88,11 +88,11 @@ def average_causal_effects_table(model: FittedPerformanceModel,
     are sliced back per target and treatment.  Because the batched evaluator
     groups interventions by key set and reads each target from the same
     execution, every entry is bitwise equal to a standalone
-    :func:`average_causal_effect` call for that pair.  A target outside a
-    treatment's downstream set reads one value ``c`` across the
-    treatment's slice, so its effect is ``c - c`` with no differences
-    averaged.  Without an ``evaluator`` each pair takes the scalar
-    reference path.
+    :func:`average_causal_effect` call for that pair.  A slice that
+    repeats one bit pattern ``c`` (a target off the treatment's downstream
+    set reads one value across its sweep) has every step ``c - c``, so its
+    effect is ``c - c`` with no differences averaged.  Without an
+    ``evaluator`` each pair takes the scalar reference path.
 
     Parameters
     ----------
@@ -125,23 +125,24 @@ def average_causal_effects_table(model: FittedPerformanceModel,
         if len(values) >= 2:
             interventions.extend({treatment: value} for value in values)
         slices.append((start, len(interventions)))
-    table = evaluator.interventional_expectation_table(
-        targets, interventions, max_contexts=max_contexts)
-    affected = evaluator.plan.affected_variables
-    reached = [affected((treatment,)) for treatment in treatments]
+    table = np.ascontiguousarray(evaluator.interventional_expectation_table(
+        targets, interventions, max_contexts=max_contexts), dtype=float)
+    # changes[t][j] counts the bit-pattern changes of row t up to column j.
+    bits = table.view(np.int64)
+    changes = np.zeros(bits.shape, dtype=np.intp)
+    np.cumsum(bits[:, 1:] != bits[:, :-1], axis=1, out=changes[:, 1:])
     effects = []
-    for target, expectations in zip(targets, table):
+    for expectations, changed in zip(table, changes.tolist()):
         row = []
-        for (start, end), reach in zip(slices, reached):
+        for start, end in slices:
             if end - start < 2:
                 row.append(0.0)
-            elif target in reach:
-                row.append(_mean_step(expectations[start:end]))
-            else:
-                # Off the treatment's downstream set the slice repeats one
-                # value c, so every successive difference is c - c.
+            elif changed[end - 1] == changed[start]:
+                # The slice repeats one value c: every step is c - c.
                 constant = float(expectations[start])
                 row.append(constant - constant)
+            else:
+                row.append(_mean_step(expectations[start:end]))
         effects.append(row)
     return effects
 

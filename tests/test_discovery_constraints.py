@@ -34,6 +34,25 @@ def test_option_option_adjacency_can_be_enabled():
     assert constraints.adjacency_allowed("a", "b")
 
 
+@pytest.mark.parametrize("forbid_option_option", [True, False])
+def test_adjacency_matrices_match_adjacency_allowed(forbid_option_option):
+    """Every entry, the diagonal included, is ``adjacency_allowed`` of its
+    two names; edges naming a variable outside ``names`` are ignored."""
+    constraints = StructuralConstraints.from_variable_lists(
+        options=["o1", "o2", "o3"], events=["e1", "e2"], objectives=["y"],
+        forbid_option_option_edges=forbid_option_option,
+        forbidden_edges={("e1", "y"), ("y", "e1"), ("o1", "e2"),
+                         ("e2", "e2"), ("o3", "gone"), ("gone", "o3")},
+        required_edges={("o2", "e1"), ("e2", "y"), ("o1", "gone")})
+    names = ["y", "o3", "e1", "o1", "e2", "o2"]
+    allowed, required = constraints.adjacency_matrices(names)
+    assert allowed.tolist() == [[constraints.adjacency_allowed(u, v)
+                                 for v in names] for u in names]
+    pairs = {frozenset(edge) for edge in constraints.required_edges}
+    assert required.tolist() == [[frozenset((u, v)) in pairs for v in names]
+                                 for u in names]
+
+
 def test_direction_rules(constraints):
     # Options are exogenous: nothing may cause them.
     assert not constraints.direction_allowed("e1", "o1")

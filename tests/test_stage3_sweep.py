@@ -198,8 +198,8 @@ def test_keyset_with_no_target_downstream_executes_nothing(sqlite_engine,
 
 def test_effects_off_the_downstream_set_equal_mean_steps(sqlite_engine):
     """Every signed ACE equals the mean step of its expectation slice,
-    also where the treatment does not reach the target and the slice is
-    not looked at."""
+    also where the treatment does not reach the target and the slice's
+    steps are not averaged."""
     system, engine = sqlite_engine
     model, evaluator = engine.fitted_model, engine.batched_evaluator
     options = list(engine.domains)
@@ -220,6 +220,40 @@ def test_effects_off_the_downstream_set_equal_mean_steps(sqlite_engine):
         assert [float(e).hex() for e in column] == \
             [float(_mean_step(row)).hex() for row in rows]
     assert off > 100
+
+
+class _FixedTable:
+    """An evaluator whose expectation table is given."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+
+    def interventional_expectation_table(self, targets, interventions,
+                                         max_contexts):
+        assert self.rows.shape == (len(targets), len(interventions))
+        return self.rows
+
+
+def test_effects_of_repeated_values_equal_mean_steps():
+    """Slices that repeat one bit pattern (a number, +0, -0, inf, nan),
+    slices that change only in sign of zero or NaN-ness, and one-value
+    sweeps give the mean step bit for bit."""
+    inf, nan = float("inf"), float("nan")
+    domains = {"a": [0.0, 1.0, 2.0], "b": [5.0], "c": [1.0, 2.0],
+               "d": [0.0, 1.0, 2.0, 3.0]}
+    # Slices: a is [0, 3), b is empty, c is [3, 5), d is [5, 9).
+    rows = [[1.5, 1.5, 1.5, 2.0, 2.0, -0.0, -0.0, -0.0, -0.0],
+            [0.0, -0.0, 0.0, inf, inf, nan, nan, nan, nan],
+            [-0.0, 0.0, -0.0, 3.0, -inf, 7.0, 7.0, 7.0, 7.5],
+            [inf, inf, inf, nan, 1.0, 0.0, 0.0, 0.0, 0.0]]
+    effects = average_causal_effects_table(
+        None, ["w", "x", "y", "z"], list(domains), domains=domains,
+        evaluator=_FixedTable(rows))
+    for row, effect in zip(rows, effects):
+        expected = [_mean_step(row[0:3]), 0.0, _mean_step(row[3:5]),
+                    _mean_step(row[5:9])]
+        assert [float(e).hex() for e in effect] == \
+            [float(e).hex() for e in expected]
 
 
 def test_table_with_zero_contexts_is_zero(sqlite_engine):
