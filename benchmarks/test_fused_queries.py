@@ -23,6 +23,7 @@ from test_batched_queries import _build_scan
 from repro.inference.query_plan import QueryPlan
 from repro.inference.repairs import generate_repair_set
 from repro.scm.batched import BatchedFittedModel
+from repro.scm.fused import FusedProgram
 from repro.service import ModelRegistry, RequestBatcher, mixed_workload
 from repro.service.workload import canonical_answers
 from repro.systems.registry import get_system
@@ -120,22 +121,31 @@ def test_result_cache_hit_rate_and_identity(results_recorder):
     assert batcher.calls < plain_batcher.calls
 
 
-def test_context_and_mean_caches_microbench(results_recorder):
+def test_context_and_mean_caches_microbench(results_recorder, monkeypatch):
     """Per-epoch memoization of contexts and column means pays its way.
 
     ``_context_matrix`` must hand back the identical matrix object across
     calls of one data epoch, and repeated ACE-style interventional sweeps
     (which hit both caches on every level) are timed as an informational
-    microbenchmark.
+    microbenchmark.  The swept option has the objective downstream, so the
+    sweep compiles and executes a fused program rather than writing the
+    context mean of an unreachable target.
     """
     (engine, _, _, domains, _, _, directions) = _build_scan()
     model = engine.fitted_model
     evaluator = BatchedFittedModel(model)
     objective = next(iter(directions))
-    option = next(iter(domains))
+    option = next(o for o in domains
+                  if objective in model.dag.descendants(o))
     interventions = [{option: value} for value in domains[option]] * 8
 
-    evaluator.interventional_expectation_batch(objective, interventions)
+    executed = []
+    execute = FusedProgram.execute
+    with monkeypatch.context() as patch:
+        patch.setattr(FusedProgram, "execute", lambda self, *args, **kw: (
+            executed.append(1), execute(self, *args, **kw))[1])
+        evaluator.interventional_expectation_batch(objective, interventions)
+    assert executed, "the timed sweep executes no program"
     assert evaluator._context_matrix(200) is evaluator._context_matrix(200)
 
     timings = []

@@ -48,14 +48,63 @@ class LatentSearchResult:
         return self.latent_entropy < self.threshold
 
 
-def _empirical_joint(x_codes: np.ndarray, y_codes: np.ndarray) -> np.ndarray:
-    """Empirical joint probability table p(x, y)."""
-    nx = int(x_codes.max()) + 1
-    ny = int(y_codes.max()) + 1
-    table = np.zeros((nx, ny), dtype=float)
-    for xv, yv in zip(x_codes, y_codes):
-        table[int(xv), int(yv)] += 1.0
-    return table / table.sum()
+def latent_entropies(x_codes: np.ndarray, y_codes: np.ndarray,
+                     rngs: list[np.random.Generator],
+                     n_latent_states: int = 8, iterations: int = 50,
+                     sparsity: float = 0.5) -> np.ndarray:
+    """``H(Z)`` of the latent LatentSearch finds, for a batch of pairs.
+
+    Row ``k`` of the ``(pairs, rows)`` code matrices is one pair, and
+    ``rngs[k]`` draws its initial ``q(z | x, y)``.  The algorithm maintains
+    ``q(z | x, y)`` and alternates between computing the implied marginal
+    ``q(z)`` and re-assigning mass so that, conditioned on ``z``, ``x`` and
+    ``y`` become as independent as possible while keeping ``H(Z)`` small.  We
+    follow the multiplicative-update scheme of Kocaoglu et al.'s LatentSearch,
+    whose Lagrangian trades off ``I(X;Y|Z)`` against ``H(Z)``: each iteration
+    sets ``q(z|x,y) ∝ q(z)^(1+sparsity) * q(x|z) * q(y|z)``, with the
+    ``sparsity`` exponent playing the role of the entropy-penalty multiplier
+    (larger values concentrate the latent on fewer states).
+
+    All pairs run as one array pass over joint tables zero-padded to the
+    largest ``(nx, ny)``: padded cells add exact zeros to every sum, so with
+    two or more latent states each pair's entropy is bitwise its own.
+    """
+    x_codes, y_codes = np.atleast_2d(x_codes), np.atleast_2d(y_codes)
+    pairs = len(x_codes)
+    nx, ny = x_codes.max(axis=1) + 1, y_codes.max(axis=1) + 1
+    width, height, nz = int(nx.max()), int(ny.max()), n_latent_states
+    cells = (np.arange(pairs)[:, None] * width + x_codes) * height + y_codes
+    counts = np.bincount(cells.ravel(), minlength=pairs * width * height
+                         ).reshape(pairs, width, height)
+    joint = counts / counts.sum(axis=(1, 2), keepdims=True)    # p(x, y)
+
+    # Random initial q(z | x, y); padded cells hold a never-read placeholder.
+    q_z_given_xy = np.ones((pairs, width, height, nz))
+    for k, rng in enumerate(rngs):
+        draw = rng.random((nx[k], ny[k], nz))
+        q_z_given_xy[k, :nx[k], :ny[k]] = draw / draw.sum(axis=2,
+                                                          keepdims=True)
+
+    for _ in range(iterations):
+        # q(x, y, z) = p(x, y) * q(z | x, y)
+        q_xyz = joint[..., None] * q_z_given_xy
+        q_z = q_xyz.sum(axis=(1, 2))[:, None]             # q(z)
+        q_xz = q_xyz.sum(axis=2)                          # q(x, z)
+        q_yz = q_xyz.sum(axis=1)                          # q(y, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_x_given_z = np.where(q_z > 0, q_xz / q_z, 0.0)  # q(x | z)
+            q_y_given_z = np.where(q_z > 0, q_yz / q_z, 0.0)  # q(y | z)
+        # Multiplicative update with the entropy-penalised marginal.
+        updated = (np.power(q_z[:, None], 1.0 + sparsity)
+                   * q_x_given_z[:, :, None, :]
+                   * q_y_given_z[:, None, :, :])
+        totals = updated.sum(axis=3, keepdims=True)
+        # Where the update degenerates keep the previous value.
+        q_z_given_xy = np.where(totals > 0, updated / np.maximum(totals, 1e-12),
+                                q_z_given_xy)
+
+    q_z = (joint[..., None] * q_z_given_xy).sum(axis=(1, 2))
+    return np.array([entropy_of_distribution(row) for row in q_z])
 
 
 def latent_search(x_codes: np.ndarray, y_codes: np.ndarray,
@@ -65,50 +114,14 @@ def latent_search(x_codes: np.ndarray, y_codes: np.ndarray,
                   sparsity: float = 0.5) -> LatentSearchResult:
     """Search for a low-entropy latent confounder explaining p(x, y).
 
-    The algorithm maintains ``q(z | x, y)`` and alternates between computing
-    the implied marginal ``q(z)`` and re-assigning mass so that, conditioned
-    on ``z``, ``x`` and ``y`` become as independent as possible while keeping
-    ``H(Z)`` small.  We follow the multiplicative-update scheme of Kocaoglu et
-    al.'s LatentSearch, whose Lagrangian trades off ``I(X;Y|Z)`` against
-    ``H(Z)``: each iteration sets
-    ``q(z|x,y) ∝ q(z)^(1+sparsity) * q(x|z) * q(y|z)``, with the ``sparsity``
-    exponent playing the role of the entropy-penalty multiplier (larger values
-    concentrate the latent on fewer states).
+    The one-pair call of :func:`latent_entropies`.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    joint = _empirical_joint(x_codes, y_codes)
-    nx, ny = joint.shape
-    nz = n_latent_states
-
-    # Initialise q(z | x, y) randomly (rows sum to one over z).
-    q_z_given_xy = rng.random((nx, ny, nz))
-    q_z_given_xy /= q_z_given_xy.sum(axis=2, keepdims=True)
-
-    for _ in range(iterations):
-        # q(x, y, z) = p(x, y) * q(z | x, y)
-        q_xyz = joint[:, :, None] * q_z_given_xy
-        q_z = q_xyz.sum(axis=(0, 1))                      # q(z)
-        q_xz = q_xyz.sum(axis=1)                          # q(x, z)
-        q_yz = q_xyz.sum(axis=0)                          # q(y, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_x_given_z = np.where(q_z > 0, q_xz / q_z, 0.0)  # (nx, nz)
-            q_y_given_z = np.where(q_z > 0, q_yz / q_z, 0.0)  # (ny, nz)
-        # Multiplicative update with the entropy-penalised marginal.
-        updated = (np.power(q_z[None, None, :], 1.0 + sparsity)
-                   * q_x_given_z[:, None, :]
-                   * q_y_given_z[None, :, :])
-        totals = updated.sum(axis=2, keepdims=True)
-        # Where the update degenerates keep the previous value.
-        q_z_given_xy = np.where(totals > 0, updated / np.maximum(totals, 1e-12),
-                                q_z_given_xy)
-
-    q_z = (joint[:, :, None] * q_z_given_xy).sum(axis=(0, 1))
-    latent_entropy = entropy_of_distribution(q_z)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    latent_entropy, = latent_entropies(x_codes, y_codes, [rng],
+                                       n_latent_states, iterations, sparsity)
     threshold = entropy_threshold_factor * min(discrete_entropy(x_codes),
                                                discrete_entropy(y_codes))
-    return LatentSearchResult(latent_entropy=latent_entropy,
-                              threshold=threshold)
+    return LatentSearchResult(float(latent_entropy), threshold)
 
 
 def entropic_direction(x_codes: np.ndarray, y_codes: np.ndarray) -> str:
@@ -147,9 +160,6 @@ class EntropicOrienter:
         self._seed = seed
         self._stats = stats if stats is not None else SufficientStats(data)
 
-    def _coded(self, column: str) -> np.ndarray:
-        return self._stats.codes(column, bins=self._bins)
-
     def _edge_rng(self, x: str, y: str) -> np.random.Generator:
         """Per-edge RNG: the same (seed, edge) always yields the same stream."""
         a, b = sorted((x, y))
@@ -164,34 +174,48 @@ class EntropicOrienter:
         the epoch-synchronised sufficient statistics and each edge draws
         from its own ``(seed, edge)``-derived RNG, so resolving the same PAG
         over the same data always yields the same graph regardless of how
-        (or how often) the orienter was used before.
+        (or how often) the orienter was used before.  Every LatentSearch of
+        the call runs in one :func:`latent_entropies` pass.
         """
         graph = pag.copy()
-        for edge in graph.undetermined_edges():
-            self._resolve_edge(graph, edge.u, edge.v, constraints)
+        edges = [(edge.u, edge.v) for edge in graph.undetermined_edges()]
+        columns = list(dict.fromkeys(c for edge in edges for c in edge))
+        codes = dict(zip(columns, self._stats.column_codes(columns, self._bins)))
+        # Step 1 searches the edges whose two directions are admissible.
+        searched = [(x, y) for x, y in edges if constraints is None
+                    or (constraints.direction_allowed(x, y)
+                        and constraints.direction_allowed(y, x))]
+        entropy = {c: discrete_entropy(codes[c]) for c in set().union(*searched)}
+        latent = latent_entropies(
+            np.array([codes[x] for x, _ in searched]),
+            np.array([codes[y] for _, y in searched]),
+            [self._edge_rng(x, y) for x, y in searched],
+            n_latent_states=self._n_latent_states,
+            iterations=self._iterations) if searched else []
+        searches = {(x, y): LatentSearchResult(
+            latent_entropy=float(h),
+            threshold=self._threshold_factor * min(entropy[x], entropy[y]))
+            for (x, y), h in zip(searched, latent)}
+        for x, y in edges:
+            self._resolve_edge(graph, x, y, codes, searches.get((x, y)),
+                               constraints)
         return graph
 
     # ------------------------------------------------------------------ impl
     def _resolve_edge(self, graph: MixedGraph, x: str, y: str,
+                      codes: dict[str, np.ndarray],
+                      search: LatentSearchResult | None,
                       constraints: StructuralConstraints | None) -> None:
-        x_codes = self._coded(x)
-        y_codes = self._coded(y)
-
         allowed_xy = constraints is None or constraints.direction_allowed(x, y)
         allowed_yx = constraints is None or constraints.direction_allowed(y, x)
 
-        # Step 1: look for a low-entropy latent confounder, but only when both
-        # directions are otherwise admissible (a constrained edge cannot hide
-        # a confounder between an exogenous option and its effect).
-        if allowed_xy and allowed_yx:
-            search = latent_search(
-                x_codes, y_codes, n_latent_states=self._n_latent_states,
-                iterations=self._iterations, rng=self._edge_rng(x, y),
-                entropy_threshold_factor=self._threshold_factor)
-            if search.confounder_found:
-                graph.set_mark(x, y, Mark.ARROW)
-                graph.set_mark(y, x, Mark.ARROW)
-                return
+        # Step 1: a low-entropy latent confounder, searched only when both
+        # directions are admissible (a constrained edge cannot hide a
+        # confounder between an exogenous option and its effect).
+        if search is not None and search.confounder_found:
+            graph.set_mark(x, y, Mark.ARROW)
+            graph.set_mark(y, x, Mark.ARROW)
+            return
 
         # If neither direction is admissible (e.g. an association between two
         # performance objectives, which are both sinks), the dependence can
@@ -209,7 +233,7 @@ class EntropicOrienter:
         elif allowed_yx and not allowed_xy:
             direction = "y->x"
         else:
-            direction = entropic_direction(x_codes, y_codes)
+            direction = entropic_direction(codes[x], codes[y])
 
         cause, effect = (x, y) if direction == "x->y" else (y, x)
         if cause in graph.descendants(effect):

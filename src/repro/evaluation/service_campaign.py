@@ -78,6 +78,9 @@ from repro.systems.registry import get_system
 #: both sides of a pair's ratio together, and the median over the pairs
 #: drops the few pairs a swing splits.
 _RECOVERY_PAIRS = 5
+#: Eager/sharded serving timings of :func:`run_sharded_service_throughput`,
+#: paired the same way: each pair serves the workload from fresh models.
+_THROUGHPUT_PAIRS = 3
 
 
 def _fleet(system: str, hardware: str | None, n_subjects: int,
@@ -249,9 +252,11 @@ def run_sharded_service_throughput(system: str,
 
     The headline ``speedup`` is tier 3 over tier 1 — what a deployment
     gains on a long-running workload from refreshing only on real drift
-    (and, on multi-core hosts, from overlapping shard work).
-    ``identical`` certifies tier 3 == tier 2 byte for byte: sharding
-    never changes an answer.
+    (and, on multi-core hosts, from overlapping shard work).  Tiers 1 and
+    3 run as ``_THROUGHPUT_PAIRS`` back-to-back pairs over fresh models;
+    ``speedup`` is the median per-pair ratio and their seconds are
+    medians.  ``identical`` certifies every tier 3 run == tier 2 byte
+    for byte: sharding never changes an answer.
 
     Parameters
     ----------
@@ -275,8 +280,8 @@ def run_sharded_service_throughput(system: str,
     -------
     dict
         JSON-serializable cell result: per-tier seconds, ``speedup``,
-        ``throughput_qps``, relearn counters per tier, and
-        ``identical``.
+        ``speedup_pairs``, ``throughput_qps``, relearn counters per
+        tier, and ``identical``.
     """
     specs, systems = _fleet(system, hardware, n_subjects, n_samples, seed,
                             salt=3)
@@ -296,10 +301,6 @@ def run_sharded_service_throughput(system: str,
         observation_batches_per_round=int(observation_batches_per_round))
     n_queries = sum(len(r["queries"]) for r in rounds)
 
-    with QueryService(eager_registry, batch_window=batch_window,
-                      max_batch=512) as service:
-        _, eager_seconds = serve_rounds(service, rounds, int(n_clients))
-
     drift_registry = registry_from_specs(
         specs, drift_threshold=float(drift_threshold),
         drift_min_window=int(drift_min_window), refresh_async=True)
@@ -307,17 +308,30 @@ def run_sharded_service_throughput(system: str,
                       max_batch=512) as service:
         reference, drift_seconds = serve_rounds(service, rounds,
                                                 int(n_clients))
+    reference = canonical_answers(reference)
 
-    with ShardedQueryService(specs, shards=int(shards),
-                             use_processes=bool(use_processes),
-                             drift_threshold=float(drift_threshold),
-                             drift_min_window=int(drift_min_window),
-                             refresh_async=True) as sharded:
-        responses, sharded_seconds = serve_rounds(sharded, rounds,
-                                                  int(n_clients))
-        worker_stats = sharded.worker_stats()
+    # Eager then sharded, in pairs; every pair starts from fresh models.
+    eager_seconds: list[float] = []
+    sharded_seconds: list[float] = []
+    identical = True
+    for pair in range(_THROUGHPUT_PAIRS):
+        if pair:
+            eager_registry = registry_from_specs(specs)
+        with QueryService(eager_registry, batch_window=batch_window,
+                          max_batch=512) as service:
+            _, seconds = serve_rounds(service, rounds, int(n_clients))
+        eager_seconds.append(seconds)
+        with ShardedQueryService(specs, shards=int(shards),
+                                 use_processes=bool(use_processes),
+                                 drift_threshold=float(drift_threshold),
+                                 drift_min_window=int(drift_min_window),
+                                 refresh_async=True) as sharded:
+            responses, seconds = serve_rounds(sharded, rounds,
+                                              int(n_clients))
+            worker_stats = sharded.worker_stats()
+        sharded_seconds.append(seconds)
+        identical &= canonical_answers(responses) == reference
 
-    identical = canonical_answers(responses) == canonical_answers(reference)
     return {
         "system": system,
         "n_subjects": int(n_subjects),
@@ -326,11 +340,14 @@ def run_sharded_service_throughput(system: str,
         "n_rounds": int(n_rounds),
         "n_queries": n_queries,
         "drift_threshold": float(drift_threshold),
-        "eager_seconds": eager_seconds,
+        "eager_seconds": statistics.median(eager_seconds),
         "drift_seconds": drift_seconds,
-        "sharded_seconds": sharded_seconds,
-        "speedup": eager_seconds / max(sharded_seconds, 1e-9),
-        "throughput_qps": n_queries / max(sharded_seconds, 1e-9),
+        "sharded_seconds": statistics.median(sharded_seconds),
+        "speedup": statistics.median(
+            e / max(s, 1e-9) for e, s in zip(eager_seconds, sharded_seconds)),
+        "speedup_pairs": _THROUGHPUT_PAIRS,
+        "throughput_qps": n_queries
+        / max(statistics.median(sharded_seconds), 1e-9),
         "eager_refreshes": eager_registry.refreshes,
         "drift_refreshes": drift_registry.refreshes,
         "drift_refreshes_skipped": drift_registry.refreshes_skipped,

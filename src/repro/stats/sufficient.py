@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.stats.dataset import Dataset
-from repro.stats.discretize import discretize_column
+from repro.stats.discretize import discretize_matrix
 
 #: Clamp for correlations so the Fisher transform stays finite.
 _CORR_CLAMP = 0.9999999
@@ -320,13 +320,20 @@ class SufficientStats:
     # ----------------------------------------------------- discrete summaries
     def codes(self, column: str, bins: int = 8) -> np.ndarray:
         """Discretization codes for one column, cached per data epoch."""
+        return self.column_codes([column], bins=bins)[0]
+
+    def column_codes(self, columns: Sequence[str],
+                     bins: int = 8) -> list[np.ndarray]:
+        """Codes for several columns; the uncached ones in one column pass."""
         self.refresh()
-        key = f"{column}#{bins}"
-        if key not in self._codes:
-            self._codes[key] = discretize_column(
-                self._data.column(column), bins=bins,
-                already_discrete=self._data.is_discrete(column))
-        return self._codes[key]
+        missing = [c for c in columns if f"{c}#{bins}" not in self._codes]
+        if missing:
+            index = [self._data.column_index(c) for c in missing]
+            coded = discretize_matrix(
+                self._data.values[:, index], bins=bins,
+                discrete_mask=[self._data.is_discrete(c) for c in missing])
+            self._codes.update(zip([f"{c}#{bins}" for c in missing], coded.T))
+        return [self._codes[f"{c}#{bins}"] for c in columns]
 
     def cardinality(self, column: str) -> int:
         """Number of distinct values in a column, cached per data epoch."""
