@@ -141,9 +141,13 @@ def test_context_and_mean_caches_microbench(results_recorder, monkeypatch):
 
     executed = []
     execute = FusedProgram.execute
+
+    def counting_execute(self, *args, **kwargs):
+        executed.append(1)
+        return execute(self, *args, **kwargs)
+
     with monkeypatch.context() as patch:
-        patch.setattr(FusedProgram, "execute", lambda self, *args, **kw: (
-            executed.append(1), execute(self, *args, **kw))[1])
+        patch.setattr(FusedProgram, "execute", counting_execute)
         evaluator.interventional_expectation_batch(objective, interventions)
     assert executed, "the timed sweep executes no program"
     assert evaluator._context_matrix(200) is evaluator._context_matrix(200)

@@ -311,9 +311,7 @@ def run_sharded_service_throughput(system: str,
     reference = canonical_answers(reference)
 
     # Eager then sharded, in pairs; every pair starts from fresh models.
-    eager_seconds: list[float] = []
-    sharded_seconds: list[float] = []
-    identical = True
+    eager_seconds, sharded_seconds, identical = [], [], True
     for pair in range(_THROUGHPUT_PAIRS):
         if pair:
             eager_registry = registry_from_specs(specs)
