@@ -47,6 +47,12 @@ class LatentSearchResult:
     def confounder_found(self) -> bool:
         return self.latent_entropy < self.threshold
 
+    @classmethod
+    def judged(cls, latent_entropy: float, h_x: float, h_y: float,
+               factor: float) -> "LatentSearchResult":
+        """Judge ``H(Z)`` against ``theta_r = factor * min(H(X), H(Y))``."""
+        return cls(float(latent_entropy), factor * min(h_x, h_y))
+
 
 def latent_entropies(x_codes: np.ndarray, y_codes: np.ndarray,
                      rngs: list[np.random.Generator],
@@ -119,9 +125,9 @@ def latent_search(x_codes: np.ndarray, y_codes: np.ndarray,
     rng = rng if rng is not None else np.random.default_rng(0)
     latent_entropy, = latent_entropies(x_codes, y_codes, [rng],
                                        n_latent_states, iterations, sparsity)
-    threshold = entropy_threshold_factor * min(discrete_entropy(x_codes),
-                                               discrete_entropy(y_codes))
-    return LatentSearchResult(float(latent_entropy), threshold)
+    return LatentSearchResult.judged(latent_entropy, discrete_entropy(x_codes),
+                                     discrete_entropy(y_codes),
+                                     entropy_threshold_factor)
 
 
 def entropic_direction(x_codes: np.ndarray, y_codes: np.ndarray) -> str:
@@ -181,10 +187,13 @@ class EntropicOrienter:
         edges = [(edge.u, edge.v) for edge in graph.undetermined_edges()]
         columns = list(dict.fromkeys(c for edge in edges for c in edge))
         codes = dict(zip(columns, self._stats.column_codes(columns, self._bins)))
+        # (x -> y admissible, y -> x admissible) per edge.
+        allowed = {edge: tuple(constraints is None
+                               or constraints.direction_allowed(*pair)
+                               for pair in (edge, edge[::-1]))
+                   for edge in edges}
         # Step 1 searches the edges whose two directions are admissible.
-        searched = [(x, y) for x, y in edges if constraints is None
-                    or (constraints.direction_allowed(x, y)
-                        and constraints.direction_allowed(y, x))]
+        searched = [edge for edge in edges if all(allowed[edge])]
         entropy = {c: discrete_entropy(codes[c]) for c in set().union(*searched)}
         latent = latent_entropies(
             np.array([codes[x] for x, _ in searched]),
@@ -192,23 +201,19 @@ class EntropicOrienter:
             [self._edge_rng(x, y) for x, y in searched],
             n_latent_states=self._n_latent_states,
             iterations=self._iterations) if searched else []
-        searches = {(x, y): LatentSearchResult(
-            latent_entropy=float(h),
-            threshold=self._threshold_factor * min(entropy[x], entropy[y]))
+        searches = {(x, y): LatentSearchResult.judged(
+            h, entropy[x], entropy[y], self._threshold_factor)
             for (x, y), h in zip(searched, latent)}
         for x, y in edges:
             self._resolve_edge(graph, x, y, codes, searches.get((x, y)),
-                               constraints)
+                               *allowed[(x, y)])
         return graph
 
     # ------------------------------------------------------------------ impl
     def _resolve_edge(self, graph: MixedGraph, x: str, y: str,
                       codes: dict[str, np.ndarray],
                       search: LatentSearchResult | None,
-                      constraints: StructuralConstraints | None) -> None:
-        allowed_xy = constraints is None or constraints.direction_allowed(x, y)
-        allowed_yx = constraints is None or constraints.direction_allowed(y, x)
-
+                      allowed_xy: bool, allowed_yx: bool) -> None:
         # Step 1: a low-entropy latent confounder, searched only when both
         # directions are admissible (a constrained edge cannot hide a
         # confounder between an exogenous option and its effect).
@@ -240,8 +245,7 @@ class EntropicOrienter:
             # The preferred direction would close a directed cycle; fall back
             # to the opposite direction if it is admissible and acyclic,
             # otherwise record latent confounding.
-            opposite_ok = (constraints is None
-                           or constraints.direction_allowed(effect, cause))
+            opposite_ok = allowed_yx if cause == x else allowed_xy
             if opposite_ok and effect not in graph.descendants(cause):
                 cause, effect = effect, cause
             else:
