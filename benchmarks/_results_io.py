@@ -1,17 +1,24 @@
-"""Deterministic writing of ``benchmarks/results/*.json``.
+"""Where benchmark results go, and their deterministic JSON writing.
 
-Shared by the benchmark conftest (``summary.json``) and the self-debugging
-benchmark (``metrics_snapshot.json``): keys sorted, floats rounded to a
-fixed number of significant digits, trailing newline — so regenerating a
-result file produces a minimal diff (a metric line changes only when the
-metric meaningfully changed, not because ``time.perf_counter`` churned
-its last eleven digits).
+A benchmark run writes what it measured to :data:`FRESH_DIR` (git-ignored);
+the committed baselines in :data:`RESULTS_DIR` change only through
+``record_results.py``.  Shared by the benchmark conftest (``summary.json``)
+and the self-debugging benchmark (``metrics_snapshot.json``): keys sorted,
+floats rounded to a fixed number of significant digits, trailing newline —
+so re-recording a result file produces a minimal diff (a metric line
+changes only when the metric meaningfully changed, not because
+``time.perf_counter`` churned its last eleven digits).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+#: The committed baselines ``check_perf_regression.py`` compares against.
+RESULTS_DIR = Path(__file__).parent / "results"
+#: The results of the current benchmark run (git-ignored).
+FRESH_DIR = Path(__file__).parent / "fresh-results"
 
 
 def round_floats(value, significant_digits: int = 6):

@@ -1,9 +1,10 @@
 """CI perf-regression gate over ``benchmarks/results/summary.json``.
 
-The benchmark suite records every gate's numbers into ``summary.json``;
-this script compares a freshly produced summary against the committed
-baseline and **fails on regression**: any tracked metric that got worse
-by more than the tolerance (default ±20%) exits nonzero with a report.
+The benchmark suite records every gate's numbers into
+``benchmarks/fresh-results/summary.json``; this script compares that
+fresh summary against the committed baseline and **fails on regression**:
+any tracked metric that got worse by more than the tolerance (default
+±20%) exits nonzero with a report.
 
 Only *relative* metrics are compared — speedups and coalescing ratios,
 which divide two timings taken on the same runner in the same run and so
@@ -13,11 +14,13 @@ for context only.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
-    cp benchmarks/results/summary.json /tmp/baseline.json   # committed
-    pytest benchmarks/ ...                                  # regenerates
+    pytest benchmarks/ ...               # writes benchmarks/fresh-results/
     python benchmarks/check_perf_regression.py \
-        --baseline /tmp/baseline.json \
-        --fresh benchmarks/results/summary.json
+        --baseline benchmarks/results/summary.json \
+        --fresh benchmarks/fresh-results/summary.json
+
+The run never touches the committed baseline; ``record_results.py``
+re-records it on purpose.
 
 A tracked metric missing from the fresh summary (a perf gate silently
 dropped) is itself a failure; experiments new in the fresh summary are

@@ -2,9 +2,10 @@
 
 Every benchmark regenerates one table or figure of the paper on the simulated
 substrate, asserts its qualitative claim, prints the paper-style rows (visible
-with ``pytest benchmarks/ --benchmark-only -s``) and appends the numbers to
-``benchmarks/results/summary.json`` so that EXPERIMENTS.md can be refreshed
-from a single run.
+with ``pytest benchmarks/ --benchmark-only -s``) and records the numbers in
+``benchmarks/fresh-results/summary.json``, which each session starts afresh
+and git ignores.  The committed baseline ``benchmarks/results/summary.json``
+changes only when ``benchmarks/record_results.py`` re-records it.
 
 Result files are written **deterministically** so reruns produce minimal
 diffs: keys are sorted, floats are rounded to six significant digits
@@ -17,7 +18,6 @@ per-system timing histories as append-only (see
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
@@ -25,10 +25,9 @@ from pathlib import Path
 import pytest
 
 BENCHMARKS_DIR = Path(__file__).parent
-RESULTS_DIR = BENCHMARKS_DIR / "results"
 
 sys.path.insert(0, str(BENCHMARKS_DIR))  # so tests can `import _results_io`
-from _results_io import write_results_json  # noqa: E402
+from _results_io import FRESH_DIR, write_results_json  # noqa: E402
 
 
 def pytest_collection_modifyitems(config, items):
@@ -61,15 +60,15 @@ def campaign_workers() -> int:
 
 @pytest.fixture(scope="session")
 def results_recorder():
-    """Session-wide recorder that persists benchmark outputs as JSON."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "summary.json"
+    """Session-wide recorder that persists benchmark outputs as JSON.
+
+    The fresh summary holds only this session's experiments, so a perf
+    gate that stopped recording is missing from it and fails
+    ``check_perf_regression.py``.
+    """
+    FRESH_DIR.mkdir(exist_ok=True)
+    path = FRESH_DIR / "summary.json"
     store: dict[str, object] = {}
-    if path.exists():
-        try:
-            store.update(json.loads(path.read_text()))
-        except json.JSONDecodeError:
-            pass
 
     def record(experiment: str, payload: object) -> None:
         store[experiment] = payload

@@ -29,7 +29,7 @@ Two acceptance gates from ISSUE 10:
 Both metrics are recorded into ``summary.json`` for the
 ``check_perf_regression.py`` gate, and the run leaves its observability
 artifacts — the deterministic trace JSONL and a metrics snapshot — in
-``benchmarks/results/`` for CI to upload.  ``SELF_DEBUG_BENCH_QUICK=1``
+``benchmarks/fresh-results/`` for CI to upload.  ``SELF_DEBUG_BENCH_QUICK=1``
 trims the workload size for CI runners (round count and the observed-row
 denominator stay at full size); the gates are unchanged.
 """
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import gc
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -55,9 +54,8 @@ from repro.service import (
     mixed_workload,
     serve_concurrently,
 )
+from _results_io import FRESH_DIR, write_results_json
 from repro.systems.cache_example import make_cache_example
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 QUICK = os.environ.get("SELF_DEBUG_BENCH_QUICK") == "1"
 N_CLIENTS = 64
@@ -75,8 +73,8 @@ MAX_TRACING_OVERHEAD = 1.05
 MIN_P99_IMPROVEMENT = 1.30
 SEED = 29
 
-TRACE_PATH = RESULTS_DIR / "self_debug_trace.jsonl"
-METRICS_PATH = RESULTS_DIR / "metrics_snapshot.json"
+TRACE_PATH = FRESH_DIR / "self_debug_trace.jsonl"
+METRICS_PATH = FRESH_DIR / "metrics_snapshot.json"
 
 
 def _qos_sweep(subject, engine, directions, n, seed):
@@ -186,8 +184,6 @@ def test_tracing_overhead_within_five_percent(results_recorder):
     n_queries = len(requests)
     assert tracer.contexts_created - contexts_before == \
         n_queries * ROUNDS
-
-    from _results_io import write_results_json
 
     write_results_json(METRICS_PATH, snapshot.as_dict())
     payload = {

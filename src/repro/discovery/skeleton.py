@@ -21,7 +21,8 @@ relearn.  Level 0 is one array call,
 replays the marginal decisions from the test's decision table; the pairs
 it removes keep their empty separating sets as a view over its result
 (:class:`SeparatingSets`).  From level 1 on, adjacency is a list of int
-sets and conditioning sets are tuples of the CI test's column indices.
+sets and conditioning sets are tuples of the CI test's column indices; a
+removed pair's tuple is named only when FCI reads that pair.
 Level 1 decides every edge's candidates in array blocks
 (:meth:`~repro.stats.independence.CachedCITest.singleton_block`) and
 walks them in visiting order; later levels reach
@@ -54,19 +55,28 @@ class SeparatingSets(MutableMapping):
     The pairs a level-0 sweep removed all have the empty separating set;
     they stay the sweep's boolean mask over a :class:`SkeletonSpace`'s
     ``testable`` pairs and are read through it, so a relearn builds no set
-    for them.  Reading one gives a new empty set.  Every other separating
-    set is held in a dict.  Storing or deleting a level-0 pair takes it out
-    of the mask.
+    for them.  Reading one gives a new empty set.  The pairs later levels
+    removed arrive as the search's ``pair -> column tuple`` dict, held in
+    removal order; a pair's tuple is named, turned into the set of its
+    variables' names, the first time that pair is read, so a relearn names
+    only the sets FCI reads (the pairs of unshielded triples).  Sets
+    stored later follow them.  Iteration yields those pairs in that order,
+    then the level-0 pairs.  Storing or deleting a level-0 pair takes it
+    out of the mask.
     """
 
     def __init__(self, space: SkeletonSpace | None = None,
                  marginal: np.ndarray | None = None,
-                 sets: dict[frozenset[str], set[str]] | None = None) -> None:
+                 removed: dict[tuple[int, int], tuple] | None = None,
+                 name_of: dict | None = None) -> None:
         self._names = [] if space is None else space.testable_names
         self._position = {} if space is None else space.testable_position
         self._marginal = (np.zeros(0, dtype=bool) if marginal is None
                           else marginal)
-        self._sets = {} if sets is None else sets
+        self._sets: dict[frozenset[str], set[str] | tuple] = {
+            space.pair_names[pair]: subset
+            for pair, subset in (removed or {}).items()}
+        self._name_of = name_of
 
     def _marginal_at(self, key: frozenset[str]) -> int | None:
         k = self._position.get(key)
@@ -81,6 +91,9 @@ class SeparatingSets(MutableMapping):
     def get(self, key: frozenset[str], default=None):
         """The separating set of ``key``, or ``default``."""
         found = self._sets.get(key)
+        if isinstance(found, tuple):
+            found = self._sets[key] = set(map(self._name_of.__getitem__,
+                                              found))
         if found is not None:
             return found
         return default if self._marginal_at(key) is None else set()
@@ -318,15 +331,11 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
         if not removed:
             break
 
-    name_of = dict(zip(columns, names)).__getitem__
-    pair_names = space.pair_names
-    separating_sets = SeparatingSets(space, independent, {
-        pair_names[pair]: set(map(name_of, subset))
-        for pair, subset in separating.items()})
     return SkeletonResult(
         graph=space.graph([*space.required,
                            *((u, v) for u, v in edges if v in adjacency[u])]),
-        separating_sets=separating_sets,
+        separating_sets=SeparatingSets(space, independent, separating,
+                                       dict(zip(columns, names))),
         tests_performed=tests)
 
 

@@ -70,10 +70,10 @@ class CausalInferenceEngine:
         load path passes the deserialised
         :class:`~repro.scm.fitting.FittedPerformanceModel` here so a
         snapshot reload performs no least-squares work at all.  Because
-        :func:`~repro.scm.fitting.fit_structural_equations` is
-        deterministic and the store's codec is bitwise, an adopted model
-        answers byte-identically to a fresh fit.  Later :meth:`refresh`
-        calls refit as usual (the data grew).
+        every fit is deterministic and the store's codec is bitwise, an
+        adopted model answers byte-identically to a fresh fit.  Later
+        :meth:`refresh` calls rebind to new equations as usual (the data
+        grew).
     """
 
     def __init__(self, learned: LearnedModel,
@@ -111,14 +111,18 @@ class CausalInferenceEngine:
     def refresh(self, learned: LearnedModel) -> None:
         """Rebind the engine to an updated model, keeping valid caches.
 
-        The structural equations are refit (the observational data grew),
-        but cached path rankings are invalidated *selectively*: a ranking
-        for a set of objectives is dropped when some edge of the causal
-        graph changed whose endpoints can influence one of those objectives
-        (in the old or the new graph), or when it has survived
-        ``max_ranking_age`` refreshes — the Path_ACE scores behind a ranking
-        come from the refitted equations, so even an untouched ranking must
-        not outlive the data that produced it indefinitely.  In the common
+        The structural equations are rebound to the grown data, and each is
+        fitted on those rows the first time a query reads it (see
+        :func:`~repro.scm.fitting.fit_structural_equations`), so a refresh
+        itself fits nothing and a debugging step fits only the few
+        equations its queries touch.  Cached path rankings are invalidated
+        *selectively*: a ranking for a set of objectives is dropped when
+        some edge of the causal graph changed whose endpoints can influence
+        one of those objectives (in the old or the new graph), or when it
+        has survived ``max_ranking_age`` refreshes — the Path_ACE scores
+        behind a ranking come from the refitted equations, so even an
+        untouched ranking must not outlive the data that produced it
+        indefinitely.  In the common
         incremental case — a handful of new samples, an unchanged or
         locally-changed graph — most rankings survive, so Stage III/V
         queries after the refresh skip the expensive path re-extraction.
@@ -143,7 +147,7 @@ class CausalInferenceEngine:
         self._fitted = fit_structural_equations(learned.graph, learned.data)
         # Structural memos (path enumeration, affected sets, candidate
         # grids) survive a refresh exactly when no edge changed; the batched
-        # evaluator always rebinds to the refitted equations.
+        # evaluator always rebinds to the new equations.
         self._plan.rebind(self._fitted.dag, graph=learned.graph,
                           structure_changed=bool(changed_nodes))
         self._batched = BatchedFittedModel(self._fitted, plan=self._plan)

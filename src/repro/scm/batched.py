@@ -33,7 +33,7 @@ product reassociates each equation's sum.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -336,6 +336,38 @@ class BatchedSCM:
 # ---------------------------------------------------------------------------
 # Fitted performance models
 # ---------------------------------------------------------------------------
+class _Residuals(Mapping):
+    """Abducted equation residuals, each computed on first read.
+
+    A variable has a residual when it and all its parents are in
+    ``observed``.  That is decided from the model's parent map alone, so
+    membership, length and iteration fit no equation; ``residual`` computes
+    one variable's residual when it is read.
+    """
+
+    def __init__(self, model: FittedPerformanceModel, observed,
+                 residual: Callable[[str], object]) -> None:
+        self._values = dict.fromkeys(
+            variable for variable, parents in model.parents().items()
+            if variable in observed and all(p in observed for p in parents))
+        self._residual = residual
+
+    def __getitem__(self, variable: str):
+        value = self._values[variable]
+        if value is None:
+            value = self._values[variable] = self._residual(variable)
+        return value
+
+    def __contains__(self, variable: object) -> bool:
+        return variable in self._values
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 class BatchedFittedModel:
     """Vectorized queries over a fitted performance model.
 
@@ -355,7 +387,7 @@ class BatchedFittedModel:
         self._means_epoch = model.data.data_epoch
         #: full-dataset residual columns (counterfactual_rows_batch), keyed
         #: off the data epoch like the means — intervention-independent.
-        self._row_residuals: dict[str, np.ndarray] | None = None
+        self._row_residuals: _Residuals | None = None
         self._row_residuals_epoch = -1
         #: context-matrix memo: ``(data_epoch, max_contexts, matrix)``.
         self._context_cache: tuple[int, int, np.ndarray] | None = None
@@ -531,20 +563,17 @@ class BatchedFittedModel:
 
     # -------------------------------------------------------- counterfactual
     def _abduct_residuals(self, observation: Mapping[str, float]
-                          ) -> dict[str, float]:
+                          ) -> _Residuals:
         """Equation residuals of the factual observation (abduction).
 
-        Computed once per observation with the scalar equations — this is
-        the single abduction reused across the whole candidate batch.
+        One abduction per observation, reused across the whole candidate
+        batch; each residual is computed with the scalar equation the first
+        time a program reads it.
         """
         model = self._model
-        residuals: dict[str, float] = {}
-        for variable, equation in model.equations().items():
-            if variable in observation and all(p in observation
-                                               for p in equation.parents):
-                residuals[variable] = (float(observation[variable])
-                                       - equation.predict(observation))
-        return residuals
+        return _Residuals(model, observation, lambda variable: (
+            float(observation[variable])
+            - model.equation(variable).predict(observation)))
 
     def _observation_token(self, scalars: Mapping[str, float]) -> tuple:
         """Equality token over every broadcast scalar a program may read.
@@ -717,9 +746,9 @@ class BatchedFittedModel:
         intervention — the satisfaction-probability hot path.
 
         The residual abduction is vectorized over the dataset: one
-        ``predict_batch`` per equation on the pristine columns, then one
-        re-propagation of the affected variables with the intervention
-        clamped.
+        ``predict_batch`` on the pristine columns per recomputed equation,
+        kept for the data epoch, then one re-propagation of the affected
+        variables with the intervention clamped.
         """
         model = self._model
         data = model.data
@@ -727,13 +756,9 @@ class BatchedFittedModel:
         columns = {name: data.column(name) for name in data.columns}
         epoch = data.data_epoch
         if self._row_residuals is None or self._row_residuals_epoch != epoch:
-            self._row_residuals = {
-                variable: columns[variable]
-                - equation.predict_batch(columns, n)
-                for variable, equation in model.equations().items()
-                if variable in columns
-                and all(p in columns for p in equation.parents)
-            }
+            self._row_residuals = _Residuals(model, columns, lambda variable: (
+                columns[variable]
+                - model.equation(variable).predict_batch(columns, n)))
             self._row_residuals_epoch = epoch
         residuals = self._row_residuals
         values: dict = dict(columns)

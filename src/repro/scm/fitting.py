@@ -3,9 +3,10 @@
 The paper characterises each functional node of the causal performance model
 with a polynomial model (the role played by ``semopy`` in the original
 toolchain).  ``fit_structural_equations`` takes the learned graph and the
-observational data and fits, for every node with at least one parent, a
-least-squares polynomial (linear + squared + pairwise-interaction features) of
-its parents.  The resulting :class:`FittedPerformanceModel` supports:
+observational data; for every node with at least one parent, a least-squares
+polynomial (linear + squared + pairwise-interaction features) of its parents
+is fitted the first time the equation is read.  The resulting
+:class:`FittedPerformanceModel` supports:
 
 * performance prediction for unmeasured configurations (conditional
   expectation ``E[Y | X = x]`` propagated through the graph),
@@ -22,7 +23,7 @@ average and individual causal effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -146,16 +147,12 @@ def _polynomial_features(matrix: np.ndarray, names: Sequence[str]
     return np.column_stack(columns), feature_names
 
 
-def _fit_equation(data: Dataset, variable: str,
-                  parents: Sequence[str]) -> FittedEquation:
-    parents = tuple(sorted(parents))
-    y = data.column(variable)
-    if not parents:
-        return FittedEquation(variable=variable, parents=(),
-                              feature_names=(), coefficients=np.zeros(0),
-                              intercept=float(np.mean(y)),
-                              residual_std=float(np.std(y)))
-    x = np.column_stack([data.column(p) for p in parents])
+def _fit_equation(rows: np.ndarray, column: Callable[[str], int],
+                  variable: str, parents: tuple[str, ...]) -> FittedEquation:
+    """Least-squares fit of ``variable`` on ``parents`` (sorted, non-empty)
+    over the rows of ``rows``; ``column`` maps a name to its column."""
+    y = rows[:, column(variable)]
+    x = np.column_stack([rows[:, column(p)] for p in parents])
     features, names = _polynomial_features(x, parents)
     design = np.column_stack([features, np.ones(len(y))])
     # Least squares via SVD (lstsq) keeps the fit stable when features are
@@ -172,25 +169,38 @@ def _fit_equation(data: Dataset, variable: str,
 
 
 class FittedPerformanceModel:
-    """Structural equations fitted over a causal graph.
+    """Structural equations over a causal graph, each fitted on first use.
 
     Parameters
     ----------
     dag:
         The directed part of the learned causal performance model.
     equations:
-        One fitted equation per endogenous node (node with parents).
+        Equations already fitted (a reload or a hand-built model).
     data:
-        The observational data used for fitting; kept so interventional
-        expectations can marginalise over the empirical context distribution.
+        The observational data; kept so interventional expectations can
+        marginalise over the empirical context distribution.
+    parents:
+        Sorted parents of every endogenous node; defaults to those of
+        ``equations``.  A node without an equation is fitted the first time
+        something reads it, on the rows ``data`` held when the model was
+        built: rows later appended in place never reach a fit, so an
+        equation is the same whenever (and on whichever thread) it is first
+        read.  A racing second fit keeps the first one.
     """
 
     def __init__(self, dag: CausalDAG,
                  equations: Mapping[str, FittedEquation],
-                 data: Dataset) -> None:
+                 data: Dataset,
+                 parents: Mapping[str, tuple[str, ...]] | None = None
+                 ) -> None:
         self._dag = dag
         self._equations = dict(equations)
+        self._parents = dict(parents) if parents is not None else {
+            variable: equation.parents
+            for variable, equation in self._equations.items()}
         self._data = data
+        self._rows = data.values
         self._topo = dag.topological_order()
 
     @property
@@ -202,13 +212,24 @@ class FittedPerformanceModel:
         return self._data
 
     def equation(self, variable: str) -> FittedEquation:
-        return self._equations[variable]
+        equation = self._equations.get(variable)
+        if equation is None:
+            equation = self._equations.setdefault(variable, _fit_equation(
+                self._rows, self._data.column_index, variable,
+                self._parents[variable]))
+        return equation
 
     def has_equation(self, variable: str) -> bool:
-        return variable in self._equations
+        return variable in self._parents
+
+    def parents(self) -> dict[str, tuple[str, ...]]:
+        """Sorted parents of every endogenous node; reading them fits
+        nothing."""
+        return dict(self._parents)
 
     def equations(self) -> dict[str, FittedEquation]:
-        return dict(self._equations)
+        return {variable: self.equation(variable)
+                for variable in self._parents}
 
     # ------------------------------------------------------------ prediction
     def predict(self, assignment: Mapping[str, float],
@@ -224,11 +245,10 @@ class FittedPerformanceModel:
         for variable in self._topo:
             if variable in values:
                 continue
-            if variable in self._equations:
-                equation = self._equations[variable]
-                if all(p in values for p in equation.parents):
-                    values[variable] = equation.predict(values)
-                    continue
+            value = self._predict_from(variable, values)
+            if value is not None:
+                values[variable] = value
+                continue
             if variable in self._data.columns:
                 values[variable] = float(np.mean(self._data.column(variable)))
             else:  # pragma: no cover - defensive
@@ -263,10 +283,9 @@ class FittedPerformanceModel:
             for variable in self._topo:
                 if variable in intervention or variable not in affected:
                     continue
-                if variable in self._equations:
-                    equation = self._equations[variable]
-                    if all(p in values for p in equation.parents):
-                        values[variable] = equation.predict(values)
+                value = self._predict_from(variable, values)
+                if value is not None:
+                    values[variable] = value
             total += values.get(target, 0.0)
         return total / max(len(rows), 1)
 
@@ -275,17 +294,11 @@ class FittedPerformanceModel:
                        intervention: Mapping[str, float]) -> dict[str, float]:
         """Counterfactual outcome of one observed sample under an intervention.
 
-        Abduction recovers each equation's residual on the factual
-        observation; the intervention is applied; prediction re-propagates the
-        equations adding back the abducted residuals (additive-noise
-        assumption).
+        Abduction recovers each recomputed equation's residual on the
+        factual observation; the intervention is applied; prediction
+        re-propagates the equations adding back the abducted residuals
+        (additive-noise assumption).
         """
-        residuals: dict[str, float] = {}
-        for variable, equation in self._equations.items():
-            if variable in observation and all(p in observation
-                                               for p in equation.parents):
-                residuals[variable] = (float(observation[variable])
-                                       - equation.predict(observation))
         values: dict[str, float] = {k: float(v) for k, v in observation.items()}
         values.update({k: float(v) for k, v in intervention.items()})
         affected = set(intervention)
@@ -295,12 +308,24 @@ class FittedPerformanceModel:
         for variable in self._topo:
             if variable in intervention or variable not in affected:
                 continue
-            if variable in self._equations:
-                equation = self._equations[variable]
-                if all(p in values for p in equation.parents):
-                    values[variable] = (equation.predict(values)
-                                        + residuals.get(variable, 0.0))
+            value = self._predict_from(variable, values)
+            if value is None:
+                continue
+            factual = (self._predict_from(variable, observation)
+                       if variable in observation else None)
+            values[variable] = value + (
+                0.0 if factual is None
+                else float(observation[variable]) - factual)
         return values
+
+    def _predict_from(self, variable: str,
+                      values: Mapping[str, float]) -> float | None:
+        """``variable``'s equation at ``values``, or ``None`` when it has
+        none or a parent is missing (checked before anything is fitted)."""
+        parents = self._parents.get(variable)
+        if parents is None or not all(p in values for p in parents):
+            return None
+        return self.equation(variable).predict(values)
 
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict:
@@ -317,8 +342,8 @@ class FittedPerformanceModel:
             "nodes": self._dag.nodes,
             "edges": [[cause, effect]
                       for cause, effect in sorted(self._dag.edges())],
-            "equations": [self._equations[v].to_dict()
-                          for v in sorted(self._equations)],
+            "equations": [self.equation(v).to_dict()
+                          for v in sorted(self._parents)],
         }
 
     @classmethod
@@ -349,7 +374,7 @@ class FittedPerformanceModel:
         appear in models learned in different environments.
         """
         terms: dict[str, float] = {}
-        for equation in self._equations.values():
+        for equation in self.equations().values():
             for name, coefficient in equation.terms().items():
                 terms[f"{equation.variable}<-{name}"] = coefficient
         return terms
@@ -357,16 +382,22 @@ class FittedPerformanceModel:
 
 def fit_structural_equations(graph: MixedGraph | CausalDAG,
                              data: Dataset) -> FittedPerformanceModel:
-    """Fit polynomial structural equations for every node with parents."""
+    """Polynomial structural equations for every node with parents.
+
+    Records each endogenous node's sorted parents (those that are data
+    columns) and pins the rows ``data`` holds now; the model fits an
+    equation on those rows the first time it is read, so this call itself
+    fits nothing.
+    """
     if isinstance(graph, MixedGraph):
         dag = CausalDAG.from_mixed_graph(graph)
     else:
         dag = graph
-    equations: dict[str, FittedEquation] = {}
+    columns = set(data.columns)
+    parents: dict[str, tuple[str, ...]] = {}
     for variable in dag.nodes:
-        if variable not in data.columns:
-            continue
-        parents = [p for p in dag.parents(variable) if p in data.columns]
-        if parents:
-            equations[variable] = _fit_equation(data, variable, parents)
-    return FittedPerformanceModel(dag, equations, data)
+        if variable in columns:
+            found = sorted(p for p in dag.parents(variable) if p in columns)
+            if found:
+                parents[variable] = tuple(found)
+    return FittedPerformanceModel(dag, {}, data, parents=parents)

@@ -33,7 +33,6 @@ thread-safe), while distinct subjects proceed independently.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from typing import Mapping, Sequence
@@ -98,7 +97,8 @@ class UnknownSubjectError(KeyError):
 
 
 class InvalidMeasurementError(ValueError):
-    """Raised when an observed measurement carries a non-finite value.
+    """Raised when an observed measurement carries a non-finite value, or
+    one beyond ``_MAX_MAGNITUDE`` (1e60).
 
     One NaN or infinite objective folded into a model poisons its
     sufficient statistics for good (every later answer for the subject is
@@ -108,17 +108,24 @@ class InvalidMeasurementError(ValueError):
     """
 
 
+#: Largest measured magnitude a model accepts.  The CI statistics square
+#: covariances, fourth powers of the values summed over rows, so a finite
+#: value near 1e100 overflowed a relearn after its rows were appended.
+_MAX_MAGNITUDE = 1e60
+
+
 def _require_finite(subject: str,
                     measurements: Sequence[Measurement]) -> None:
-    """Raise :class:`InvalidMeasurementError` on any non-finite value."""
+    """Raise :class:`InvalidMeasurementError` on any non-finite value or
+    any beyond ``_MAX_MAGNITUDE`` (1e60)."""
     for index, measurement in enumerate(measurements):
         for values in (measurement.configuration, measurement.events,
                        measurement.objectives):
             for name, value in values.items():
-                if not math.isfinite(value):
+                if not abs(value) <= _MAX_MAGNITUDE:
                     raise InvalidMeasurementError(
                         f"measurement {index} for subject {subject!r} has "
-                        f"non-finite {name}={value!r}")
+                        f"non-finite or out-of-range {name}={value!r}")
 
 
 class ModelEntry:

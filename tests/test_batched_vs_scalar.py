@@ -48,7 +48,7 @@ def _fused_tol(model):
     of ``TOL``.
     """
     scale = 1.0
-    for equation in model._equations.values():
+    for equation in model.equations().values():
         coefficients = getattr(equation, "coefficients", None)
         if coefficients is not None and len(coefficients):
             scale = max(scale, float(np.max(np.abs(coefficients))),

@@ -88,7 +88,7 @@ def test_mixed_fallback_level_matches_scalar():
     model = fit_structural_equations(scm.dag, Dataset.from_rows(rows))
     # Make v1 opaque: level 0 now holds a fused block (v0) and a fallback
     # (v1) side by side, and level 1 (v2) consumes both their columns.
-    model._equations["v1"] = _OpaqueEquation(model._equations["v1"])
+    model._equations["v1"] = _OpaqueEquation(model.equation("v1"))
     assert equation_feature_ops(model.equation("v1")) is None
     fused = BatchedFittedModel(model)
     assignments = [{"o0": a, "o1": b} for a in (0.0, 1.0) for b in (1.0, 2.0)]
