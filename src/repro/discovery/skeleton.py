@@ -17,7 +17,7 @@ set and the constraints: the allowed pairs, the required pairs and the
 variables a conditioning set may contain, and the testable pairs as
 column-index arrays.  A learner builds it once per session, not once per
 relearn.  Level 0 is one array call,
-:meth:`~repro.stats.independence.CachedCITest.marginal_arrays`, which
+:meth:`~repro.stats.independence.CachedCITest.marginal_bands`, which
 replays the marginal decisions from the test's decision table; the pairs
 it removes keep their empty separating sets as a view over its result
 (:class:`SeparatingSets`).  From level 1 on, adjacency is a list of int
@@ -264,8 +264,9 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
     removed and the separating set recorded.  Within a level, edges are
     visited in ``MixedGraph.edges()`` order and subsets in name order, and
     an edge removed earlier in the level shrinks the adjacency of the edges
-    tested after it.  Level 0 is one ``marginal_arrays`` call over the
-    testable pairs (``test_batch`` for a name-based test): a boolean array
+    tested after it.  Level 0 is one ``marginal_bands`` call over the
+    testable pairs (``test_batch`` for a name-based test), read as a
+    boolean array
     whose false entries are the surviving edges, in visiting order, and
     whose true entries have the empty separating set.  Level 1 is blocks
     of tests and a walk over them when the test offers ``singleton_block``
@@ -284,12 +285,11 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
     if space is None:
         space = SkeletonSpace(variables, constraints)
     names = space.names
-    if hasattr(ci_test, "marginal_arrays"):
+    if hasattr(ci_test, "marginal_bands"):
         columns = [ci_test.column_index(name) for name in names]
         test = ci_test.test_index
-        p_values, _ = ci_test.marginal_arrays(
-            *space.testable_columns(columns))
-        independent = p_values > ci_test.alpha
+        independent = ci_test.marginal_bands(
+            *space.testable_columns(columns)).independent
     else:
         # A name-based test: its "columns" are the names themselves.
         columns = names

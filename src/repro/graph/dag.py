@@ -10,6 +10,7 @@ ordering, which the SCM sampler and the structural-equation fitter rely on.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 from repro.graph.edges import Mark
@@ -37,6 +38,7 @@ class CausalDAG:
         self._parents: dict[str, set[str]] = {}
         self._children: dict[str, set[str]] = {}
         self._order: list[str] = []
+        self._topo: list[str] | None = None  # kept until the graph changes
         for node in nodes:
             self.add_node(node)
         for cause, effect in edges:
@@ -53,6 +55,7 @@ class CausalDAG:
             self._parents[node] = set()
             self._children[node] = set()
             self._order.append(node)
+            self._topo = None
 
     def has_node(self, node: str) -> bool:
         """Whether ``node`` is a variable of this graph."""
@@ -75,11 +78,13 @@ class CausalDAG:
             raise CycleError(f"edge {cause!r} -> {effect!r} creates a cycle")
         self._parents[effect].add(cause)
         self._children[cause].add(effect)
+        self._topo = None
 
     def remove_edge(self, cause: str, effect: str) -> None:
         """Remove ``cause -> effect`` if present."""
         self._parents[effect].discard(cause)
         self._children[cause].discard(effect)
+        self._topo = None
 
     def has_edge(self, cause: str, effect: str) -> bool:
         """Whether the directed edge ``cause -> effect`` exists."""
@@ -134,18 +139,23 @@ class CausalDAG:
 
     def topological_order(self) -> list[str]:
         """Kahn's algorithm with insertion order as tie-breaker."""
+        if self._topo is None:
+            self._topo = self._kahn()
+        return list(self._topo)
+
+    def _kahn(self) -> list[str]:
+        position = {n: k for k, n in enumerate(self._order)}.__getitem__
         in_degree = {n: len(self._parents[n]) for n in self._order}
-        ready = [n for n in self._order if in_degree[n] == 0]
+        ready = deque(n for n in self._order if in_degree[n] == 0)
         out: list[str] = []
         while ready:
-            node = ready.pop(0)
+            node = ready.popleft()
             out.append(node)
-            for child in sorted(self._children[node],
-                                key=self._order.index):
+            for child in sorted(self._children[node], key=position):
                 in_degree[child] -= 1
                 if in_degree[child] == 0:
                     ready.append(child)
-        if len(out) != len(self._order):  # pragma: no cover - defensive
+        if len(out) != len(self._order):
             raise CycleError("graph contains a cycle")
         return out
 
@@ -162,11 +172,15 @@ class CausalDAG:
         """Extract the directed part of a mixed graph as a DAG.
 
         Bidirected and undetermined edges are dropped; a cycle in the directed
-        part raises :class:`CycleError`.
+        part raises :class:`CycleError` (one topological sort, kept).
         """
         dag = cls(graph.nodes)
-        for cause, effect in graph.directed_edges():
-            dag.add_edge(cause, effect)
+        marks = graph.marks
+        for (cause, effect), mark in marks.items():
+            if mark is Mark.ARROW and marks[(effect, cause)] is Mark.TAIL:
+                dag._parents[effect].add(cause)
+                dag._children[cause].add(effect)
+        dag._topo = dag._kahn()
         return dag
 
     @classmethod

@@ -115,7 +115,8 @@ class CausalInferenceEngine:
         fitted on those rows the first time a query reads it (see
         :func:`~repro.scm.fitting.fit_structural_equations`), so a refresh
         itself fits nothing and a debugging step fits only the few
-        equations its queries touch.  Cached path rankings are invalidated
+        equations its queries touch; the DAG is sorted topologically once,
+        for all three users of the order.  Cached path rankings are invalidated
         *selectively*: a ranking for a set of objectives is dropped when
         some edge of the causal graph changed whose endpoints can influence
         one of those objectives (in the old or the new graph), or when it
@@ -164,18 +165,10 @@ class CausalInferenceEngine:
 
     @staticmethod
     def _changed_edge_nodes(old: MixedGraph, new: MixedGraph) -> set[str]:
-        """Endpoints of edges that were added, removed or re-oriented."""
-        old_edges = {frozenset((e.u, e.v)): (e.mark_u, e.mark_v)
-                     for e in old.edges()}
-        new_edges = {frozenset((e.u, e.v)): (e.mark_u, e.mark_v)
-                     for e in new.edges()}
-        changed: set[str] = set()
-        for key in old_edges.keys() ^ new_edges.keys():
-            changed |= set(key)
-        for key in old_edges.keys() & new_edges.keys():
-            if old_edges[key] != new_edges[key]:
-                changed |= set(key)
-        return changed
+        """Endpoints of edges that were added, removed or re-oriented: the
+        ends of every endpoint mark only one of the graphs has."""
+        return {node for pair, _ in old.marks.items() ^ new.marks.items()
+                for node in pair}
 
     @staticmethod
     def _ranking_touched(objectives: tuple[str, ...],

@@ -92,6 +92,7 @@ from repro.service.metrics import (
 )
 from repro.service.registry import (
     InvalidMeasurementError,
+    InvalidSpecError,
     ModelEntry,
     ModelRegistry,
     UnknownSubjectError,
@@ -162,6 +163,7 @@ __all__ = [
     "GatewayServer",
     "GatewayStats",
     "InvalidMeasurementError",
+    "InvalidSpecError",
     "LatencyReservoir",
     "MAX_FRAME_BYTES",
     "MetricsSnapshot",

@@ -77,19 +77,41 @@ def unicorn_from_spec(spec: Mapping[str, object],
     ------
     KeyError
         If ``spec`` lacks ``"system"`` or names an unknown system.
+    InvalidSpecError
+        Before anything is fitted, if no model can be fitted from ``spec``.
     """
     spec = dict(spec)
     if "system" not in spec:
         raise KeyError("subject spec needs a 'system' name")
     system = get_system(str(spec["system"]), hardware=spec.get("hardware"))
     n_samples = int(spec.get("n_samples", 60))
+    max_condition_size = int(spec.get("max_condition_size", 1))
+    unknown = sorted(set(spec) - _SPEC_KEYS)
+    missing = sorted(set(spec.get("relevant_options") or ())
+                     - set(system.space.option_names))
+    if unknown or missing or not 0 <= max_condition_size <= n_samples - 4:
+        raise InvalidSpecError(
+            f"subject spec needs known keys (not {unknown}), options of the "
+            f"system (not {missing}) and 0 <= max_condition_size <= "
+            f"n_samples - 4 (got {max_condition_size}, {n_samples})")
     config = UnicornConfig(
         initial_samples=n_samples, budget=n_samples,
         seed=int(spec.get("seed", 0)),
-        max_condition_size=int(spec.get("max_condition_size", 1)),
+        max_condition_size=max_condition_size,
         relevant_options=spec.get("relevant_options"),
         batched_queries=use_batched)
     return Unicorn(system, config)
+
+
+_SPEC_KEYS = {"system", "hardware", "n_samples", "seed",
+              "max_condition_size", "relevant_options"}
+
+
+class InvalidSpecError(ValueError):
+    """Raised for a subject spec with a key :func:`unicorn_from_spec` does
+    not read, a negative ``max_condition_size``, ``n_samples`` below
+    ``max_condition_size + 4`` (no CI test could decide) or
+    ``relevant_options`` the system lacks."""
 
 
 class UnknownSubjectError(KeyError):

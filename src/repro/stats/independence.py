@@ -23,21 +23,22 @@ have an *index-space* form, ``test_index(i, j, Z)`` and
 to indices through ``column_index``).  The skeleton search calls these
 directly; the name-based methods are thin wrappers over them.  The marginal
 (empty conditioning set) case has an array form as well,
-``marginal_arrays(first, second)``, which returns ``(p_value, statistic)``
-arrays without building a :class:`CIResult` per pair; the skeleton's level-0
-sweep is one such call.  Singleton conditioning sets (``|Z| = 1``) have an
-array form too: ``singleton_decisions(first, second, third)`` decides a
+``marginal_bands(first, second)``, which decides a whole level-0 sweep as
+band codes (:class:`Bands`) from the Fisher z ratio bounds, without a
+``log`` or ``erfc`` per element.  Singleton conditioning sets (``|Z| = 1``)
+have an array form too: ``singleton_bands(first, second, third)`` decides a
 whole block of tests from the cached covariance, bit-equal to the scalar
 path, and :meth:`CachedCITest.singleton_block` /
 :meth:`CachedCITest.settle_singletons` replay and record such a block for
-the skeleton's level 1.
+the skeleton's level 1.  A p-value is computed only for a reader that asks
+for a :class:`CIResult`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -119,70 +120,121 @@ def _fisher_z_from_correlation(corr: float, n: int, k: int,
                     statistic=float(statistic))
 
 
-def _fisher_z_arrays(corr: np.ndarray, n: int, k: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """p-values and statistics of :func:`_fisher_z_from_correlation` over
-    an array, bit for bit.
-
-    The ratio, the scaling and the division by sqrt(2) run in numpy: each is
-    one IEEE operation, so the array form rounds exactly as the scalar one.
-    ``log`` and ``erfc`` stay per-element ``math`` calls, because numpy's
-    vectorised ``log`` may differ from libm in the last bit.
-    """
-    dof = n - k - 3
-    if dof <= 0:
-        return np.zeros(len(corr)), np.full(len(corr), np.inf)
-    log = math.log
-    ratios = ((1 + corr) / (1 - corr)).tolist()
-    statistics = math.sqrt(dof) * np.abs(
-        np.array([0.5 * log(q) for q in ratios]))
-    p_values = np.fromiter(
-        map(math.erfc, (statistics / math.sqrt(2)).tolist()), float,
-        len(ratios))
-    return p_values, statistics
-
-
-#: Relative half-width of the band around the decision threshold inside
-#: which :func:`_fisher_z_decisions` leaves an element to the exact scalar
-#: form.  Rounding moves the threshold by ~1e-15 relative; the band is wide
+#: Band codes of a decision, in p-value order: dependent or independent at
+#: ``alpha``, each confident or borderline by the margin policy
+#: (:func:`_band`); ``_GUARD`` marks an element left to the scalar form.
+_CONFIDENT_DEPENDENT, _DEPENDENT, _INDEPENDENT, _CONFIDENT_INDEPENDENT = \
+    range(4)
+_GUARD = -1
+#: Relative half-width of the guard band around each ratio bound inside
+#: which :func:`_fisher_z_bands` leaves an element to the exact scalar
+#: form.  Rounding moves a bound by ~1e-15 relative; the band is wide
 #: enough to absorb that many times over and narrow enough to catch almost
 #: nothing.
 _GUARD_BAND = 1e-9
 
 
-def _fisher_z_decisions(corr: np.ndarray, n: int, k: int,
-                        alpha: float) -> np.ndarray:
-    """The decisions of :func:`_fisher_z_from_correlation` over an array,
-    without its ``log`` and ``erfc``.
+def _band(p_value: float, statistic: float, alpha: float,
+          margin_factor: float) -> int:
+    """The band of one decision: independent when ``p > alpha``; confident
+    when ``p >= alpha * margin_factor`` or ``p <= alpha / margin_factor``
+    and the statistic is finite (never for the "cannot decide" sentinel)."""
+    confident = math.isfinite(statistic)
+    if p_value > alpha:
+        return (_CONFIDENT_INDEPENDENT if confident
+                and p_value >= alpha * margin_factor else _INDEPENDENT)
+    return (_CONFIDENT_DEPENDENT if confident
+            and p_value <= alpha / margin_factor else _DEPENDENT)
 
-    ``p > alpha`` holds exactly when the ratio ``(1 + r) / (1 - r)`` lies
+
+def _confident(band: np.ndarray) -> np.ndarray:
+    return (band == _CONFIDENT_DEPENDENT) | (band == _CONFIDENT_INDEPENDENT)
+
+
+def _fisher_z_bands(corr: np.ndarray, n: int, k: int, alpha: float,
+                    margin_factor: float) -> np.ndarray:
+    """The :func:`_band` of each :func:`_fisher_z_from_correlation`,
+    without its ``log`` and ``erfc``, as ``int8``.
+
+    ``p > a`` holds exactly when the ratio ``(1 + r) / (1 - r)`` lies
     strictly between ``exp(-b)`` and ``exp(b)``, with
-    ``b = 2 sqrt(2) erfcinv(alpha) / sqrt(dof)``.  The ratio is computed
-    as the scalar form computes it; an element within :data:`_GUARD_BAND`
-    of either bound gets ``-1`` (undecided) instead of a guess.  Otherwise
-    the result is ``1`` for independent and ``0`` for dependent, as
-    ``int8``.
+    ``b = 2 sqrt(2) erfcinv(a) / sqrt(dof)`` (``b = 0`` for ``a >= 1``,
+    which no p-value exceeds).  So the band of a ratio is the number of
+    the three thresholds' bounds ``exp(b)`` that ``max(ratio, 1 / ratio)``
+    lies below.  Within :data:`_GUARD_BAND` of a bound, for a ratio that
+    is not a number, and for every element when a threshold is subnormal
+    (too few bits to bound) or ``alpha >= 1``, the code is
+    :data:`_GUARD`.  ``dof <= 0`` is dependent, never confident.
     """
     dof = n - k - 3
     if dof <= 0:
-        return np.zeros(len(corr), dtype=np.int8)
-    if not 0.0 < alpha < 1.0:
-        return np.full(len(corr), -1, dtype=np.int8)
-    upper = math.exp(2.0 * math.sqrt(2.0) * float(scipy_special.erfcinv(alpha))
-                     / math.sqrt(dof))
-    lower = 1.0 / upper
+        return np.full(len(corr), _DEPENDENT, dtype=np.int8)
+    thresholds = (alpha / margin_factor, alpha, alpha * margin_factor)
+    if not (np.finfo(float).tiny <= thresholds[0] and alpha < 1.0):
+        return np.full(len(corr), _GUARD, dtype=np.int8)
     ratio = (1 + corr) / (1 - corr)
-    decided = ((ratio > lower) & (ratio < upper)).astype(np.int8)
-    decided[(np.abs(ratio - lower) <= lower * _GUARD_BAND)
-            | (np.abs(ratio - upper) <= upper * _GUARD_BAND)] = -1
-    return decided
+    folded = np.maximum(ratio, 1 / ratio)
+    band = np.zeros(len(corr), dtype=np.int8)
+    beyond = np.zeros(len(corr), dtype=np.int8)
+    for a in thresholds:
+        bound = math.exp(2.0 * math.sqrt(2.0)
+                         * float(scipy_special.erfcinv(min(a, 1.0)))
+                         / math.sqrt(dof))
+        band += folded < bound * (1 - _GUARD_BAND)
+        beyond += folded < bound * (1 + _GUARD_BAND)
+    band[(beyond != band) | np.isnan(folded)] = _GUARD
+    return band
 
 
-def _results(p_values: np.ndarray, statistics: np.ndarray,
-             alpha: float) -> list[CIResult]:
-    """One :class:`CIResult` per element of the decision arrays."""
-    return [CIResult(p > alpha, p, statistic)
-            for p, statistic in zip(p_values.tolist(), statistics.tolist())]
+def _settled_bands(corr: np.ndarray, n: int, k: int, alpha: float,
+                   margin_factor: float) -> np.ndarray:
+    """:func:`_fisher_z_bands`, the :data:`_GUARD` elements settled by the
+    scalar form."""
+    bands = _fisher_z_bands(corr, n, k, alpha, margin_factor)
+    for e in np.flatnonzero(bands == _GUARD).tolist():
+        result = _fisher_z_from_correlation(corr.item(e), n, k, alpha)
+        bands[e] = _band(result.p_value, result.statistic, alpha,
+                         margin_factor)
+    return bands
+
+
+@dataclass
+class Bands:
+    """Band codes of a block of tests (:data:`_GUARD`: only ``test_index``
+    can decide).  An element's :class:`CIResult` is
+    :func:`_fisher_z_from_correlation` of ``corr[e]`` over ``rows[e]``
+    rows, or, where ``rows[e] < 0`` (kept whole: a G-test), ``exact[e]``."""
+
+    band: np.ndarray
+    corr: np.ndarray
+    rows: np.ndarray
+    exact: dict[int, CIResult] = field(default_factory=dict)
+
+    @property
+    def independent(self) -> np.ndarray:
+        return self.band >= _INDEPENDENT
+
+    def set_exact(self, e: int, result: CIResult, alpha: float,
+                  margin_factor: float) -> None:
+        self.exact[e], self.rows[e] = result, -1
+        self.band[e] = _band(result.p_value, result.statistic, alpha,
+                             margin_factor)
+
+    def take(self, at: np.ndarray) -> "Bands":
+        """The elements ``at``, renumbered in that order."""
+        rows = self.rows[at]
+        return Bands(self.band[at], self.corr[at], rows,
+                     {e: self.exact[at.item(e)]
+                      for e in np.flatnonzero(rows < 0).tolist()})
+
+    def results(self, k: int, alpha: float) -> list[CIResult]:
+        """The :class:`CIResult` of every element, given ``k``
+        conditioning columns; each p-value is computed here."""
+        exact = self.exact
+        return [exact[e] if n < 0
+                else _fisher_z_from_correlation(r, n, k, alpha)
+                for e, (r, n) in enumerate(zip(self.corr.tolist(),
+                                               self.rows.tolist()))]
 
 
 def _pair_arrays(pairs: Sequence[tuple[int, int]]
@@ -261,66 +313,54 @@ class FisherZTest:
 
         Every pair's correlation is read from the upper triangle of the
         involved block (``lo = min(i, j)``, ``hi = max(i, j)``); without
-        conditioning this is :meth:`marginal_arrays`.
+        conditioning this is :meth:`marginal_bands`.
         """
         if not pairs:
             return []
         first, second = _pair_arrays(pairs)
         if not conditioning:
-            return _results(*self.marginal_arrays(first, second), self._alpha)
+            return self.marginal_bands(first, second).results(0, self._alpha)
         lo = np.minimum(first, second)
         hi = np.maximum(first, second)
         involved = np.union1d(lo, hi)
         matrix = self._stats.partial_correlations(involved, conditioning)
         corr = matrix[np.searchsorted(involved, lo),
                       np.searchsorted(involved, hi)]
-        return _results(*_fisher_z_arrays(corr, self._data.n_rows,
-                                          len(conditioning)), self._alpha)
+        return self._bands(corr, len(conditioning), 1.0).results(
+            len(conditioning), self._alpha)
 
-    def marginal_arrays(self, first: np.ndarray, second: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """``(p_value, statistic)`` arrays of the marginal tests of
-        ``first[k]`` and ``second[k]``.
+    def _bands(self, corr: np.ndarray, k: int,
+               margin_factor: float) -> Bands:
+        n = self._data.n_rows
+        return Bands(_settled_bands(corr, n, k, self._alpha, margin_factor),
+                     corr, np.full(len(corr), n))
 
-        The correlations are three gathers from the cached covariance and
-        one vectorised normalisation; each element equals
-        :meth:`test_index` without conditioning, bit for bit.
-        """
+    def marginal_bands(self, first: np.ndarray, second: np.ndarray,
+                       margin_factor: float = 1.0) -> Bands:
+        """The :class:`Bands` of the marginal tests of ``first[k]`` and
+        ``second[k]``.  The correlations are three gathers from the cached
+        covariance and one vectorised normalisation; each element equals
+        :meth:`test_index` without conditioning, bit for bit."""
         lo = np.minimum(first, second)
         hi = np.maximum(first, second)
         cov = self._stats.covariance()
-        corr = normalise_pairs(cov[lo, hi], cov[lo, lo], cov[hi, hi])
-        return _fisher_z_arrays(corr, self._data.n_rows, 0)
+        return self._bands(normalise_pairs(cov[lo, hi], cov[lo, lo],
+                                           cov[hi, hi]), 0, margin_factor)
 
-    def singleton_decisions(self, first: np.ndarray, second: np.ndarray,
-                            third: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """``(corr, decided)`` of testing ``first[e]`` and ``second[e]``
-        given ``third[e]``, without a ``log`` or ``erfc`` per element.
-
-        ``corr`` is :meth:`SufficientStats.singleton_partial_correlations`.
-        ``decided`` is ``1`` (independent) or ``0`` (dependent), exactly
-        as :meth:`test_index` decides, or ``-1`` where only
-        :meth:`test_index` can tell: next to the threshold, or where the
-        scalar form raises.  :meth:`singleton_results` gives the exact
-        p-values and statistics of chosen elements.
-        """
+    def singleton_bands(self, first: np.ndarray, second: np.ndarray,
+                        third: np.ndarray, margin_factor: float = 1.0
+                        ) -> Bands:
+        """The :class:`Bands` of testing ``first[e]`` and ``second[e]``
+        given ``third[e]``, from
+        :meth:`SufficientStats.singleton_partial_correlations` (which
+        folds no new rows in); an element whose scalar form raises is
+        :data:`_GUARD`, for :meth:`test_index` to tell."""
         corr, raises = self._stats.singleton_partial_correlations(
             first, second, third)
-        decided = _fisher_z_decisions(corr, self._data.n_rows, 1, self._alpha)
+        bands = self._bands(corr, 1, margin_factor)
         if raises is not None:
-            decided[raises] = -1
-        return corr, decided
-
-    def singleton_results(self, corr: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """``(p_value, statistic)`` arrays for correlations from
-        :meth:`singleton_decisions`, equal to :meth:`test_index`.  Like
-        :meth:`test_index` it syncs the sufficient statistics with the
-        data, which :meth:`singleton_decisions` leaves to the tests a
-        caller performs."""
-        self._stats.refresh()
-        return _fisher_z_arrays(corr, self._data.n_rows, 1)
+            bands.band[raises] = _GUARD
+        return bands
 
 
 # --------------------------------------------------------------------------
@@ -488,8 +528,8 @@ class MixedCITest:
                          ) -> list[CIResult]:
         """:meth:`test_batch` on column indices."""
         if not conditioning:
-            return _results(*self.marginal_arrays(*_pair_arrays(pairs)),
-                            self._alpha)
+            return self.marginal_bands(*_pair_arrays(pairs)).results(
+                0, self._alpha)
         gsquare = [self._use_gsquare(i, j, conditioning) for i, j in pairs]
         if not any(gsquare):
             return self._fisher.test_batch_index(pairs, conditioning)
@@ -499,39 +539,34 @@ class MixedCITest:
                 else next(fisher)
                 for (i, j), g in zip(pairs, gsquare)]
 
-    def marginal_arrays(self, first: np.ndarray, second: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`FisherZTest.marginal_arrays` with the G-test dispatch.
+    def marginal_bands(self, first: np.ndarray, second: np.ndarray,
+                       margin_factor: float = 1.0) -> Bands:
+        """:meth:`FisherZTest.marginal_bands` with the G-test dispatch.
 
         Pairs of two discrete columns are checked one by one and, when
-        eligible, G-tested in their given orientation; every other pair
-        keeps its Fisher z element.
+        eligible, G-tested in their given orientation, their results kept
+        whole; every other pair keeps its Fisher z element.
         """
-        p_values, statistics = self._fisher.marginal_arrays(first, second)
+        bands = self._fisher.marginal_bands(first, second, margin_factor)
         flags = self._discrete_flags
         for k in np.flatnonzero(flags[first] & flags[second]).tolist():
             i, j = int(first[k]), int(second[k])
             if self._use_gsquare(i, j, ()):
-                result = self._gsquare(i, j, ())
-                p_values[k], statistics[k] = result.p_value, result.statistic
-        return p_values, statistics
+                bands.set_exact(k, self._gsquare(i, j, ()), self._alpha,
+                                margin_factor)
+        return bands
 
-    def singleton_decisions(self, first: np.ndarray, second: np.ndarray,
-                            third: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`FisherZTest.singleton_decisions`, leaving every
-        all-discrete triple undecided (``-1``): :meth:`test_index` decides
+    def singleton_bands(self, first: np.ndarray, second: np.ndarray,
+                        third: np.ndarray, margin_factor: float = 1.0
+                        ) -> Bands:
+        """:meth:`FisherZTest.singleton_bands`, leaving every all-discrete
+        triple to :meth:`test_index` (:data:`_GUARD`), which decides
         whether it takes the G-test."""
-        corr, decided = self._fisher.singleton_decisions(first, second, third)
+        bands = self._fisher.singleton_bands(first, second, third,
+                                             margin_factor)
         flags = self._discrete_flags
-        decided[flags[first] & flags[second] & flags[third]] = -1
-        return corr, decided
-
-    def singleton_results(self, corr: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`FisherZTest.singleton_results` (decided elements are
-        always Fisher z tests)."""
-        return self._fisher.singleton_results(corr)
+        bands.band[flags[first] & flags[second] & flags[third]] = _GUARD
+        return bands
 
 
 # --------------------------------------------------------------------------
@@ -577,14 +612,16 @@ class CIDecisionCache:
     the entries.
 
     A lookup at the entry's own epoch is always a hit.  After an epoch bump
-    (new rows appended) the *margin policy* decides: a decision whose p-value
-    lies outside ``[alpha / margin_factor, alpha * margin_factor]`` is far
-    from the significance threshold, is overwhelmingly unlikely to flip from
-    a handful of extra samples, and is served stale; a borderline decision is
-    evicted so the caller retests it on the fresh data.  This is what makes
-    the replayed skeleton search of an incremental update cheap — per
-    iteration only the borderline fringe of the previous model is
-    re-examined.
+    (new rows appended) the *margin policy* decides by the decision's
+    :meth:`band`: a p-value outside
+    ``(alpha / margin_factor, alpha * margin_factor)`` is far from the
+    significance threshold, is overwhelmingly unlikely to flip from a
+    handful of extra samples, and is served stale; a borderline decision
+    is evicted so the caller retests it on the fresh data.  This is what
+    makes the replayed skeleton search of an incremental update cheap —
+    per iteration only the borderline fringe of the previous model is
+    re-examined.  The array paths take the band from the Fisher z ratio
+    (:func:`_fisher_z_bands`), not from a p-value.
 
     Even a confident decision is only served for ``max_stale_epochs``
     consecutive bumps before it is retested: p-values drift as samples
@@ -631,6 +668,10 @@ class CIDecisionCache:
         return self._alpha
 
     @property
+    def margin_factor(self) -> float:
+        return self._margin_factor
+
+    @property
     def max_entries(self) -> int:
         return self._max_entries
 
@@ -645,22 +686,14 @@ class CIDecisionCache:
         z = _conditioning_key(conditioning)
         return (i, j, z) if i < j else (j, i, z)
 
+    def band(self, result: CIResult) -> int:
+        """The band code of a decision (:func:`_band`)."""
+        return _band(result.p_value, result.statistic, self._alpha,
+                     self._margin_factor)
+
     def is_confident(self, result: CIResult) -> bool:
         """True when the decision is far enough from alpha to survive epochs."""
-        if not math.isfinite(result.statistic):
-            # The "not enough samples to decide" sentinel (p=0, statistic
-            # inf): never confident — a few more rows may make the test
-            # decidable, so it must be re-run every epoch.
-            return False
-        return (result.p_value >= self._alpha * self._margin_factor
-                or result.p_value <= self._alpha / self._margin_factor)
-
-    def confident_mask(self, p_values: np.ndarray,
-                       statistics: np.ndarray) -> np.ndarray:
-        """:meth:`is_confident` over decision arrays."""
-        return np.isfinite(statistics) & (
-            (p_values >= self._alpha * self._margin_factor)
-            | (p_values <= self._alpha / self._margin_factor))
+        return bool(_confident(self.band(result)))
 
     def serves(self, stored: int, confident: bool, epoch: int) -> bool:
         """The margin policy for one existing entry, counted as a lookup.
@@ -743,19 +776,21 @@ class _DecisionTable:
     whole key array through a sorted view of them, extended by a merge
     whenever new slots appeared since the last call.  ``present`` is false
     for an entry the margin policy evicted for a retest, and ``stamp``
-    orders the entries by their last store.  Past ``dense + max_entries``
-    slots, the least recently stored eighth of the other entries is
-    dropped.
+    orders the entries by their last store.  A decision stored whole has
+    ``rows`` -1 and its :class:`CIResult` in ``exact``.  Past
+    ``dense + max_entries`` slots, the least recently stored eighth of the
+    other entries is dropped.
     """
 
     _COLUMNS = {"key": np.int64, "present": bool, "epoch": np.int64,
-                "p_value": np.float64, "statistic": np.float64,
-                "confident": bool, "stamp": np.int64}
+                "band": np.int8, "corr": np.float64, "rows": np.int32,
+                "stamp": np.int64}
 
     def __init__(self, dense: int, max_entries: int) -> None:
         self.dense = dense
         self.max_entries = max_entries
         self._clock = 0
+        self.exact: dict[int, CIResult] = {}
         for name, dtype in self._COLUMNS.items():
             setattr(self, name, np.zeros(dense + 64, dtype=dtype))
         self.key[:dense] = np.arange(dense)
@@ -771,6 +806,8 @@ class _DecisionTable:
         self.size = size
         self._slots = dict(zip(self.key[dense:size].tolist(),
                                range(dense, size)))
+        self.exact = {key: result for key, result in self.exact.items()
+                      if key < dense or key in self._slots}
         self._sorted_keys = np.empty(0, dtype=np.int64)
         self._sorted_slots = np.empty(0, dtype=np.intp)
         self._viewed = dense
@@ -814,27 +851,17 @@ class _DecisionTable:
         slot = key if key < self.dense else self._slots.get(key)
         return slot if slot is not None and self.present.item(slot) else None
 
-    def put(self, key: int, epoch: int, result: CIResult,
-            confident: bool) -> None:
-        """:meth:`store` of one decision."""
-        slot = key if key < self.dense else self._slots.get(key)
-        if slot is None:
-            slot = self.size
-            self._allocate(1)
-            self.key[slot] = key
-            self._slots[key] = slot
-        self.present[slot] = True
-        self.epoch[slot] = epoch
-        self.p_value[slot] = result.p_value
-        self.statistic[slot] = result.statistic
-        self.confident[slot] = confident
-        self.stamp[slot] = self._clock
-        self._clock += 1
-        if self.size > self.dense + self.max_entries:
-            self._evict()
+    def bands(self, keys: np.ndarray, slots: np.ndarray,
+              served: np.ndarray) -> Bands:
+        """The :class:`Bands` of ``slots`` (holding ``keys``), the entries
+        stored whole resolved where ``served``."""
+        rows = self.rows[slots].astype(np.int64)
+        exact = self.exact
+        return Bands(self.band[slots], self.corr[slots], rows,
+                     {e: exact[keys.item(e)] for e in
+                      np.flatnonzero(served & (rows < 0)).tolist()})
 
-    def store(self, keys: np.ndarray, epoch: int, p_values: np.ndarray,
-              statistics: np.ndarray, confident: np.ndarray) -> None:
+    def store(self, keys: np.ndarray, epoch: int, bands: Bands) -> None:
         """Store one decision per key, in the order given (keys unique)."""
         slots, found = self.find(keys)
         new = ~found
@@ -844,9 +871,11 @@ class _DecisionTable:
             self._slots.update(zip(keys[new].tolist(), slots[new].tolist()))
         self.present[slots] = True
         self.epoch[slots] = epoch
-        self.p_value[slots] = p_values
-        self.statistic[slots] = statistics
-        self.confident[slots] = confident
+        self.band[slots] = bands.band
+        self.corr[slots] = bands.corr
+        self.rows[slots] = bands.rows
+        for e, result in bands.exact.items():
+            self.exact[keys.item(e)] = result
         self.stamp[slots] = np.arange(self._clock, self._clock + len(slots))
         self._clock += len(slots)
         if self.size > self.dense + self.max_entries:
@@ -869,12 +898,12 @@ class SingletonBlock:
     ``1`` independent, ``0`` dependent, or ``-1`` when only
     :meth:`CachedCITest.test_index` can tell.  The other fields are what
     :meth:`CachedCITest.settle_singletons` needs to count and store the
-    elements a search performed.
+    elements a search performed; ``fresh`` holds the inner test's bands.
     """
 
     decided: np.ndarray
     keys: np.ndarray
-    corr: np.ndarray
+    fresh: Bands
     present: np.ndarray
     stored: np.ndarray
     confident: np.ndarray
@@ -885,12 +914,13 @@ class CachedCITest:
     """Wrap an index-space CI test with a :class:`CIDecisionCache`.
 
     ``inner`` is a :class:`FisherZTest` or :class:`MixedCITest` (anything
-    with ``alpha``, ``n_columns``, ``column_index``, ``test_index``,
-    ``test_batch_index``, ``marginal_arrays``, ``singleton_decisions`` and
-    ``singleton_results``, whose decisions are ``p_value > alpha``).
-    ``epoch_fn`` supplies the current data epoch (normally the backing
-    dataset's ``data_epoch``); every decision the inner test produces is
-    recorded and replayed according to the cache's margin policy.
+    with ``alpha``, ``n_columns``, ``column_index``, ``sufficient_stats``,
+    ``test_index``, ``test_batch_index``, ``marginal_bands`` and
+    ``singleton_bands``, whose decisions are ``p_value > alpha``), with the
+    cache's ``alpha``.  ``epoch_fn`` supplies the current data epoch
+    (normally the backing dataset's ``data_epoch``); every decision the
+    inner test produces is recorded and replayed according to the cache's
+    margin policy.
 
     Decisions with two or more conditioning columns live in the cache's
     dict.  Marginal and singleton decisions live in one array table here
@@ -898,13 +928,17 @@ class CachedCITest:
     ``lo < hi``: the marginal test of the pair is key ``lo * P + hi``, one
     of ``P²`` slots allocated up front, and its test given column ``z`` is
     key ``P² + (lo * P + hi) * P + z``, stored on demand.  Per entry the
-    table keeps presence, epoch, p-value, statistic and confidence, 41
-    bytes.  The singleton entries are bounded by the cache's
+    table keeps presence, epoch, band code, correlation and row count, 22
+    bytes (38 with its key and store stamp), and no p-value: a reader that
+    asks for a :class:`CIResult` gets one computed from the correlation
+    and the row count at the entry's epoch, equal to the inner test's.
+    G-test decisions and results of ``test_index`` and ``test_batch_index``
+    are kept whole.  The singleton entries are bounded by the cache's
     ``max_entries`` and evicted by store order; on the Table 3 debugging
     workload (213 columns) they peak near 34k entries over 5.2k pairs, far
     below the default 500k, so eviction never runs there.
 
-    :meth:`marginal_arrays` replays a whole level-0 sweep from the table
+    :meth:`marginal_bands` replays a whole level-0 sweep from the table
     with array operations and hands only the misses to ``inner``.
     :meth:`singleton_block` and :meth:`settle_singletons` do the same for a
     skeleton level with ``|Z| = 1``, in two steps, because only the search
@@ -915,6 +949,8 @@ class CachedCITest:
 
     def __init__(self, inner, cache: CIDecisionCache,
                  epoch_fn: Callable[[], int]) -> None:
+        if inner.alpha != cache.alpha:
+            raise ValueError("the inner test and the cache must share alpha")
         self._inner = inner
         self._cache = cache
         self._epoch_fn = epoch_fn
@@ -962,36 +998,47 @@ class CachedCITest:
         idx = self._inner.column_index
         return self.test_index(idx(x), idx(y), [idx(c) for c in conditioning])
 
-    def test_index(self, i: int, j: int,
-                   conditioning: Sequence[int] = ()) -> CIResult:
-        """:meth:`test` on column indices."""
+    def _entries(self, conditioning: Sequence[int]):
+        """``(key, lookup, store)`` of the decisions given
+        ``conditioning``: the cache's dict for two or more columns, the
+        table (results kept whole) otherwise."""
         if len(conditioning) > 1:
-            key = CIDecisionCache.key(i, j, conditioning)
-            epoch = self._epoch_fn()
-            result = self._cache.lookup(key, epoch)
-            if result is None:
-                result = self._inner.test_index(i, j, conditioning)
-                self._cache.store(key, epoch, result)
-            return result
-        n = self._n_columns
-        lo, hi = (i, j) if i < j else (j, i)
-        key = lo * n + hi
-        if conditioning:
-            key = n * n + key * n + conditioning[0]
-        epoch = self._epoch_fn()
+            return ((lambda i, j: CIDecisionCache.key(i, j, conditioning)),
+                    self._cache.lookup, self._cache.store)
+        third = conditioning[0] if conditioning else None
+        return ((lambda i, j: int(self._keys(i, j, third))),
+                self._table_lookup, self._table_store)
+
+    def _table_lookup(self, key: int, epoch: int) -> CIResult | None:
+        """:meth:`CIDecisionCache.lookup` of a table entry."""
         table = self._decisions()
         slot = table.slot(key)
         if slot is None:
             self._cache.counters.misses += 1
         elif self._cache.serves(table.epoch.item(slot),
-                                table.confident.item(slot), epoch):
-            p_value = table.p_value.item(slot)
-            return CIResult(p_value > self._alpha, p_value,
-                            table.statistic.item(slot))
+                                _confident(table.band.item(slot)), epoch):
+            return table.bands(np.array([key]), np.array([slot]),
+                               np.ones(1, bool)).results(
+                int(key >= table.dense), self._alpha)[0]
         else:
             table.present[slot] = False
-        result = self._inner.test_index(i, j, conditioning)
-        table.put(key, epoch, result, self._cache.is_confident(result))
+        return None
+
+    def _table_store(self, key: int, epoch: int, result: CIResult) -> None:
+        bands = Bands(np.zeros(1, np.int8), np.zeros(1), np.zeros(1, int))
+        bands.set_exact(0, result, self._alpha, self._cache.margin_factor)
+        self._decisions().store(np.array([key]), epoch, bands)
+
+    def test_index(self, i: int, j: int,
+                   conditioning: Sequence[int] = ()) -> CIResult:
+        """:meth:`test` on column indices."""
+        key, lookup, store = self._entries(conditioning)
+        key = key(i, j)
+        epoch = self._epoch_fn()
+        result = lookup(key, epoch)
+        if result is None:
+            result = self._inner.test_index(i, j, conditioning)
+            store(key, epoch, result)
         return result
 
     def test_batch(self, pairs: Sequence[tuple[str, str]],
@@ -1008,83 +1055,61 @@ class CachedCITest:
         All pairs are looked up before any miss is tested and stored, so a
         pair repeated in one batch replays nothing from its own batch.
         """
-        if len(conditioning) <= 1:
-            first, second = _pair_arrays(pairs)
-            if not conditioning:
-                return _results(*self.marginal_arrays(first, second),
-                                self.alpha)
-
-            def fresh_arrays(fresh: np.ndarray):
-                results = self._inner.test_batch_index(
-                    [pair for pair, f in zip(pairs, fresh.tolist()) if f],
-                    conditioning)
-                return (np.array([r.p_value for r in results]),
-                        np.array([r.statistic for r in results]))
-
-            return _results(*self._replay(
-                self._keys(first, second, conditioning[0]), fresh_arrays),
-                self.alpha)
+        if not conditioning:
+            return self.marginal_bands(*_pair_arrays(pairs)).results(
+                0, self._alpha)
+        key, lookup, store = self._entries(conditioning)
         epoch = self._epoch_fn()
-        z = _conditioning_key(conditioning)
-        lookup = self._cache.lookup
-        keys = [(i, j, z) if i < j else (j, i, z) for i, j in pairs]
-        results = [lookup(key, epoch) for key in keys]
+        keys = [key(i, j) for i, j in pairs]
+        results = [lookup(k, epoch) for k in keys]
         missing = [k for k, result in enumerate(results) if result is None]
         if missing:
             fresh = self._inner.test_batch_index(
                 [pairs[k] for k in missing], conditioning)
             for k, result in zip(missing, fresh):
-                self._cache.store(keys[k], epoch, result)
+                store(keys[k], epoch, result)
                 results[k] = result
         return results  # type: ignore[return-value]
 
-    def marginal_arrays(self, first: np.ndarray, second: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """``(p_value, statistic)`` arrays of the marginal tests of
-        ``first[k]`` and ``second[k]``, replayed from the table; the keys
-        the margin policy rejects go to ``inner.marginal_arrays`` in one
-        call."""
-        return self._replay(
-            self._keys(first, second),
-            lambda fresh: self._inner.marginal_arrays(first[fresh],
-                                                      second[fresh]))
-
-    def _replay(self, keys: np.ndarray,
-                fresh_arrays: Callable[[np.ndarray],
-                                       tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """``(p_value, statistic)`` of every key, from the table or, for the
-        mask :meth:`CIDecisionCache.lookup_many` rejects, from
-        ``fresh_arrays(mask)``.  Fresh results are stored back, the last
-        result of a repeated key winning, as sequential stores would have
+    def marginal_bands(self, first: np.ndarray, second: np.ndarray
+                       ) -> Bands:
+        """The :class:`Bands` of the marginal tests of ``first[k]`` and
+        ``second[k]``, replayed from the table; the keys the margin policy
+        rejects (:meth:`CIDecisionCache.lookup_many`) go to
+        ``inner.marginal_bands`` in one call, and are stored back, the last
+        one of a repeated key winning, as sequential stores would have
         it."""
         table = self._decisions()
         epoch = self._epoch_fn()
+        keys = self._keys(first, second)
         slots, found = table.find(keys)
         present = found & table.present[slots]
-        p_values = table.p_value[slots]
-        statistics = table.statistic[slots]
         fresh = self._cache.lookup_many(keys, present, table.epoch[slots],
-                                        table.confident[slots], epoch)
+                                        _confident(table.band[slots]),
+                                        epoch)
+        bands = table.bands(keys, slots, ~fresh)
         if fresh.any():
-            new_p, new_statistic = fresh_arrays(fresh)
-            p_values[fresh] = new_p
-            statistics[fresh] = new_statistic
-            keys = keys[fresh]
+            at = np.flatnonzero(fresh)
+            new = self._inner.marginal_bands(first[at], second[at],
+                                             self._cache.margin_factor)
+            bands.band[at] = new.band
+            bands.corr[at] = new.corr
+            bands.rows[at] = new.rows
+            bands.exact.update((at.item(e), result)
+                               for e, result in new.exact.items())
+            keys = keys[at]
             last = np.sort(len(keys) - 1
                            - np.unique(keys[::-1], return_index=True)[1])
-            new_p, new_statistic = new_p[last], new_statistic[last]
-            table.store(keys[last], epoch, new_p, new_statistic,
-                        self._cache.confident_mask(new_p, new_statistic))
-        return p_values, statistics
+            table.store(keys[last], epoch, new.take(last))
+        return bands
 
     def singleton_block(self, first: np.ndarray, second: np.ndarray,
                         third: np.ndarray) -> SingletonBlock:
         """The decisions of testing ``first[e]`` and ``second[e]`` given
         ``third[e]``, for a search to pick from; nothing is counted yet.
 
-        A decision the margin policy would replay comes from the table,
-        any other from ``inner.singleton_decisions``.  The search then
+        A decision the margin policy would replay comes from the table's
+        band, any other from ``inner.singleton_bands``.  The search then
         hands the elements it performed to :meth:`settle_singletons`, and
         runs :meth:`test_index` on any performed element whose decision is
         ``-1``.  The keys of one block must be unique.  Deciding a block
@@ -1097,11 +1122,15 @@ class CachedCITest:
         keys = self._keys(first, second, third)
         slots, found = table.find(keys)
         present = found & table.present[slots]
-        stored, confident = table.epoch[slots], table.confident[slots]
-        corr, decided = self._inner.singleton_decisions(first, second, third)
+        stored, band = table.epoch[slots], table.band[slots]
+        confident = _confident(band)
+        fresh = self._inner.singleton_bands(first, second, third,
+                                            self._cache.margin_factor)
         replayed = self._cache.servable(present, stored, confident, epoch)
-        decided[replayed] = table.p_value[slots[replayed]] > self.alpha
-        return SingletonBlock(decided, keys, corr, present, stored,
+        band = np.where(replayed, band, fresh.band)
+        decided = (band >= _INDEPENDENT).astype(np.int8)
+        decided[band == _GUARD] = -1
+        return SingletonBlock(decided, keys, fresh, present, stored,
                               confident, epoch)
 
     def settle_singletons(self, block: SingletonBlock,
@@ -1115,9 +1144,7 @@ class CachedCITest:
         at = at[fresh]
         if not len(at):
             return
-        p_values, statistics = self._inner.singleton_results(block.corr[at])
-        assert np.array_equal(p_values > self.alpha, block.decided[at] == 1)
-        self._decisions().store(block.keys[at], block.epoch, p_values,
-                                statistics,
-                                self._cache.confident_mask(p_values,
-                                                           statistics))
+        # Fold the new rows in, as the tests performed one at a time would.
+        self._inner.sufficient_stats.refresh()
+        self._decisions().store(block.keys[at], block.epoch,
+                                block.fresh.take(at))

@@ -97,23 +97,30 @@ class _ReferenceCachedTest:
         return results
 
 
+def _nudged(result: CIResult, alpha: float) -> CIResult:
+    p_value = float(np.nextafter(result.p_value, 2.0))
+    return CIResult(p_value > alpha, p_value, result.statistic)
+
+
 class _OrientedMixedCITest(MixedCITest):
     """A mixed test whose marginal p-value moves by one ulp when the pair
     is given as ``(hi, lo)``, so that which of two fresh results of a
-    repeated pair gets stored shows in later replays."""
+    repeated pair gets stored shows in later replays.  The array form
+    hands such a pair's result over whole, as it does a G-test's."""
 
     def test_index(self, i, j, conditioning=()):
         result = super().test_index(i, j, conditioning)
         if conditioning or i < j:
             return result
-        p_value = float(np.nextafter(result.p_value, 2.0))
-        return CIResult(p_value > self.alpha, p_value, result.statistic)
+        return _nudged(result, self.alpha)
 
-    def marginal_arrays(self, first, second):
-        p_values, statistics = super().marginal_arrays(first, second)
-        flipped = first > second
-        p_values[flipped] = np.nextafter(p_values[flipped], 2.0)
-        return p_values, statistics
+    def marginal_bands(self, first, second, margin_factor=1.0):
+        bands = super().marginal_bands(first, second, margin_factor)
+        results = bands.results(0, self.alpha)
+        for k in np.flatnonzero(first > second).tolist():
+            bands.set_exact(k, _nudged(results[k], self.alpha), self.alpha,
+                            margin_factor)
+        return bands
 
 
 _index = st.integers(min_value=0, max_value=len(COLUMNS) - 1)

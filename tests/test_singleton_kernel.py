@@ -4,7 +4,7 @@ Level 1 of the skeleton search and Possible-D-Sep pruning (with
 ``max_condition_size=1``) test ``x`` and ``y`` given one column ``z``.
 :meth:`SufficientStats.singleton_partial_correlations` computes a whole
 block of those partial correlations at once, and
-:func:`_fisher_z_decisions` decides them without a ``log`` or ``erfc`` per
+:func:`_fisher_z_bands` decides them without a ``log`` or ``erfc`` per
 element.  These tests hold both to the scalar path,
 :meth:`SufficientStats.partial_correlation` and
 :func:`_fisher_z_from_correlation`, bit for bit and decision for decision,
@@ -14,6 +14,7 @@ over the degenerate inputs the scalar path special-cases.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from repro.stats.independence import (
     CIDecisionCache,
     FisherZTest,
     MixedCITest,
-    _fisher_z_arrays,
-    _fisher_z_decisions,
+    _DEPENDENT,
+    _GUARD,
+    _INDEPENDENT,
+    _fisher_z_bands,
     _fisher_z_from_correlation,
 )
 from repro.stats.sufficient import SufficientStats
@@ -127,27 +130,23 @@ def test_array_decisions_match_scalar_decisions(n, alpha):
                                np.nextafter(near[-2:], -2.0)])
     corr = np.concatenate([rng.uniform(-1, 1, 400), near,
                            [0.0, -0.0, 0.9999999, -0.9999999]])
-    decided = _fisher_z_decisions(corr, n, 1, alpha)
+    bands = _fisher_z_bands(corr, n, 1, alpha, 1.0)
     expected = [_fisher_z_from_correlation(r, n, 1, alpha).independent
                 for r in corr.tolist()]
-    for d, want, r in zip(decided.tolist(), expected, corr.tolist()):
-        assert d == -1 or bool(d) == want, r
+    for band, want, r in zip(bands.tolist(), expected, corr.tolist()):
+        assert band == _GUARD or (band >= _INDEPENDENT) == want, r
     # Within a few ulps of the threshold the array form defers ...
-    assert (decided[400:400 + len(near)] == -1).all()
+    assert (bands[400:400 + len(near)] == _GUARD).all()
     # ... and decides everything else.
-    assert (decided[:400] != -1).all()
-    p_values, _ = _fisher_z_arrays(corr, n, 1)
-    np.testing.assert_array_equal(p_values[decided >= 0] > alpha,
-                                  decided[decided >= 0] == 1)
+    assert (bands[:400] != _GUARD).all()
 
 
 def test_too_few_rows_decide_dependent_like_the_sentinel():
     corr = np.array([0.0, 0.5, -0.9])
     for n in (2, 3, 4):
-        assert _fisher_z_from_correlation(0.0, n, 1, 0.05).p_value == 0.0
-        assert (_fisher_z_decisions(corr, n, 1, 0.05) == 0).all()
-        p_values, statistics = _fisher_z_arrays(corr, n, 1)
-        assert (p_values == 0).all() and np.isinf(statistics).all()
+        result = _fisher_z_from_correlation(0.0, n, 1, 0.05)
+        assert result.p_value == 0.0 and math.isinf(result.statistic)
+        assert (_fisher_z_bands(corr, n, 1, 0.05, 8.0) == _DEPENDENT).all()
 
 
 def _mixed_data() -> Dataset:
@@ -167,27 +166,24 @@ def _mixed_data() -> Dataset:
 def test_singleton_decisions_agree_with_test_index(inner):
     test = inner(_mixed_data())
     first, second, third = _triples(5)
-    corr, decided = test.singleton_decisions(first, second, third)
+    bands = test.singleton_bands(first, second, third)
     results = [test.test_index(i, j, [k]) for i, j, k in
                zip(first.tolist(), second.tolist(), third.tolist())]
-    for d, result in zip(decided.tolist(), results):
-        assert d == -1 or bool(d) == result.independent
-    fisher = decided >= 0
-    p_values, statistics = test.singleton_results(corr[fisher])
-    assert p_values.tolist() == [r.p_value for r, f in zip(results, fisher)
-                                 if f]
-    assert statistics.tolist() == [r.statistic for r, f in zip(results, fisher)
-                                   if f]
+    for band, result in zip(bands.band.tolist(), results):
+        assert band == _GUARD or (band >= _INDEPENDENT) == result.independent
+    fisher = np.flatnonzero(bands.band != _GUARD)
+    assert bands.take(fisher).results(1, test.alpha) == [
+        results[e] for e in fisher.tolist()]
 
 
 def test_all_discrete_triples_are_left_to_the_g_test():
     data = _mixed_data()
     mixed, fisher = MixedCITest(data), FisherZTest(data)
     first, second, third = _triples(5)
-    _, decided = mixed.singleton_decisions(first, second, third)
+    decided = mixed.singleton_bands(first, second, third).band
     discrete = (first < 3) & (second < 3) & (third < 3)
-    assert (decided[discrete] == -1).all()
-    assert (decided[~discrete] >= 0).all()
+    assert (decided[discrete] == _GUARD).all()
+    assert (decided[~discrete] != _GUARD).all()
     # At least one of them really takes the G-test.
     assert any(mixed.test_index(i, j, [k]) != fisher.test_index(i, j, [k])
                for i, j, k in zip(first[discrete].tolist(),
@@ -213,7 +209,7 @@ def test_decisions_leave_folding_the_new_rows_to_performed_tests():
     blocked, untouched = FisherZTest(data), FisherZTest(data)
     first, second, third = _triples(8)
     data.append_rows_inplace([dict(zip(columns, row)) for row in rows[20:23]])
-    blocked.singleton_decisions(first, second, third)
+    blocked.singleton_bands(first, second, third)
     data.append_rows_inplace([dict(zip(columns, row)) for row in rows[23:]])
     for i, j, k in zip(first.tolist(), second.tolist(), third.tolist()):
         assert blocked.test_index(i, j, [k]) == untouched.test_index(i, j, [k])

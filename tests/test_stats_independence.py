@@ -13,11 +13,13 @@ import repro
 
 from repro.stats.dataset import Dataset
 from repro.stats.independence import (
+    Bands,
     FisherZTest,
     GSquareTest,
     MixedCITest,
+    _band,
     _fisher_z_from_correlation,
-    _fisher_z_arrays,
+    _settled_bands,
     fisher_z,
     g_square,
 )
@@ -105,13 +107,17 @@ def test_ci_result_truthiness(continuous_data):
 
 
 def test_vectorised_fisher_z_matches_scalar_form_exactly():
+    """The array bands decide as the scalar form's p-value does, and the
+    results computed from the kept correlations are the scalar results."""
     corr = np.array([0.0, -0.0, 0.5, -0.3, 1e-17, 0.9999999, -0.9999999])
     for n, k in [(50, 0), (50, 2), (3, 0)]:   # (3, 0): too few samples
-        p_values, statistics = _fisher_z_arrays(corr, n, k)
+        bands = Bands(_settled_bands(corr, n, k, 0.05, 8.0), corr,
+                      np.full(len(corr), n))
         scalar = [_fisher_z_from_correlation(c, n, k, 0.05)
                   for c in corr.tolist()]
-        assert p_values.tolist() == [r.p_value for r in scalar]
-        assert statistics.tolist() == [r.statistic for r in scalar]
+        assert bands.results(k, 0.05) == scalar
+        assert bands.band.tolist() == [
+            _band(r.p_value, r.statistic, 0.05, 8.0) for r in scalar]
 
 
 def test_mixed_batch_matches_single_tests_across_both_dispatch_paths(
