@@ -17,10 +17,19 @@ tier needs and the in-process tier could not express:
   through the same framed connection and are acknowledged with the
   subject's post-fold model version, so a wire client can drive the
   drift-refresh lifecycle exactly like an in-process caller.
+* **Pipelined connections** — a connection's reader thread admits each
+  query frame the moment it arrives (``submit_async``), so frames one
+  client sends back to back coalesce in the service's batch window
+  instead of each waiting out its predecessor's answer.  A per-connection
+  writer thread sends the replies strictly in frame order (clients match
+  them FIFO).  Every other op (``observe``, ``stats``, ``metrics``,
+  ``ping``) first waits until all earlier replies on its connection are
+  written, so a query sent before an observe is answered by the
+  pre-observe model.
 * **Graceful drain** — :meth:`GatewayServer.close` stops admitting
   (``draining`` typed errors on new connections and new requests) while
-  requests already executing settle and their responses are delivered;
-  only then do the sockets come down.
+  admitted requests settle and their responses are delivered; only then
+  do the sockets come down.
 
 Answers cross the wire byte-identically: the response codec carries the
 request and the exact float values, so
@@ -44,6 +53,8 @@ import dataclasses
 import socket
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -159,16 +170,66 @@ class _Reject(Exception):
         self.code = code
 
 
+#: Service exceptions a query or observe can meet, with the
+#: :class:`GatewayStats` counter and wire code each is refused under.
+_SERVICE_REFUSALS = {
+    AdmissionError: ("admission_rejections", ErrorCode.ADMISSION),
+    UnknownSubjectError: ("unknown_subjects", ErrorCode.UNKNOWN_SUBJECT),
+    ServiceClosedError: ("draining_rejections", ErrorCode.DRAINING),
+}
+
+#: Replies one connection may owe before its reader stops reading: a peer
+#: that sends but never reads is pushed back by TCP, not buffered here.
+_MAX_OWED = 1024
+
+
 class _Connection:
-    """Server-side per-connection state: socket, handler thread, flags."""
+    """Server-side per-connection state: socket, threads, reply slots.
+
+    The reader thread queues one reply slot per frame, in frame order:
+    a ready reply envelope, or ``(tenant, future)`` for an admitted query.
+    The writer thread takes them in that order.  ``in_flight`` counts the
+    frames whose replies are not yet written — what a drain waits out.
+    """
 
     def __init__(self, sock: socket.socket, address) -> None:
         self.sock = sock
         self.address = address
         self.thread: threading.Thread | None = None
-        #: ``True`` while a frame is being processed (an in-flight
-        #: request a drain must let settle).
-        self.busy = False
+        self.writer: threading.Thread | None = None
+        self.in_flight = 0
+        self._slots: deque = deque()
+        self._cv = threading.Condition()
+
+    def open_frame(self) -> None:
+        """Count one frame whose reply is owed."""
+        with self._cv:
+            self.in_flight += 1
+
+    def push(self, slot) -> None:
+        """Queue the next reply slot (``None`` ends the stream)."""
+        with self._cv:
+            self._slots.append(slot)
+            self._cv.notify_all()
+
+    def next_slot(self):
+        """Take the next reply slot in frame order, waiting for it."""
+        with self._cv:
+            while not self._slots:
+                self._cv.wait()
+            return self._slots.popleft()
+
+    def written(self) -> None:
+        """One owed reply was written (or dropped with its peer)."""
+        with self._cv:
+            self.in_flight -= 1
+            self._cv.notify_all()
+
+    def wait_owed(self, at_most: int) -> None:
+        """Wait until at most ``at_most`` replies are owed."""
+        with self._cv:
+            while self.in_flight > at_most:
+                self._cv.wait()
 
 
 def _tenant_of(value) -> Tenant:
@@ -192,7 +253,7 @@ class GatewayServer:
     service:
         A started :class:`~repro.service.service.QueryService` or
         :class:`~repro.service.sharding.ShardedQueryService` (anything
-        with ``submit``, ``observe`` and a ``stats`` dataclass).  The
+        with ``submit_async``, ``observe`` and a ``stats`` dataclass).  The
         gateway does not own the service's lifecycle: closing the
         gateway drains the wire but leaves the service running.
     tenants:
@@ -210,7 +271,8 @@ class GatewayServer:
         as a slow-loris writer.  Idle connections between frames are
         not affected.
     request_timeout:
-        Seconds the handler waits for the service to answer one query.
+        Seconds a connection's writer waits for the service to answer
+        the query whose reply is next in line.
     auto_start:
         Bind and serve immediately; pass ``False`` to :meth:`start`
         later.
@@ -291,7 +353,7 @@ class GatewayServer:
 
         From this point every *new* query/observe — on existing
         connections or brand-new ones — receives a typed ``draining``
-        error envelope, while requests already executing complete and
+        error envelope, while requests already admitted complete and
         deliver their responses.  ``ping`` and ``stats`` keep working so
         health checks can watch the drain.
         """
@@ -303,7 +365,7 @@ class GatewayServer:
 
         The sequence is: (1) :meth:`drain` — new work is refused with
         typed errors but connections stay up; (2) wait up to ``timeout``
-        for busy handlers to finish delivering their responses; (3)
+        until every reply a connection owes is written; (3)
         close the listener and every connection and join all gateway
         threads.  The underlying service is left running (it has its own
         ``close``).
@@ -317,7 +379,8 @@ class GatewayServer:
         # (2) let in-flight requests settle.
         while True:
             with self._lock:
-                busy = any(conn.busy for conn in self._connections.values())
+                busy = any(conn.in_flight
+                           for conn in self._connections.values())
             if not busy:
                 break
             if deadline is not None and time.monotonic() >= deadline:
@@ -396,43 +459,79 @@ class GatewayServer:
 
     # --------------------------------------------------------------- serving
     def _serve_connection(self, conn_id: int, conn: _Connection) -> None:
-        """Per-connection loop: reassemble frames, answer each in order."""
+        """Reader loop: reassemble frames and start each as it arrives.
+
+        The replies go out through the connection's writer thread
+        (:meth:`_write_replies`), in frame order; the writer is joined
+        before the connection is reaped.
+        """
         sock = conn.sock
         sock.settimeout(self.recv_timeout)
         decoder = FrameDecoder(self.max_frame_bytes)
+        conn.writer = threading.Thread(
+            target=self._write_replies, args=(conn,),
+            name=f"gateway-conn-{conn_id}-writer", daemon=True)
+        conn.writer.start()
         try:
             while True:
+                conn.wait_owed(_MAX_OWED - 1)
                 frame = self._next_frame(sock, decoder)
                 if frame is None:
                     return
+                conn.open_frame()
                 with self._lock:
                     self.stats.frames += 1
-                    conn.busy = True
-                try:
-                    reply = self._handle_frame(frame)
-                finally:
-                    with self._lock:
-                        conn.busy = False
-                sock.sendall(encode_envelope(
-                    reply, max_frame_bytes=self.max_frame_bytes))
+                conn.push(self._guarded(self._start_frame, conn, frame))
         except ProtocolError as exc:
             with self._lock:
                 self.stats.protocol_errors += 1
-            # Best effort: tell the peer why before hanging up.  The
-            # connection cannot be resynchronized after a framing error,
-            # so it closes either way.
-            try:
-                sock.sendall(encode_envelope(
-                    error_envelope(exc.code, str(exc)),
-                    max_frame_bytes=self.max_frame_bytes))
-            except OSError:
-                pass
+            # The stream cannot be resynchronized after a framing error:
+            # the earlier replies go out, then this typed error, then the
+            # connection closes.
+            conn.open_frame()
+            conn.push(error_envelope(exc.code, str(exc)))
         except OSError:
             pass  # peer vanished (reset, shutdown during close)
         finally:
+            conn.push(None)
+            conn.writer.join()
             sock.close()
             with self._lock:
                 self._connections.pop(conn_id, None)
+
+    def _write_replies(self, conn: _Connection) -> None:
+        """Writer loop: send each reply slot in frame order.
+
+        A query's slot is finished here — waited on, accounted, encoded —
+        so the service's dispatcher never touches a socket.  After a
+        failed write the peer is gone: the socket is shut down (ending
+        the reader) and the remaining slots are still finished, unsent,
+        so every admitted request is accounted.
+        """
+        writable = True
+        while True:
+            slot = conn.next_slot()
+            if slot is None:
+                return
+            reply = (slot if isinstance(slot, dict)
+                     else self._guarded(self._finish_query, *slot))
+            try:
+                payload = encode_envelope(
+                    reply, max_frame_bytes=self.max_frame_bytes)
+            except ProtocolError as exc:  # e.g. an oversize answer
+                with self._lock:
+                    self.stats.protocol_errors += 1
+                payload = encode_envelope(error_envelope(exc.code, str(exc)))
+            if writable:
+                try:
+                    conn.sock.sendall(payload)
+                except OSError:
+                    writable = False
+                    try:
+                        conn.sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass
+            conn.written()
 
     def _next_frame(self, sock: socket.socket,
                     decoder: FrameDecoder) -> bytes | None:
@@ -472,47 +571,67 @@ class GatewayServer:
             return self._closed or self._draining
 
     # -------------------------------------------------------------- handling
-    def _handle_frame(self, frame: bytes) -> dict:
-        """Decode one frame and produce its reply envelope.
-
-        Envelope/body violations become typed error envelopes (the
-        connection survives — only *framing* errors are fatal to it);
-        unexpected exceptions become ``internal`` errors so the handler
-        loop never dies with a request unanswered.
-        """
+    def _guarded(self, step, *args):
+        """Run one start or finish step; refusals become typed error
+        envelopes and unexpected exceptions ``internal`` ones, so every
+        frame gets a reply."""
         try:
-            try:
-                envelope = decode_envelope(frame)
-            except ProtocolError as exc:
-                with self._lock:
-                    self.stats.protocol_errors += 1
-                raise _Reject(exc.code, str(exc)) from None
-            op = envelope.get("op")
-            tenant = self._authenticate(envelope)
-            if op == "ping":
-                return {"protocol_version": PROTOCOL_VERSION, "ok": True,
-                        "op": "ping", "draining": self.draining}
-            if op == "stats":
-                return self._handle_stats()
-            if op == "metrics":
-                return self._handle_metrics()
-            if op == "query":
-                return self._handle_query(envelope, tenant,
-                                          frame_bytes=len(frame))
-            if op == "observe":
-                return self._handle_observe(envelope, tenant)
-            with self._lock:
-                self.stats.protocol_errors += 1
-            raise _Reject(ErrorCode.UNKNOWN_OP,
-                          f"unknown operation {op!r}; known: "
-                          "ping, stats, metrics, query, observe")
+            return step(*args)
         except _Reject as reject:
             return error_envelope(reject.code, str(reject))
-        except Exception as exc:  # noqa: BLE001 - the handler must answer
+        except Exception as exc:  # noqa: BLE001 - the frame must be answered
             with self._lock:
                 self.stats.internal_errors += 1
             return error_envelope(ErrorCode.INTERNAL,
                                   f"{type(exc).__name__}: {exc}")
+
+    def _refuse(self, counter: str, code: str, message: str,
+                tenant: Tenant | None = None) -> _Reject:
+        """Count a refusal in ``stats.<counter>`` (and against
+        ``tenant``) and return it to raise."""
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            if tenant is not None:
+                self._tenant_account(tenant)["rejected"] += 1
+        return _Reject(code, message)
+
+    def _service_refusal(self, exc: Exception, tenant: Tenant) -> _Reject:
+        """Refuse with the counter and code of a service exception."""
+        counter, code = _SERVICE_REFUSALS[type(exc)]
+        return self._refuse(counter, code, str(exc), tenant)
+
+    def _start_frame(self, conn: _Connection, frame: bytes):
+        """Decode and start one frame; returns its reply slot.
+
+        A query is admitted to the service at once and its slot is
+        ``(tenant, future)``, finished by the writer.  Any other op first
+        waits until every earlier reply on the connection is written,
+        then runs here, and its slot is its reply envelope.
+        Envelope/body violations are refused with typed errors — the
+        connection survives; only *framing* errors are fatal to it.
+        """
+        try:
+            envelope = decode_envelope(frame)
+        except ProtocolError as exc:
+            raise self._refuse("protocol_errors", exc.code,
+                               str(exc)) from None
+        op = envelope.get("op")
+        tenant = self._authenticate(envelope)
+        if op == "query":
+            return self._start_query(envelope, tenant, len(frame))
+        if op not in ("ping", "stats", "metrics", "observe"):
+            raise self._refuse("protocol_errors", ErrorCode.UNKNOWN_OP,
+                               f"unknown operation {op!r}; known: "
+                               "ping, stats, metrics, query, observe")
+        conn.wait_owed(1)  # this frame's own reply is the one left
+        if op == "observe":
+            return self._handle_observe(envelope, tenant)
+        if op == "stats":
+            return self._handle_stats()
+        if op == "metrics":
+            return self._handle_metrics()
+        return {"protocol_version": PROTOCOL_VERSION, "ok": True,
+                "op": "ping", "draining": self.draining}
 
     def _authenticate(self, envelope: Mapping) -> Tenant:
         """Resolve the envelope's API key to a tenant (or refuse)."""
@@ -522,10 +641,8 @@ class GatewayServer:
         tenant = (self._tenants.get(api_key)
                   if isinstance(api_key, str) else None)
         if tenant is None:
-            with self._lock:
-                self.stats.auth_failures += 1
-            raise _Reject(ErrorCode.UNAUTHORIZED,
-                          "missing or unrecognised api_key")
+            raise self._refuse("auth_failures", ErrorCode.UNAUTHORIZED,
+                               "missing or unrecognised api_key")
         return tenant
 
     def _tenant_account(self, tenant: Tenant) -> dict:
@@ -556,16 +673,14 @@ class GatewayServer:
             self.stats.queries += 1
             account["submitted"] += 1
 
-    def _handle_query(self, envelope: Mapping, tenant: Tenant,
-                      frame_bytes: int = 0) -> dict:
-        """Answer one query op: decode, admit, submit, encode."""
+    def _start_query(self, envelope: Mapping, tenant: Tenant,
+                     frame_bytes: int) -> tuple[Tenant, Future]:
+        """Decode, admit and submit one query op without waiting for it."""
         try:
             request = request_from_wire(envelope.get("request"))
         except ProtocolError as exc:
-            with self._lock:
-                self.stats.protocol_errors += 1
-                self._tenant_account(tenant)["rejected"] += 1
-            raise _Reject(exc.code, str(exc)) from None
+            raise self._refuse("protocol_errors", exc.code, str(exc),
+                               tenant) from None
         self._admit_query(tenant)
         tracer = getattr(self.service, "tracer", None)
         if tracer is not None and tracer.enabled:
@@ -574,23 +689,17 @@ class GatewayServer:
             tracer.annotate(request, tenant=tenant.name,
                             frame_bytes=int(frame_bytes))
         try:
-            response = self.service.submit(request,
-                                           timeout=self.request_timeout)
-        except AdmissionError as exc:
-            with self._lock:
-                self.stats.admission_rejections += 1
-                self._tenant_account(tenant)["rejected"] += 1
-            raise _Reject(ErrorCode.ADMISSION, str(exc)) from None
-        except UnknownSubjectError as exc:
-            with self._lock:
-                self.stats.unknown_subjects += 1
-                self._tenant_account(tenant)["rejected"] += 1
-            raise _Reject(ErrorCode.UNKNOWN_SUBJECT, str(exc)) from None
+            return tenant, self.service.submit_async(request)
+        except (AdmissionError, UnknownSubjectError,
+                ServiceClosedError) as exc:
+            raise self._service_refusal(exc, tenant) from None
+
+    def _finish_query(self, tenant: Tenant, future: Future) -> dict:
+        """Wait for one admitted query's answer and build its reply."""
+        try:
+            response = future.result(timeout=self.request_timeout)
         except ServiceClosedError as exc:
-            with self._lock:
-                self.stats.draining_rejections += 1
-                self._tenant_account(tenant)["rejected"] += 1
-            raise _Reject(ErrorCode.DRAINING, str(exc)) from None
+            raise self._service_refusal(exc, tenant) from None
         with self._lock:
             self.stats.answered += 1
             account = self._tenant_account(tenant)
@@ -603,46 +712,30 @@ class GatewayServer:
 
     def _handle_observe(self, envelope: Mapping, tenant: Tenant) -> dict:
         """Fold one streamed measurement batch; ack with the new version."""
-        with self._lock:
-            if self._draining:
-                self.stats.draining_rejections += 1
-                self._tenant_account(tenant)["rejected"] += 1
-                raise _Reject(ErrorCode.DRAINING,
-                              "gateway is draining; no new observations")
+        if self.draining:
+            raise self._refuse("draining_rejections", ErrorCode.DRAINING,
+                               "gateway is draining; no new observations",
+                               tenant)
         subject = envelope.get("subject")
         batch = envelope.get("measurements")
         if not isinstance(subject, str) or not isinstance(batch, list):
-            with self._lock:
-                self.stats.protocol_errors += 1
-            raise _Reject(ErrorCode.BAD_REQUEST,
-                          "observe needs a string 'subject' and a list "
-                          "'measurements'")
+            raise self._refuse("protocol_errors", ErrorCode.BAD_REQUEST,
+                               "observe needs a string 'subject' and a "
+                               "list 'measurements'")
         try:
             measurements = [measurement_from_dict(m) for m in batch]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            with self._lock:
-                self.stats.protocol_errors += 1
-            raise _Reject(ErrorCode.BAD_REQUEST,
-                          f"malformed measurement: {exc}") from None
+            raise self._refuse("protocol_errors", ErrorCode.BAD_REQUEST,
+                               f"malformed measurement: {exc}") from None
         try:
             version = self.service.observe(subject, measurements)
-        except UnknownSubjectError as exc:
-            with self._lock:
-                self.stats.unknown_subjects += 1
-                self._tenant_account(tenant)["rejected"] += 1
-            raise _Reject(ErrorCode.UNKNOWN_SUBJECT, str(exc)) from None
         except InvalidMeasurementError as exc:
             # JSON admits numbers such as 1e400 that parse to inf; the
             # registry refuses the batch before touching any state.
-            with self._lock:
-                self.stats.protocol_errors += 1
-            raise _Reject(ErrorCode.BAD_REQUEST,
-                          f"malformed measurement: {exc}") from None
-        except ServiceClosedError as exc:
-            with self._lock:
-                self.stats.draining_rejections += 1
-                self._tenant_account(tenant)["rejected"] += 1
-            raise _Reject(ErrorCode.DRAINING, str(exc)) from None
+            raise self._refuse("protocol_errors", ErrorCode.BAD_REQUEST,
+                               f"malformed measurement: {exc}") from None
+        except (UnknownSubjectError, ServiceClosedError) as exc:
+            raise self._service_refusal(exc, tenant) from None
         with self._lock:
             self.stats.observes += 1
             self.stats.observed_measurements += len(measurements)

@@ -402,6 +402,10 @@ class QueryService(ServingCore):
     batch_window:
         Seconds the dispatcher waits after the first pending request for
         more to arrive before draining — the coalescing opportunity window.
+        The window is timed from the oldest pending request's arrival: a
+        lone request on an idle service waits it in full, a request that
+        already waited it — behind the previous round's engine work — is
+        drained at once.
     max_pending:
         Bound on admitted-but-unsettled requests; beyond it
         :meth:`submit` raises :class:`AdmissionError`.
@@ -544,12 +548,17 @@ class QueryService(ServingCore):
                     self._lock.wait()
                 if not self._queues:
                     return
+                oldest = min(queue[0].enqueued_at
+                             for queue in self._queues.values())
             # Let a burst of concurrent submissions accumulate so they can
-            # be coalesced; clients blocked on futures are waiting anyway.
-            if self.batch_window > 0:
-                time.sleep(self.batch_window)
+            # be coalesced, but only for what is left of the oldest
+            # request's window.
+            window_start = time.perf_counter()
+            remaining = oldest + self.batch_window - window_start
+            if remaining > 0:
+                time.sleep(remaining)
             for subject, pendings in self._drain().items():
-                self._answer(subject, pendings)
+                self._answer(subject, pendings, window_start)
 
     def _drain(self) -> "OrderedDict[str, list[_Pending]]":
         """Take up to ``max_batch`` pending requests, round-robin by subject.
@@ -582,8 +591,13 @@ class QueryService(ServingCore):
                         break
         return drained
 
-    def _answer(self, subject: str, pendings: list[_Pending]) -> None:
-        """Answer one subject's drained requests with one batcher call."""
+    def _answer(self, subject: str, pendings: list[_Pending],
+                window_start: float) -> None:
+        """Answer one subject's drained requests with one batcher call.
+
+        ``window_start`` is when the dispatcher took the round up; the
+        traced batch wait runs from it to this subject's engine call.
+        """
         self._dispatch_index += 1
         batcher = self.batcher
         calls, hits, misses = (batcher.calls, batcher.cache_hits,
@@ -614,7 +628,8 @@ class QueryService(ServingCore):
                 if trace is not None:
                     trace.queue_wait_seconds = \
                         dispatch_start - pending.enqueued_at
-                    trace.batch_wait_seconds = self.batch_window
+                    trace.batch_wait_seconds = \
+                        dispatch_start - window_start
         engine_calls = batcher.calls - calls
         cache_hits = batcher.cache_hits - hits
         cache_misses = batcher.cache_misses - misses

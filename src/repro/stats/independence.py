@@ -732,24 +732,33 @@ class CIDecisionCache:
         del self._entries[key]
         return None
 
-    def lookup_many(self, keys: np.ndarray, present: np.ndarray,
+    def lookup_many(self, slots: np.ndarray, present: np.ndarray,
                     stored: np.ndarray, confident: np.ndarray,
                     epoch: int) -> np.ndarray:
         """:meth:`lookup` over the entries of a decision table.
 
-        ``present``, ``stored`` and ``confident`` describe the table entry
-        of each of ``keys``: whether it exists, its epoch and its confidence.
-        Returns the mask of keys to (re)test.  The counters move as
-        sequential :meth:`lookup` calls would move them, evictions included:
-        a key repeated in one call is retested once and misses after that.
+        ``slots`` are the table slots of the looked-up keys, and
+        ``present``, ``stored`` and ``confident`` describe each slot's
+        entry: whether it exists, its epoch and its confidence.  Returns
+        the mask of keys to (re)test.  The counters move as sequential
+        :meth:`lookup` calls would move them, evictions included: a key
+        repeated in one call is retested once and misses after that.
         """
         hits = int(np.count_nonzero(present & (stored == epoch)))
         fresh = ~self.servable(present, stored, confident, epoch)
-        retest = fresh & present
-        retests = int(np.unique(keys[retest]).size) if retest.any() else 0
+        retested = slots[fresh & present]
+        retests = len(retested)
+        if retests > 1:
+            # Count each retested entry once without sorting: of the
+            # positions sharing a slot, exactly one owns it after the
+            # scatter.
+            position = np.arange(retests)
+            owner = np.empty(int(retested.max()) + 1, dtype=np.intp)
+            owner[retested] = position
+            retests = int(np.count_nonzero(owner[retested] == position))
         counters = self.counters
         counters.hits += hits
-        counters.stale_reused += len(keys) - int(np.count_nonzero(fresh)) \
+        counters.stale_reused += len(slots) - int(np.count_nonzero(fresh)) \
             - hits
         counters.retests += retests
         counters.misses += int(np.count_nonzero(fresh)) - retests
@@ -903,6 +912,7 @@ class SingletonBlock:
 
     decided: np.ndarray
     keys: np.ndarray
+    slots: np.ndarray
     fresh: Bands
     present: np.ndarray
     stored: np.ndarray
@@ -1084,7 +1094,7 @@ class CachedCITest:
         keys = self._keys(first, second)
         slots, found = table.find(keys)
         present = found & table.present[slots]
-        fresh = self._cache.lookup_many(keys, present, table.epoch[slots],
+        fresh = self._cache.lookup_many(slots, present, table.epoch[slots],
                                         _confident(table.band[slots]),
                                         epoch)
         bands = table.bands(keys, slots, ~fresh)
@@ -1130,7 +1140,7 @@ class CachedCITest:
         band = np.where(replayed, band, fresh.band)
         decided = (band >= _INDEPENDENT).astype(np.int8)
         decided[band == _GUARD] = -1
-        return SingletonBlock(decided, keys, fresh, present, stored,
+        return SingletonBlock(decided, keys, slots, fresh, present, stored,
                               confident, epoch)
 
     def settle_singletons(self, block: SingletonBlock,
@@ -1139,7 +1149,7 @@ class CachedCITest:
         any order; none of them ``-1``) and store their fresh decisions."""
         at = np.asarray(performed, dtype=np.intp)
         fresh = self._cache.lookup_many(
-            block.keys[at], block.present[at], block.stored[at],
+            block.slots[at], block.present[at], block.stored[at],
             block.confident[at], block.epoch)
         at = at[fresh]
         if not len(at):

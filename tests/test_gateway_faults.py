@@ -32,6 +32,7 @@ import json
 import socket
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +79,14 @@ class _EchoService:
     def __init__(self) -> None:
         self.stats = _StubStats()
 
-    def submit(self, request, timeout=None):
-        """Answer immediately with a fixed value."""
+    def submit_async(self, request):
+        """Answer immediately with a fixed value, as a resolved future."""
         self.stats.submitted += 1
-        return QueryResponse(request=request, subject=request.subject,
-                             model_version=0, value=1.0)
+        future = Future()
+        future.set_result(QueryResponse(request=request,
+                                        subject=request.subject,
+                                        model_version=0, value=1.0))
+        return future
 
     def observe(self, subject, measurements, block=True):
         """Acknowledge any batch at version 0."""
@@ -90,7 +94,7 @@ class _EchoService:
 
 
 class _BlockingService(_EchoService):
-    """A service whose ``submit`` blocks until released — the handle the
+    """A service whose answers wait until released — the handle the
     drain/disconnect tests use to hold a request in flight
     deterministically."""
 
@@ -99,13 +103,22 @@ class _BlockingService(_EchoService):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def submit(self, request, timeout=None):
-        """Signal entry, wait for :attr:`release`, then answer 42.0."""
+    def submit_async(self, request):
+        """Signal entry; the future answers 42.0 once :attr:`release`
+        is set."""
         self.stats.submitted += 1
         self.entered.set()
-        assert self.release.wait(30.0), "test never released the request"
-        return QueryResponse(request=request, subject=request.subject,
-                             model_version=0, value=42.0)
+        future = Future()
+
+        def answer():
+            assert self.release.wait(30.0), "test never released the request"
+            future.set_result(QueryResponse(request=request,
+                                            subject=request.subject,
+                                            model_version=0, value=42.0))
+
+        threading.Thread(target=answer, name="blocking-service-answer",
+                         daemon=True).start()
+        return future
 
 
 @pytest.fixture()
@@ -359,9 +372,11 @@ def test_non_finite_observe_over_sharded_service_is_bad_request(leak_audit):
 
 
 def test_gateway_metrics_over_sharded_service(leak_audit):
-    """The ``metrics`` verb over a sharded service: after a burst and a
-    ``worker_stats()`` probe, the parent-side gauges are settled and the
-    fleet cache traffic equals the workers' own counters."""
+    """The ``metrics`` verb over a sharded service: after two bursts and
+    a ``worker_stats()`` probe, the parent-side gauges are settled and the
+    fleet cache traffic equals the workers' own counters.  A pipelined
+    burst coalesces, so its repeats never reach a cache; the second burst
+    is what the workers' result caches answer."""
     specs = {f"cache-{i}": dict(SPEC, seed=i) for i in range(3)}
     requests = [EffectRequest.of(subject, "Throughput",
                                  {"CachePolicy": float(value % 2)})
@@ -370,10 +385,11 @@ def test_gateway_metrics_over_sharded_service(leak_audit):
                              use_processes=False) as service:
         with GatewayServer(service) as gateway:
             with GatewayClient(gateway.address) as client:
-                assert all(r.ok for r in client.submit_many(requests))
+                for _ in range(2):
+                    assert all(r.ok for r in client.submit_many(requests))
                 workers = service.worker_stats(timeout=60)
                 metrics = client.metrics()
-    assert metrics["submitted"] == metrics["answered"] == len(requests)
+    assert metrics["submitted"] == metrics["answered"] == 2 * len(requests)
     assert metrics["in_flight"] == 0
     assert metrics["queue_depth"] == 0
     assert metrics["cache_hits"] == sum(w["cache_hits"] for w in workers)

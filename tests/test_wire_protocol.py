@@ -22,6 +22,7 @@ import json
 import socket
 import struct
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import pytest
@@ -300,17 +301,21 @@ class _EchoService:
     """A stand-in service answering every query with a fixed value.
 
     Keeps the protocol fuzz suite independent of model fitting: the
-    gateway only needs ``submit``/``observe``/``stats``.
+    gateway only needs ``submit_async``/``observe``/``stats``.
     """
 
     def __init__(self) -> None:
         self.stats = _StubStats()
 
-    def submit(self, request, timeout=None):
-        """Answer any request with value 1.0 at model version 0."""
+    def submit_async(self, request):
+        """Answer any request with value 1.0 at model version 0, as a
+        resolved future."""
         self.stats.submitted += 1
-        return QueryResponse(request=request, subject=request.subject,
-                             model_version=0, value=1.0)
+        future = Future()
+        future.set_result(QueryResponse(request=request,
+                                        subject=request.subject,
+                                        model_version=0, value=1.0))
+        return future
 
     def observe(self, subject, measurements, block=True):
         """Acknowledge any observation batch at version 0."""
