@@ -35,7 +35,8 @@ def test_table3_scalability(label, extra_options, extra_events, benchmark,
           f"events={row.n_events} paths={row.n_paths} "
           f"queries={row.n_queries} degree={row.average_degree:.2f} "
           f"discovery={row.discovery_seconds:.1f}s "
-          f"query={row.query_seconds:.1f}s total={row.total_seconds:.1f}s "
+          f"query={row.query_seconds:.1f}s debug={row.debug_seconds:.1f}s "
+          f"total={row.total_seconds:.1f}s "
           f"gain={row.gain:.1f}%")
 
     # The learned graph stays sparse even at scale.

@@ -194,18 +194,16 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
     size (the ``max_combinations`` idiom), up to the first independent
     one; the edge is then removed with that separating set.  Returns the
     number of CI tests performed.  A test with ``test_index`` is run on
-    column indices, so it meets the decisions the skeleton search stored
-    under the same keys.
+    column indices.
 
     Removing an edge only shrinks Possible-D-Sep sets, so each edge's
     candidates under the graph before pruning hold all it can be tested
-    against.  With ``singleton_block`` their ``|Z| = 1`` tests are decided
+    against.  With ``singleton_bands`` their ``|Z| = 1`` tests are decided
     in one block; the walk over the edges takes, for each, the candidates
     still in its current sets, so it performs exactly the one-at-a-time
     tests.  A ``-1`` decision, a subset of two or more, and every test of
-    a test without ``singleton_block`` goes to ``test_index`` (or
-    ``test``) when the walk reaches it; the block elements the walk
-    performed go to ``settle_singletons``.  The sets come from
+    a test without ``singleton_bands`` goes to ``test_index`` (or
+    ``test``) when the walk reaches it.  The sets come from
     :func:`possible_d_sep_reach`, kept per node and walked again only
     after a removal that can change them.
     """
@@ -228,18 +226,15 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
     candidates = [sorted(((reach(x) | reach(y)) - {x, y}) & allowed)
                   for x, y in edges]
     bounds = list(itertools.accumulate(map(len, candidates), initial=0))
-    block = None
-    if hasattr(ci_test, "singleton_block") and bounds[-1]:
+    if hasattr(ci_test, "singleton_bands") and bounds[-1]:
         sizes = np.diff(bounds)
-        block = ci_test.singleton_block(
+        decisions = ci_test.singleton_bands(
             np.repeat([column[x] for x, _ in edges], sizes),
             np.repeat([column[y] for _, y in edges], sizes),
             np.array([column[c] for names in candidates for c in names],
-                     dtype=np.intp))
-        decisions = block.decided.tolist()
+                     dtype=np.intp)).band.tolist()
     else:
         decisions = [-1] * bounds[-1]
-    performed: list[int] = []
     tests = 0
     for e, (x, y) in enumerate(edges):
         near_x, near_y = reach(x), reach(y)
@@ -253,8 +248,6 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
             decision = decisions[at]
             if decision < 0:
                 decision = test(i, j, [column[name]]).independent
-            else:
-                performed.append(at)
             if decision:
                 found = (name,)
                 break
@@ -270,8 +263,6 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
         if found is not None:
             reach.remove_edge(x, y)
             separating_sets[frozenset((x, y))] = set(found)
-    if block is not None:
-        ci_test.settle_singletons(block, performed)
     return tests
 
 

@@ -7,14 +7,15 @@ and entropic resolution into the three-step procedure of Fig. 9, and exposes
 ``learn`` is the cold-start path: it rebuilds the statistical session
 (sufficient statistics, CI tests, orienter) and runs FCI from the fully
 connected constraint graph.  ``update`` is the incremental path: new samples
-are appended *in place* to the model's dataset (bumping its data epoch) and
-the same FCI traversal re-runs with the :class:`CIDecisionCache` serving
-every decision far from the significance threshold, so a relearn costs
-dictionary lookups plus the genuinely new tests on the borderline fringe.
+are appended *in place* to the model's dataset (bumping its data epoch), the
+running sums fold in only the new rows, and the same FCI traversal re-runs
+on the grown data.  Every CI decision is made on the data as it is now (the
+:class:`CIDecisionCache` serves a decision only within the data epoch it
+was made in), so an update refits the model exactly as a cold ``learn``
+over the same rows would, as Stage IV of the paper prescribes.
 
-Because the constraint structure and the CI decisions on the old data are
-largely stable, the learned graph converges as the active loop acquires
-samples (Fig. 11a tracks this via the structural Hamming distance).
+As the active loop acquires samples the learned graph converges (Fig. 11a
+tracks this via the structural Hamming distance).
 """
 
 from __future__ import annotations
@@ -134,30 +135,19 @@ class CausalModelLearner:
         (0.8 in the paper).
     seed:
         Seed for the stochastic parts of LatentSearch.
-    ci_margin_factor:
-        Margin policy of the CI-decision cache: decisions with p-value
-        outside ``[alpha / factor, alpha * factor]`` survive a data-epoch
-        bump, borderline decisions are retested (see
-        :class:`~repro.stats.independence.CIDecisionCache`).
-    ci_max_stale_epochs:
-        How many data-epoch bumps a confident CI decision may be served
-        stale before it is retested.
     """
 
     def __init__(self, constraints: StructuralConstraints,
                  alpha: float = 0.05, max_condition_size: int = 2,
                  bins: int = 6, entropy_threshold_factor: float = 0.8,
-                 seed: int = 0, ci_margin_factor: float = 8.0,
-                 ci_max_stale_epochs: int = 3) -> None:
+                 seed: int = 0) -> None:
         self._constraints = constraints
         self._alpha = alpha
         self._max_condition_size = max_condition_size
         self._bins = bins
         self._threshold_factor = entropy_threshold_factor
         self._seed = seed
-        self._ci_cache = CIDecisionCache(alpha=alpha,
-                                         margin_factor=ci_margin_factor,
-                                         max_stale_epochs=ci_max_stale_epochs)
+        self._ci_cache = CIDecisionCache(alpha=alpha)
         self._session: _LearnerSession | None = None
 
     @property
@@ -177,8 +167,8 @@ class CausalModelLearner:
         """(Re)build the persistent statistical session over ``data``.
 
         One :class:`SufficientStats` feeds the CI tests and the entropic
-        orienter, and one :class:`CachedCITest` threads every CI decision
-        through the epoch-aware cache.
+        orienter, and one :class:`CachedCITest` memoises the decisions
+        with two or more conditioning columns within a data epoch.
         """
         stats = SufficientStats(data)
         ci_test = CachedCITest(
@@ -218,12 +208,11 @@ class CausalModelLearner:
         The new samples are appended **in place** to the model's dataset
         (``model.data`` is shared with the returned model, so earlier
         :class:`LearnedModel` handles observe the grown data as well), and
-        the cold FCI traversal re-runs with the CI cache serving every
-        decision that is not borderline.  By construction this produces
-        exactly what :meth:`learn` would on the grown data, up to confident
-        decisions the cache's margin policy chose not to retest yet.  The
-        previous history is carried over so callers can plot convergence
-        (Fig. 11).
+        the cold FCI traversal re-runs on the grown data.  No CI decision
+        from an earlier data epoch is served, so this produces exactly the
+        PAG, separating sets and ``tests_performed`` of :meth:`learn` over
+        the same rows.  The previous history is carried over so callers
+        can plot convergence (Fig. 11).
         """
         if not new_rows:
             return model

@@ -7,9 +7,8 @@ the style of the PC/FCI skeleton phase.  The separating sets found along the
 way are recorded because the collider-orientation step of FCI needs them.
 
 The incremental re-learning of Stage IV runs this same search from the
-fully connected graph; what makes it cheap is the
-:class:`~repro.stats.independence.CachedCITest` that replays every
-non-borderline decision from the previous data epoch.
+fully connected graph on the grown data, so an update decides every test
+on the data as it is now, exactly as a cold learn would.
 
 The search runs on integer indices.  :class:`SkeletonSpace` numbers the
 variables in sorted-name order and holds what depends only on the variable
@@ -17,14 +16,14 @@ set and the constraints: the allowed pairs, the required pairs and the
 variables a conditioning set may contain, and the testable pairs as
 column-index arrays.  A learner builds it once per session, not once per
 relearn.  Level 0 is one array call,
-:meth:`~repro.stats.independence.CachedCITest.marginal_bands`, which
-replays the marginal decisions from the test's decision table; the pairs
-it removes keep their empty separating sets as a view over its result
+:meth:`~repro.stats.independence.MixedCITest.marginal_bands`, which
+decides every marginal test from the cached covariance; the pairs it
+removes keep their empty separating sets as a view over its result
 (:class:`SeparatingSets`).  From level 1 on, adjacency is a list of int
 sets and conditioning sets are tuples of the CI test's column indices; a
 removed pair's tuple is named only when FCI reads that pair.
 Level 1 decides every edge's candidates in array blocks
-(:meth:`~repro.stats.independence.CachedCITest.singleton_block`) and
+(:meth:`~repro.stats.independence.MixedCITest.singleton_bands`) and
 walks them in visiting order; later levels reach
 :meth:`~repro.stats.independence.CachedCITest.test_index` one test at a
 time, without any name lookups.  The :class:`MixedGraph` is built once,
@@ -269,7 +268,7 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
     boolean array
     whose false entries are the surviving edges, in visiting order, and
     whose true entries have the empty separating set.  Level 1 is blocks
-    of tests and a walk over them when the test offers ``singleton_block``
+    of tests and a walk over them when the test offers ``singleton_bands``
     (see :func:`_singleton_level`); other levels test one subset at a time
     (:func:`_subset_level`).
 
@@ -318,7 +317,7 @@ def learn_skeleton(variables: list[str], ci_test: CITest,
         edges = [(u, v) for u, v in edges if v in adjacency[u]]
         if not edges:
             break
-        if level == 1 and hasattr(ci_test, "singleton_block"):
+        if level == 1 and hasattr(ci_test, "singleton_bands"):
             performed, removed = _singleton_level(
                 ci_test, space, columns, adjacency, edges,
                 max_subsets_per_edge)
@@ -396,7 +395,7 @@ def _singleton_level(ci_test, space: SkeletonSpace, columns: Sequence[int],
     """Level 1 of :func:`learn_skeleton` as blocks of tests and a walk.
 
     The candidates of every edge under the level-start adjacency are
-    decided by ``ci_test.singleton_block`` in stages
+    decided by ``ci_test.singleton_bands`` in stages
     (:data:`_SINGLETON_STAGES`).  The walk then visits the edges in order
     and takes, for each, the candidates that are still adjacent to one of
     its ends, in order, up to the first independent one or ``limit`` of
@@ -406,10 +405,9 @@ def _singleton_level(ci_test, space: SkeletonSpace, columns: Sequence[int],
     by a required pair or by an edge visited later, the walk stops there
     or sooner and the edge needs no more; every other edge gets all its
     candidates decided.  A ``-1`` decision is settled by
-    ``ci_test.test_index``, and the block elements the walk performed are
-    handed to ``ci_test.settle_singletons``.  Returns the number of tests
-    and the separating column tuple of every removed edge; the removals
-    are applied to ``adjacency``.
+    ``ci_test.test_index`` when the walk reaches it.  Returns the number
+    of tests and the separating column tuple of every removed edge; the
+    removals are applied to ``adjacency``.
     """
     first, second = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     candidate, order = space.singleton_candidates(first, second)
@@ -432,11 +430,11 @@ def _singleton_level(ci_test, space: SkeletonSpace, columns: Sequence[int],
         at = np.flatnonzero(window)
         e = rows[at // size]
         k = at % size
-        block = ci_test.singleton_block(column[first[e]], column[second[e]],
+        bands = ci_test.singleton_bands(column[first[e]], column[second[e]],
                                         column[k])
         kept = np.maximum(order[first[e], k], order[second[e], k]) > e
-        open_edge[e[kept & (block.decided == 1)]] = False
-        stages.append((e, k, block))
+        open_edge[e[kept & bands.independent]] = False
+        stages.append((e, k, bands.band))
         low = high
     del candidate, rank
     # The decided candidates of each edge, in id order, edge by edge.
@@ -444,12 +442,10 @@ def _singleton_level(ci_test, space: SkeletonSpace, columns: Sequence[int],
     by_edge = np.argsort(edge_of, kind="stable")
     bounds = np.searchsorted(edge_of[by_edge], np.arange(len(edges) + 1))
     ids = np.concatenate([stage[1] for stage in stages])[by_edge]
-    decided = np.concatenate([stage[2].decided for stage in stages])[by_edge]
-    blocks = [(len(stage[0]), stage[2]) for stage in stages]
+    decided = np.concatenate([stage[2] for stage in stages])[by_edge]
     ids, decisions, bounds = ids.tolist(), decided.tolist(), bounds.tolist()
 
     test = ci_test.test_index
-    performed: list[int] = []
     removed: dict[tuple[int, int], tuple[int]] = {}
     tests = 0
     for e, (u, v) in enumerate(edges):
@@ -465,8 +461,6 @@ def _singleton_level(ci_test, space: SkeletonSpace, columns: Sequence[int],
             if decision < 0:
                 decision = test(columns[u], columns[v],
                                 (columns[k],)).independent
-            else:
-                performed.append(at)
             if decision:
                 found = k
                 break
@@ -477,10 +471,4 @@ def _singleton_level(ci_test, space: SkeletonSpace, columns: Sequence[int],
             near_u.discard(v)
             near_v.discard(u)
             removed[(u, v)] = (columns[found],)
-    performed_at = by_edge[performed]
-    start = 0
-    for size, block in blocks:
-        mine = (performed_at >= start) & (performed_at < start + size)
-        ci_test.settle_singletons(block, performed_at[mine] - start)
-        start += size
     return tests, removed

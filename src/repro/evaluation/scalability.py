@@ -4,7 +4,7 @@ Each scenario of Table 3 selects a number of configuration options and system
 events for SQLite or Deepstream; the runner learns a causal performance model
 on that variable set, counts causal paths and candidate queries, measures the
 discovery and query-evaluation times and runs one debugging pass to obtain
-the gain and total time per fault — the columns of Table 3.
+the gain, its time and the total time per fault — the columns of Table 3.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ class ScalabilityRow:
     gain: float
     discovery_seconds: float
     query_seconds: float
+    debug_seconds: float
     total_seconds: float
 
 
@@ -119,5 +120,6 @@ def run_scalability_scenario(system_name: str, hardware: str,
         gain=gain_value,
         discovery_seconds=discovery_seconds,
         query_seconds=query_seconds,
+        debug_seconds=debug_seconds,
         total_seconds=sampling_seconds + discovery_seconds + query_seconds
         + debug_seconds)

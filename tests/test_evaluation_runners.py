@@ -85,7 +85,8 @@ def test_scalability_scenario_row_fields():
     assert row.n_options >= 30
     assert row.n_events >= 19
     assert row.discovery_seconds > 0
-    assert row.total_seconds >= row.discovery_seconds
+    assert row.debug_seconds > 0
+    assert row.total_seconds >= row.discovery_seconds + row.debug_seconds
 
 
 @pytest.mark.slow

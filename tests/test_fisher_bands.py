@@ -1,16 +1,13 @@
 """Fisher z decisions by ratio bands, and an engine refresh by mark diffs.
 
-A CI decision is stored and replayed as one of four band codes: dependent
-or independent at ``alpha``, each confident or borderline by the margin
-policy's ``alpha / margin_factor`` and ``alpha * margin_factor``.
-:func:`_fisher_z_bands` places an element from its ratio
-``(1 + r) / (1 - r)`` against the six bounds of those three thresholds,
-and leaves an element next to a bound to the scalar form (the guard band).
-These tests hold the codes against :func:`_fisher_z_from_correlation` and
-:meth:`CIDecisionCache.is_confident` within a few ulps of every bound,
-count the ``log`` and ``erfc`` calls of a relearn sequence, and hold the
-engine refresh's changed nodes, DAG and topological order against the
-whole-graph diff and the edge-by-edge build they replace.
+A CI decision of the array paths is a band code: dependent or independent
+at ``alpha``.  :func:`_fisher_z_bands` places an element from its ratio
+``(1 + r) / (1 - r)`` against the two bounds of ``alpha``, and leaves an
+element next to a bound to the scalar form (the guard band).  These tests
+hold the codes against :func:`_fisher_z_from_correlation` within a few ulps
+of every bound, count the ``log`` and ``erfc`` calls of a relearn
+sequence, and hold the engine refresh's changed nodes, DAG and topological
+order against the whole-graph diff and the edge-by-edge build they replace.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ from repro.inference.engine import CausalInferenceEngine
 from repro.stats import independence
 from repro.stats.dataset import Dataset
 from repro.stats.independence import (
-    CIDecisionCache,
-    _CONFIDENT_DEPENDENT,
-    _CONFIDENT_INDEPENDENT,
     _DEPENDENT,
     _GUARD,
     _INDEPENDENT,
@@ -42,27 +36,17 @@ from repro.systems.registry import get_system
 _TOP = 0.9999999
 
 
-def _scalar_band(r: float, n: int, k: int, cache: CIDecisionCache) -> int:
-    """The band of the scalar result, by its decision and the cache's
-    confidence."""
-    result = _fisher_z_from_correlation(r, n, k, cache.alpha)
-    confident = cache.is_confident(result)
-    # The margin policy, spelled out.
-    assert confident == (math.isfinite(result.statistic) and (
-        result.p_value >= cache.alpha * cache.margin_factor
-        or result.p_value <= cache.alpha / cache.margin_factor))
-    if result.independent:
-        return _CONFIDENT_INDEPENDENT if confident else _INDEPENDENT
-    return _CONFIDENT_DEPENDENT if confident else _DEPENDENT
+def _scalar_band(r: float, n: int, k: int, alpha: float) -> int:
+    """The band of the scalar result: its decision."""
+    return int(_fisher_z_from_correlation(r, n, k, alpha).independent)
 
 
-def _bound(n: int, k: int, cache: CIDecisionCache, code: int,
-           sign: float) -> float:
+def _bound(n: int, k: int, alpha: float, sign: float) -> float:
     """The correlation on the ``sign`` side of zero, to the ulp, at which
-    the scalar band first drops below ``code`` (0 or the clamp when it
+    the scalar decision first turns dependent (0 or the clamp when it
     never does)."""
     def below(r: float) -> bool:
-        return _scalar_band(sign * r, n, k, cache) < code
+        return _scalar_band(sign * r, n, k, alpha) < _INDEPENDENT
 
     low, high = 0.0, _TOP
     if below(low) or not below(high):
@@ -80,27 +64,22 @@ def _bound(n: int, k: int, cache: CIDecisionCache, code: int,
 @settings(max_examples=300, deadline=None)
 @given(alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                        exclude_max=True),
-       margin_factor=st.sampled_from([1.0, 2.0, 8.0]),
        dof=st.integers(min_value=-2, max_value=100_000),
        k=st.integers(min_value=0, max_value=2),
-       code=st.sampled_from([_DEPENDENT, _INDEPENDENT,
-                             _CONFIDENT_INDEPENDENT]),
        sign=st.sampled_from([1.0, -1.0]),
        spread=st.lists(st.floats(min_value=-_TOP, max_value=_TOP),
                        max_size=16))
-def test_band_codes_agree_with_the_scalar_form(alpha, margin_factor, dof, k,
-                                               code, sign, spread):
+def test_band_codes_agree_with_the_scalar_form(alpha, dof, k, sign, spread):
     n = dof + k + 3
-    cache = CIDecisionCache(alpha=alpha, margin_factor=margin_factor)
-    edge = _bound(n, k, cache, code, sign)
+    edge = _bound(n, k, alpha, sign)
     near = [edge]
     for _ in range(4):
         near = [float(np.nextafter(near[0], -2.0)), *near,
                 float(np.nextafter(near[-1], 2.0))]
     corr = [r for r in near + spread if abs(r) <= _TOP]
-    bands = _fisher_z_bands(np.array(corr), n, k, alpha, margin_factor)
+    bands = _fisher_z_bands(np.array(corr), n, k, alpha)
     for r, band in zip(corr, bands.tolist()):
-        assert band == _GUARD or band == _scalar_band(r, n, k, cache), r
+        assert band == _GUARD or band == _scalar_band(r, n, k, alpha), r
     if dof <= 0:
         assert (bands == _DEPENDENT).all()
 
@@ -110,9 +89,8 @@ def test_guard_band_is_rare():
     form."""
     rng = np.random.default_rng(0)
     corr = rng.uniform(-1, 1, 100_000)
-    for n, alpha, margin_factor in [(40, 0.05, 8.0), (16, 0.01, 2.0),
-                                    (500, 0.3, 1.0)]:
-        bands = _fisher_z_bands(corr, n, 1, alpha, margin_factor)
+    for n, alpha in [(40, 0.05), (16, 0.01), (500, 0.3)]:
+        bands = _fisher_z_bands(corr, n, 1, alpha)
         assert np.count_nonzero(bands == _GUARD) <= 2
 
 

@@ -5,10 +5,11 @@ sets up to size 2) at the scale and cap the paper workloads run: SQLite on
 Xavier with 130 options and 80 events, ``max_condition_size=1``.  Every CI
 test of a relearn at this cap is a marginal (level 0) or a singleton
 conditioning-set test (level 1 and Possible-D-Sep pruning), so this fixture
-pins the order, the outcome and the caching of those decisions: for every
+pins the order and the outcome of those decisions: for every
 ``learn``/``update`` call the digest of the PAG, the separating sets and the
 number of CI tests performed, and after the last call the CI-decision cache
-counters.  If a change is meant to alter the learned graphs, regenerate
+counters (all zero: no decision with at most one conditioning column is
+cached).  If a change is meant to alter the learned graphs, regenerate
 with::
 
     PYTHONPATH=src python tests/test_golden_relearn_table3.py --regenerate

@@ -21,8 +21,6 @@ import pytest
 
 from repro.stats.dataset import Dataset
 from repro.stats.independence import (
-    CachedCITest,
-    CIDecisionCache,
     FisherZTest,
     MixedCITest,
     _DEPENDENT,
@@ -130,7 +128,7 @@ def test_array_decisions_match_scalar_decisions(n, alpha):
                                np.nextafter(near[-2:], -2.0)])
     corr = np.concatenate([rng.uniform(-1, 1, 400), near,
                            [0.0, -0.0, 0.9999999, -0.9999999]])
-    bands = _fisher_z_bands(corr, n, 1, alpha, 1.0)
+    bands = _fisher_z_bands(corr, n, 1, alpha)
     expected = [_fisher_z_from_correlation(r, n, 1, alpha).independent
                 for r in corr.tolist()]
     for band, want, r in zip(bands.tolist(), expected, corr.tolist()):
@@ -146,7 +144,7 @@ def test_too_few_rows_decide_dependent_like_the_sentinel():
     for n in (2, 3, 4):
         result = _fisher_z_from_correlation(0.0, n, 1, 0.05)
         assert result.p_value == 0.0 and math.isinf(result.statistic)
-        assert (_fisher_z_bands(corr, n, 1, 0.05, 8.0) == _DEPENDENT).all()
+        assert (_fisher_z_bands(corr, n, 1, 0.05) == _DEPENDENT).all()
 
 
 def _mixed_data() -> Dataset:
@@ -171,9 +169,9 @@ def test_singleton_decisions_agree_with_test_index(inner):
                zip(first.tolist(), second.tolist(), third.tolist())]
     for band, result in zip(bands.band.tolist(), results):
         assert band == _GUARD or (band >= _INDEPENDENT) == result.independent
-    fisher = np.flatnonzero(bands.band != _GUARD)
-    assert bands.take(fisher).results(1, test.alpha) == [
-        results[e] for e in fisher.tolist()]
+    computed = bands.results(1, test.alpha)
+    fisher = np.flatnonzero(bands.band != _GUARD).tolist()
+    assert [computed[e] for e in fisher] == [results[e] for e in fisher]
 
 
 def test_all_discrete_triples_are_left_to_the_g_test():
@@ -189,11 +187,6 @@ def test_all_discrete_triples_are_left_to_the_g_test():
                for i, j, k in zip(first[discrete].tolist(),
                                   second[discrete].tolist(),
                                   third[discrete].tolist()))
-    # A cached block hands those to test_index and gets its answers.
-    cached = CachedCITest(MixedCITest(data), CIDecisionCache(),
-                          lambda: data.data_epoch)
-    block = cached.singleton_block(first, second, third)
-    assert (block.decided[discrete] == -1).all()
 
 
 def test_decisions_leave_folding_the_new_rows_to_performed_tests():

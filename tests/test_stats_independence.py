@@ -17,7 +17,6 @@ from repro.stats.independence import (
     FisherZTest,
     GSquareTest,
     MixedCITest,
-    _band,
     _fisher_z_from_correlation,
     _settled_bands,
     fisher_z,
@@ -111,13 +110,12 @@ def test_vectorised_fisher_z_matches_scalar_form_exactly():
     results computed from the kept correlations are the scalar results."""
     corr = np.array([0.0, -0.0, 0.5, -0.3, 1e-17, 0.9999999, -0.9999999])
     for n, k in [(50, 0), (50, 2), (3, 0)]:   # (3, 0): too few samples
-        bands = Bands(_settled_bands(corr, n, k, 0.05, 8.0), corr,
+        bands = Bands(_settled_bands(corr, n, k, 0.05), corr,
                       np.full(len(corr), n))
         scalar = [_fisher_z_from_correlation(c, n, k, 0.05)
                   for c in corr.tolist()]
         assert bands.results(k, 0.05) == scalar
-        assert bands.band.tolist() == [
-            _band(r.p_value, r.statistic, 0.05, 8.0) for r in scalar]
+        assert bands.band.tolist() == [int(r.independent) for r in scalar]
 
 
 def test_mixed_batch_matches_single_tests_across_both_dispatch_paths(
