@@ -758,9 +758,8 @@ class ModelRegistry:
         path: the measurements append to the entry's loop state and the
         model re-learns immediately through :meth:`Unicorn.learn`'s
         incremental route (the dataset grows in place as a new data epoch,
-        discovery re-runs with the CI-decision cache replaying every
-        non-borderline decision, and the existing engine is refreshed
-        rather than rebuilt).
+        discovery re-runs on the grown data, and the existing engine is
+        refreshed rather than rebuilt).
 
         With a ``drift_threshold`` set, the measurements instead buffer in
         ``entry.pending`` while their prediction residuals feed the

@@ -586,10 +586,6 @@ class CIDecisionCache:
     def alpha(self) -> float:
         return self._alpha
 
-    @property
-    def max_entries(self) -> int:
-        return self._max_entries
-
     @staticmethod
     def key(i: int, j: int, conditioning: Sequence[int] = ()) -> CIKey:
         """Canonical key of testing columns ``i``, ``j`` given ``conditioning``."""

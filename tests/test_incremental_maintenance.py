@@ -184,6 +184,24 @@ def test_incremental_update_equals_cold_learn(make_system, n0, n_updates,
         assert learned.incremental and not cold.incremental
 
 
+def test_update_reports_cache_effectiveness():
+    """The counters report what the cache served across updates: hits
+    within a data epoch, retests of entries from an earlier one, and no
+    stale reuse."""
+    system = make_case_study()
+    rng = np.random.default_rng(11)
+    _, data = system.random_dataset(150, rng)
+    learner = CausalModelLearner(system.constraints(), max_condition_size=2)
+    model = learner.learn(data)
+    for rows in _measure_batches(system, rng, 5):
+        model = learner.update(model, rows)
+    counters = learner.ci_cache.counters
+    assert counters.stale_reused == 0
+    assert counters.hits > 0 and counters.retests > 0
+    assert 0.0 < counters.hit_rate() < 1.0
+    assert counters.hit_rate() == counters.hits / counters.total_lookups
+
+
 # ---------------------------------------------------------------------------
 # Unicorn loop integration + engine refresh
 # ---------------------------------------------------------------------------
