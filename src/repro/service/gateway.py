@@ -25,7 +25,10 @@ tier needs and the in-process tier could not express:
   them FIFO).  Every other op (``observe``, ``stats``, ``metrics``,
   ``ping``) first waits until all earlier replies on its connection are
   written, so a query sent before an observe is answered by the
-  pre-observe model.
+  pre-observe model.  Both ends set ``TCP_NODELAY``: with Nagle's
+  algorithm on, a reply or frame written while the previous one was
+  still unacknowledged was held until the peer's ACK, which could take
+  the 40 ms delayed-ACK timer.
 * **Graceful drain** — :meth:`GatewayServer.close` stops admitting
   (``draining`` typed errors on new connections and new requests) while
   admitted requests settle and their responses are delivered; only then
@@ -467,6 +470,7 @@ class GatewayServer:
         """
         sock = conn.sock
         sock.settimeout(self.recv_timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         decoder = FrameDecoder(self.max_frame_bytes)
         conn.writer = threading.Thread(
             target=self._write_replies, args=(conn,),
@@ -817,14 +821,18 @@ class GatewayClient:
         self._sock = socket.create_connection(tuple(address),
                                               timeout=float(timeout))
         self._sock.settimeout(float(timeout))
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     # ------------------------------------------------------------- transport
-    def _send(self, envelope: dict) -> None:
+    def _frame(self, envelope: dict) -> bytes:
+        """Stamp the client's ``api_key`` on an envelope and encode it."""
         document = dict(envelope)
         if self.api_key is not None:
             document.setdefault("api_key", self.api_key)
-        self._sock.sendall(encode_envelope(
-            document, max_frame_bytes=self.max_frame_bytes))
+        return encode_envelope(document, max_frame_bytes=self.max_frame_bytes)
+
+    def _send(self, envelope: dict) -> None:
+        self._sock.sendall(self._frame(envelope))
 
     def _recv(self) -> dict:
         payload = read_frame(self._sock.recv,
@@ -887,15 +895,21 @@ class GatewayClient:
                     ) -> list[QueryResponse]:
         """Submit a batch pipelined: all frames out, then all replies in.
 
-        Replies arrive in request order (the protocol is strictly
-        ordered per connection), so one round trip's latency is paid
-        once for the whole batch instead of once per request.
+        Every frame is encoded first and the batch goes out in one
+        ``sendall``.  Replies arrive in request order (the protocol is
+        strictly ordered per connection), so one round trip's latency is
+        paid once for the whole batch instead of once per request.  Both
+        ends of the connection disable Nagle's algorithm: with it, a
+        frame or reply written while the previous one was still
+        unacknowledged was held until the peer's ACK, which could take
+        the 40 ms delayed-ACK timer.
         """
         requests = list(requests)
+        payload = b"".join(
+            self._frame({"op": "query", "request": request_to_wire(request)})
+            for request in requests)
         with self._lock:
-            for request in requests:
-                self._send({"op": "query",
-                            "request": request_to_wire(request)})
+            self._sock.sendall(payload)
             return [response_from_wire(self._recv().get("response"))
                     for _ in requests]
 

@@ -311,7 +311,7 @@ class FisherZTest:
         """The :class:`Bands` of testing ``first[e]`` and ``second[e]``
         given ``third[e]``, from
         :meth:`SufficientStats.singleton_partial_correlations` (which
-        folds no new rows in); an element whose scalar form raises is
+        folds appended rows in first); an element whose scalar form raises is
         :data:`_GUARD`, for :meth:`test_index` to tell."""
         corr, raises = self._stats.singleton_partial_correlations(
             first, second, third)

@@ -143,31 +143,24 @@ class SufficientStats:
         return (self._epoch == self._data.data_epoch
                 and self._n == self._data.n_rows)
 
-    def _folded(self) -> tuple[int, np.ndarray, np.ndarray,
-                               np.ndarray | None]:
-        """``(n, sum, cross, shift)`` with the rows appended since the last
-        sync folded in; the running sums themselves are left as they are."""
-        n, total, cross, shift = self._n, self._sum, self._cross, self._shift
-        if self._data.n_rows < n:
-            # Rows can only be appended in place; anything else means the
-            # dataset was rebuilt underneath us — start over.
-            n, shift = 0, None
-            total, cross = np.zeros_like(total), np.zeros_like(cross)
-        new = self._data.values[n:]
-        if len(new):
-            if shift is None:
-                shift = new[0].copy()
-            shifted = new - shift
-            total = total + shifted.sum(axis=0)
-            cross = cross + shifted.T @ shifted
-            n = self._data.n_rows
-        return n, total, cross, shift
-
     def refresh(self) -> None:
         """Fold rows appended since the last sync into the running sums."""
         if self._synced():
             return
-        self._n, self._sum, self._cross, self._shift = self._folded()
+        if self._data.n_rows < self._n:
+            # Rows can only be appended in place; anything else means the
+            # dataset was rebuilt underneath us — start over.
+            self._n, self._shift = 0, None
+            self._sum = np.zeros_like(self._sum)
+            self._cross = np.zeros_like(self._cross)
+        new = self._data.values[self._n:]
+        if len(new):
+            if self._shift is None:
+                self._shift = new[0].copy()
+            shifted = new - self._shift
+            self._sum = self._sum + shifted.sum(axis=0)
+            self._cross = self._cross + shifted.T @ shifted
+            self._n = self._data.n_rows
         self._epoch = self._data.data_epoch
         # Quantile bin edges move with the data, so codes cannot be updated
         # incrementally; they are recomputed lazily, once per epoch.  The
@@ -275,20 +268,12 @@ class SufficientStats:
         its scalar counterpart.  Returns the correlations and the mask of
         elements whose scalar form raises ``OverflowError`` (a finite
         covariance whose square overflows), or ``None`` when there are
-        none; those elements' correlations are meaningless.  Unlike every
-        other accessor this one does not :meth:`refresh`: it reads the data
-        as it is now but leaves the running sums as they are.
+        none; those elements' correlations are meaningless.
         """
-        if not self._synced():
-            # Rows appended since the last sync are read without folding
-            # them in.  Sums folded in other chunks round differently, so
-            # when they are folded is left to the tests a caller performs.
-            terms = _singleton_terms(_covariance(*self._folded()[:3]))
-        else:
-            if self._singleton_terms is None:
-                self._singleton_terms = _singleton_terms(self.covariance())
-            terms = self._singleton_terms
-        flat, diag, scaled, overflow = terms
+        self.refresh()
+        if self._singleton_terms is None:
+            self._singleton_terms = _singleton_terms(self.covariance())
+        flat, diag, scaled, overflow = self._singleton_terms
         p = len(diag)
         corr = np.empty(len(first))
         raises = None if overflow is None else np.zeros(len(first), bool)
