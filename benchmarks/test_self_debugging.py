@@ -10,14 +10,13 @@ Two acceptance gates from ISSUE 10:
   and coalescer cannot collapse), so every round performs real engine
   work and the ratio measures tracing against serving, not against an
   idle cache loop.  Both sides replay the same warmed service in
-  back-to-back off/on pairs (garbage collected before each timed
-  round, so a GC pause inherited from earlier tests cannot land on
-  one side), and the gate is the *minimum of the paired ratios*:
-  runner noise — scheduler phases, GC, page cache — only ever slows a
-  round down, so the least-noisy pair is an honest upper bound on
-  what tracing truly adds (one deferred context per request plus a
-  handful of field writes), while a genuine regression slows *every*
-  pair and cannot hide.
+  back-to-back pairs (garbage collected before each timed round, so a
+  GC pause inherited from earlier tests cannot land on one side), and
+  the side that runs first alternates from pair to pair, so a warm-up
+  or cool-down inside a pair is charged to both sides alike.  The gate
+  is the *median of the paired ratios*: one lucky pair cannot pass it
+  and one disturbed pair cannot fail it, while a real regression moves
+  the middle pair and shows.
 * **the stack can debug itself** — the recorded workload served under a
   deliberately misconfigured deployment (50 ms dispatcher window, no
   result cache), debugged on the serving stack's causal twin and
@@ -68,7 +67,11 @@ SWEEP_PER_CLIENT = 2 if QUICK else 4
 #: overhead gate needs rounds dominated by engine work to measure
 #: tracing against serving rather than against scheduler noise.
 N_SAMPLES = 1000
-ROUNDS = 5
+#: off/on pairs of the overhead gate.  A round takes ~150-250 ms on a
+#: single core and single pairs read anywhere from 0.5 to 1.6; the median
+#: of 5 pairs read above 1.05 in 4 of 6 runs, of 15 pairs in 1 of 13,
+#: and of 25 pairs stayed within 1.006-1.031 over 8 runs.
+ROUNDS = 25
 MAX_TRACING_OVERHEAD = 1.05
 MIN_P99_IMPROVEMENT = 1.30
 SEED = 29
@@ -148,9 +151,11 @@ def test_tracing_overhead_within_five_percent(results_recorder):
     contexts_before = tracer.contexts_created
     snapshot = None
 
-    # Alternate off/on rounds so slow machine phases hit both sides.
-    for _ in range(ROUNDS):
-        for mode in ("off", "on"):
+    # Pair off/on rounds so slow machine phases hit both sides, and swap
+    # which side goes first in every other pair.
+    for round_index in range(ROUNDS):
+        order = ("off", "on") if round_index % 2 == 0 else ("on", "off")
+        for mode in order:
             active = tracer if mode == "on" else None
             # Start each timed round with a clean heap: in a full-suite
             # run the earlier benchmarks leave a large live heap, and an
@@ -172,15 +177,14 @@ def test_tracing_overhead_within_five_percent(results_recorder):
         tracer.drain()
 
     # Each iteration times off and on back to back, so the two sides of
-    # a pair share whatever machine phase the runner is in.  Noise is
-    # one-sided — interference only ever makes a round slower — so the
-    # *minimum* paired ratio is the honest estimate of what tracing
-    # adds: the pair the runner disturbed least.  A real regression
-    # slows every pair, so it still cannot pass the gate.
-    off_seconds = float(np.min(timings["off"]))
-    on_seconds = float(np.min(timings["on"]))
-    ratio = float(np.min([on / max(off, 1e-9) for off, on
-                          in zip(timings["off"], timings["on"])]))
+    # a pair share whatever machine phase the runner is in.  The median
+    # paired ratio is the typical pair: it ignores the luckiest pair as
+    # well as the most disturbed one, so it can fail when tracing does
+    # cost more than the bound.
+    off_seconds = float(np.median(timings["off"]))
+    on_seconds = float(np.median(timings["on"]))
+    ratio = float(np.median([on / max(off, 1e-9) for off, on
+                             in zip(timings["off"], timings["on"])]))
     n_queries = len(requests)
     assert tracer.contexts_created - contexts_before == \
         n_queries * ROUNDS

@@ -188,8 +188,8 @@ class Unicorn:
 
         By default the first call cold-starts the model and every later call
         routes through the incremental path: measurements not yet reflected
-        in the model are appended in place to its dataset, the learner
-        re-runs discovery on the grown data (giving what a cold learn
+        in the model are appended to a new dataset, the learner
+        re-runs discovery on it (giving what a cold learn
         over the same rows would), and the existing inference engine is
         refreshed instead of being reconstructed.  Pass
         ``incremental=False`` to force the from-scratch path (used by

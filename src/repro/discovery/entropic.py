@@ -145,11 +145,11 @@ def entropic_direction(x_codes: np.ndarray, y_codes: np.ndarray) -> str:
 class EntropicOrienter:
     """Resolve the circle marks of a PAG into a fully directed ADMG.
 
-    The orienter can stay alive across active-loop iterations: discretization
-    codes come from a (shareable) :class:`SufficientStats` that refreshes
-    itself per data epoch, and each edge's LatentSearch uses an RNG derived
-    deterministically from ``(seed, x, y)`` so resolution order (and how many
-    times the orienter ran before) does not matter.
+    Discretization codes come from a (shareable) :class:`SufficientStats`
+    over the orienter's dataset, computed once per column, and each edge's
+    LatentSearch uses an RNG derived deterministically from ``(seed, x, y)``
+    so resolution order (and how many times the orienter ran before) does
+    not matter.
     """
 
     def __init__(self, data: Dataset, bins: int = 8,
@@ -176,8 +176,8 @@ class EntropicOrienter:
                 constraints: StructuralConstraints | None = None) -> MixedGraph:
         """Return a copy of ``pag`` with every circle mark resolved.
 
-        Resolution is deterministic given the data epoch: codes come from
-        the epoch-synchronised sufficient statistics and each edge draws
+        Resolution is deterministic given the data: codes come from the
+        sufficient statistics over it and each edge draws
         from its own ``(seed, edge)``-derived RNG, so resolving the same PAG
         over the same data always yields the same graph regardless of how
         (or how often) the orienter was used before.  Every LatentSearch of

@@ -4,15 +4,18 @@
 and entropic resolution into the three-step procedure of Fig. 9, and exposes
 ``update`` for the incremental re-learning of Stage IV (Fig. 10).
 
-``learn`` is the cold-start path: it rebuilds the statistical session
-(sufficient statistics, CI tests, orienter) and runs FCI from the fully
-connected constraint graph.  ``update`` is the incremental path: new samples
-are appended *in place* to the model's dataset (bumping its data epoch), the
-running sums fold in only the new rows, and the same FCI traversal re-runs
-on the grown data.  Every CI decision is made on the data as it is now (the
-:class:`CIDecisionCache` serves a decision only within the data epoch it
-was made in), so an update refits the model exactly as a cold ``learn``
-over the same rows would, as Stage IV of the paper prescribes.
+``learn`` is the cold-start path: it builds the statistical session
+(sufficient statistics, CI tests, orienter) over the data and runs FCI from
+the fully connected constraint graph.  ``update`` is the incremental path:
+it returns a *new* model over new data — the model's rows plus the new
+samples — whose sufficient statistics extend the old ones by folding in
+only the new rows, and re-runs the same FCI traversal on them.  The model
+it was given keeps its rows, so a handle held elsewhere (an engine, a
+snapshot, a concurrent reader) never sees its data change.  Every CI
+decision is made on the new data (the :class:`CIDecisionCache` serves a
+decision only within the learner generation it was made in), so an update
+refits the model exactly as a cold ``learn`` over the same rows would, as
+Stage IV of the paper prescribes.
 
 As the active loop acquires samples the learned graph converges (Fig. 11a
 tracks this via the structural Hamming distance).
@@ -104,17 +107,6 @@ class LearnedModel:
             incremental=bool(payload.get("incremental", False)))
 
 
-@dataclass
-class _LearnerSession:
-    """Statistical machinery kept alive across incremental updates."""
-
-    data: Dataset
-    space: SkeletonSpace
-    stats: SufficientStats
-    ci_test: CachedCITest
-    orienter: EntropicOrienter
-
-
 class CausalModelLearner:
     """Learn and incrementally update causal performance models.
 
@@ -148,7 +140,12 @@ class CausalModelLearner:
         self._threshold_factor = entropy_threshold_factor
         self._seed = seed
         self._ci_cache = CIDecisionCache(alpha=alpha)
-        self._session: _LearnerSession | None = None
+        #: numbers the datasets this learner has tested on; the CI-decision
+        #: cache serves a decision only within its generation.
+        self._generation = 0
+        #: statistics of the model this learner produced last.
+        self._stats: SufficientStats | None = None
+        self._space: SkeletonSpace | None = None
 
     @property
     def constraints(self) -> StructuralConstraints:
@@ -159,45 +156,21 @@ class CausalModelLearner:
         """The persistent CI-decision cache (for observability / tests)."""
         return self._ci_cache
 
-    # --------------------------------------------------------------- session
-    def _model_variables(self, data: Dataset) -> list[str]:
-        return [v for v in data.columns if v in self._constraints.roles]
-
-    def _bind_session(self, data: Dataset) -> _LearnerSession:
-        """(Re)build the persistent statistical session over ``data``.
-
-        One :class:`SufficientStats` feeds the CI tests and the entropic
-        orienter, and one :class:`CachedCITest` memoises the decisions
-        with two or more conditioning columns within a data epoch.
-        """
-        stats = SufficientStats(data)
-        ci_test = CachedCITest(
-            MixedCITest(data, alpha=self._alpha, bins=self._bins,
-                        stats=stats),
-            self._ci_cache, lambda: data.data_epoch)
-        orienter = EntropicOrienter(
-            data, bins=self._bins,
-            entropy_threshold_factor=self._threshold_factor,
-            seed=self._seed, stats=stats)
-        self._session = _LearnerSession(
-            data=data,
-            space=SkeletonSpace(self._model_variables(data),
-                                self._constraints),
-            stats=stats, ci_test=ci_test, orienter=orienter)
-        return self._session
+    # ----------------------------------------------------------------- search
+    def _skeleton_space(self, data: Dataset) -> SkeletonSpace:
+        """The search space over ``data``'s model variables, built once
+        per variable list."""
+        variables = [v for v in data.columns if v in self._constraints.roles]
+        if self._space is None or self._space.variables != variables:
+            self._space = SkeletonSpace(variables, self._constraints)
+        return self._space
 
     # ------------------------------------------------------------------ learn
     def learn(self, data: Dataset) -> LearnedModel:
-        """Learn a causal performance model from scratch.
-
-        The model is bound to a private copy of ``data``: incremental
-        updates grow the model's dataset in place, and that must never
-        mutate an array the caller still owns.
-        """
+        """Learn a causal performance model from scratch."""
         started = time.perf_counter()
         self._ci_cache.clear()
-        session = self._bind_session(data.copy())
-        return self._discover(session, started, history=[],
+        return self._discover(SufficientStats(data), started, history=[],
                               incremental=False)
 
     # ----------------------------------------------------------------- update
@@ -205,11 +178,13 @@ class CausalModelLearner:
                new_rows: Sequence[Mapping[str, float]]) -> LearnedModel:
         """Incrementally update a model with newly measured configurations.
 
-        The new samples are appended **in place** to the model's dataset
-        (``model.data`` is shared with the returned model, so earlier
-        :class:`LearnedModel` handles observe the grown data as well), and
-        the cold FCI traversal re-runs on the grown data.  No CI decision
-        from an earlier data epoch is served, so this produces exactly the
+        Returns a new model over ``model.data.append_rows(new_rows)``;
+        ``model`` and its data are unchanged.  The statistics extend those
+        ``model`` was learned with (or, for a model this learner did not
+        produce last — another learner's, or one restored from a snapshot —
+        statistics built over its data), folding in only the new rows, and
+        the cold FCI traversal re-runs on the new data.  No CI decision
+        from an earlier generation is served, so this produces exactly the
         PAG, separating sets and ``tests_performed`` of :meth:`learn` over
         the same rows.  The previous history is carried over so callers
         can plot convergence (Fig. 11).
@@ -217,34 +192,48 @@ class CausalModelLearner:
         if not new_rows:
             return model
         started = time.perf_counter()
-        session = self._session
-        if session is None or session.data is not model.data:
-            # Foreign model (e.g. learned by another learner instance or
-            # restored from a snapshot): adopt its dataset.  The cache is
-            # keyed by (x, y, Z) and epoch only, so decisions computed on
-            # the previously bound dataset must not leak into this one.
-            self._ci_cache.clear()
-            session = self._bind_session(model.data)
-        model.data.append_rows_inplace(new_rows)
-        return self._discover(session, started, history=model.history,
+        stats = (self._stats if self._stats is not None
+                 and self._stats.data is model.data
+                 else SufficientStats(model.data))
+        # Rebinding drops this frame's hold on the old statistics, so
+        # their derived matrices are freed once ``_discover`` replaces them.
+        stats = stats.extended(new_rows)
+        return self._discover(stats, started, history=model.history,
                               incremental=True)
 
-    def _discover(self, session: _LearnerSession, started: float,
+    def _discover(self, stats: SufficientStats, started: float,
                   history: list[dict[str, float]],
                   incremental: bool) -> LearnedModel:
-        """Run FCI + entropic resolution over the session's dataset."""
-        result = fci(session.space.variables, session.ci_test,
+        """Run FCI + entropic resolution over ``stats.data``.
+
+        One :class:`SufficientStats` feeds the CI tests and the entropic
+        orienter, and one :class:`CachedCITest` memoises the decisions
+        with two or more conditioning columns under a new generation.
+        """
+        data = stats.data
+        self._stats = stats
+        self._generation += 1
+        ci_test = CachedCITest(
+            MixedCITest(data, alpha=self._alpha, bins=self._bins,
+                        stats=stats),
+            self._ci_cache, self._generation)
+        space = self._skeleton_space(data)
+        result = fci(space.variables, ci_test,
                      constraints=self._constraints,
                      max_condition_size=self._max_condition_size,
-                     space=session.space)
-        resolved = session.orienter.resolve(result.pag, self._constraints)
+                     space=space)
+        orienter = EntropicOrienter(
+            data, bins=self._bins,
+            entropy_threshold_factor=self._threshold_factor,
+            seed=self._seed, stats=stats)
+        resolved = orienter.resolve(result.pag, self._constraints)
         elapsed = time.perf_counter() - started
         model = LearnedModel(
             graph=resolved, pag=result.pag, constraints=self._constraints,
-            data=session.data, ci_tests_performed=result.tests_performed,
+            data=data, ci_tests_performed=result.tests_performed,
             discovery_seconds=elapsed, incremental=incremental)
         model.history = history + [{
-            "n_samples": float(session.data.n_rows),
+            "n_samples": float(data.n_rows),
             "n_edges": float(resolved.num_edges()),
             "seconds": elapsed,
             "incremental": float(incremental),

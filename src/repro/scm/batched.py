@@ -384,13 +384,11 @@ class BatchedFittedModel:
         self._column_index = {name: i
                               for i, name in enumerate(model.data.columns)}
         self._means: dict[str, float] = {}
-        self._means_epoch = model.data.data_epoch
-        #: full-dataset residual columns (counterfactual_rows_batch), keyed
-        #: off the data epoch like the means — intervention-independent.
+        #: full-dataset residual columns (counterfactual_rows_batch),
+        #: intervention-independent like the means.
         self._row_residuals: _Residuals | None = None
-        self._row_residuals_epoch = -1
-        #: context-matrix memo: ``(data_epoch, max_contexts, matrix)``.
-        self._context_cache: tuple[int, int, np.ndarray] | None = None
+        #: context-matrix memo: ``(max_contexts, matrix)``.
+        self._context_cache: tuple[int, np.ndarray] | None = None
 
     @property
     def model(self) -> FittedPerformanceModel:
@@ -419,10 +417,6 @@ class BatchedFittedModel:
             column_names=column_names, vector=vector))
 
     def _column_mean(self, variable: str) -> float:
-        epoch = self._model.data.data_epoch
-        if epoch != self._means_epoch:
-            self._means.clear()
-            self._means_epoch = epoch
         if variable not in self._means:
             self._means[variable] = float(
                 np.mean(self._model.data.column(variable)))
@@ -466,22 +460,20 @@ class BatchedFittedModel:
     def _context_matrix(self, max_contexts: int) -> np.ndarray:
         """The observed contexts, subsampled exactly like the scalar path.
 
-        Memoized per ``(data_epoch, max_contexts)`` — repeated ACE sweeps
-        and interventional batches between observations reuse one matrix
-        instead of re-slicing the dataset on every call.
+        Memoized per ``max_contexts`` — repeated ACE sweeps and
+        interventional batches reuse one matrix instead of re-slicing the
+        dataset on every call.
         """
-        epoch = self._model.data.data_epoch
         cached = self._context_cache
-        if cached is not None and cached[0] == epoch \
-                and cached[1] == max_contexts:
-            return cached[2]
+        if cached is not None and cached[0] == max_contexts:
+            return cached[1]
         matrix = self._model.data.values
         n_rows = matrix.shape[0]
         if n_rows > max_contexts:
             stride = n_rows / max_contexts
             index = [int(i * stride) for i in range(max_contexts)]
             matrix = matrix[index]
-        self._context_cache = (epoch, max_contexts, matrix)
+        self._context_cache = (max_contexts, matrix)
         return matrix
 
     def interventional_expectation_batch(
@@ -579,12 +571,12 @@ class BatchedFittedModel:
         """Equality token over every broadcast scalar a program may read.
 
         Keys the per-program scalar-fold memo (see
-        :meth:`FusedProgram.execute`): the data epoch covers the empirical
-        means, the items cover the observation's base values — together
-        they determine every scalar input of the compiled programs.
+        :meth:`FusedProgram.execute`): the items cover the observation's
+        base values, and the empirical means are fixed for this model's
+        data — together they determine every scalar input of the compiled
+        programs.
         """
-        return (self._model.data.data_epoch,
-                tuple(sorted(scalars.items())))
+        return tuple(sorted(scalars.items()))
 
     def _counterfactual_columns(self, observation: Mapping[str, float],
                                 interventions: Sequence[Mapping[str, float]]
@@ -747,19 +739,17 @@ class BatchedFittedModel:
 
         The residual abduction is vectorized over the dataset: one
         ``predict_batch`` on the pristine columns per recomputed equation,
-        kept for the data epoch, then one re-propagation of the affected
-        variables with the intervention clamped.
+        kept for the life of this evaluator, then one re-propagation of the
+        affected variables with the intervention clamped.
         """
         model = self._model
         data = model.data
         n = data.n_rows
         columns = {name: data.column(name) for name in data.columns}
-        epoch = data.data_epoch
-        if self._row_residuals is None or self._row_residuals_epoch != epoch:
+        if self._row_residuals is None:
             self._row_residuals = _Residuals(model, columns, lambda variable: (
                 columns[variable]
                 - model.equation(variable).predict_batch(columns, n)))
-            self._row_residuals_epoch = epoch
         residuals = self._row_residuals
         values: dict = dict(columns)
         keys = list(intervention)

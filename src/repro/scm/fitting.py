@@ -183,8 +183,7 @@ class FittedPerformanceModel:
     parents:
         Sorted parents of every endogenous node; defaults to those of
         ``equations``.  A node without an equation is fitted the first time
-        something reads it, on the rows ``data`` held when the model was
-        built: rows later appended in place never reach a fit, so an
+        something reads it, on ``data``'s rows, which never change, so an
         equation is the same whenever (and on whichever thread) it is first
         read.  A racing second fit keeps the first one.
     """
@@ -200,7 +199,6 @@ class FittedPerformanceModel:
             variable: equation.parents
             for variable, equation in self._equations.items()}
         self._data = data
-        self._rows = data.values
         self._topo = dag.topological_order()
 
     @property
@@ -215,7 +213,7 @@ class FittedPerformanceModel:
         equation = self._equations.get(variable)
         if equation is None:
             equation = self._equations.setdefault(variable, _fit_equation(
-                self._rows, self._data.column_index, variable,
+                self._data.values, self._data.column_index, variable,
                 self._parents[variable]))
         return equation
 

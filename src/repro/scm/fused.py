@@ -181,8 +181,8 @@ class FusedProgram:
     Execution mutates a ``values`` dict whose entries are Python-float
     scalars (broadcast base values) or ``(n,)`` arrays; every recomputed
     variable is written back as an ``(n,)`` column.  Constant steps resolve
-    lazily through the ``means`` callable so a program compiled once stays
-    correct when the empirical means move with the data epoch.
+    lazily through the ``means`` callable, so a program reads only the
+    empirical means it uses.
     """
 
     def __init__(self, levels: Sequence[FusedLevel], reads: frozenset,
@@ -208,9 +208,9 @@ class FusedProgram:
         :meth:`~repro.scm.fitting.FittedPerformanceModel.counterfactual`.
 
         ``scalar_token``, when given, must determine every broadcast-scalar
-        input the program reads (plus the means epoch): each block's folded
-        scalar contribution (intercepts + scalar features) is then memoized
-        on the program and replayed while the token compares equal —
+        input the program reads: each block's folded scalar contribution
+        (intercepts + scalar features) is then memoized on the program and
+        replayed while the token compares equal —
         repeated scans of the same fault skip the scalar fold entirely.
         Residuals never enter the fold (residual-adjusted variables are
         classified as array operands), so any token mismatch simply

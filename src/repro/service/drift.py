@@ -8,12 +8,11 @@ that.  :class:`DriftDetector` therefore watches the **prediction
 residuals** of the live observation stream rather than the raw objective
 values: for every incoming :class:`~repro.systems.base.Measurement` it
 computes ``observed - predicted`` per objective against the *current*
-engine, folds the residual row into an incrementally maintained
-:class:`~repro.stats.sufficient.SufficientStats` window (the PR 1
-machinery: the window is a growable :class:`~repro.stats.dataset.Dataset`
-and the stats resynchronise per data epoch), and compares the window's
-residual distribution against the residuals of the model's own training
-data.
+engine, folds the residual rows into a
+:class:`~repro.stats.sufficient.SufficientStats` window (each batch
+replaces the window with :meth:`~repro.stats.sufficient.SufficientStats.extended`,
+which folds only the new rows), and compares the window's residual
+distribution against the residuals of the model's own training data.
 
 Two standardized shift statistics are tracked per objective and the
 detector's :meth:`score` is their maximum over objectives:
@@ -95,8 +94,7 @@ class DriftDetector:
         self._baseline_mean: np.ndarray | None = None
         self._baseline_var: np.ndarray | None = None
         self._baseline_n = 0
-        self._window_data: Dataset | None = None
-        self._window: SufficientStats | None = None
+        self._restart_window()
         #: score of the last :meth:`extend` call (observability handle).
         self.last_score = 0.0
         #: scores in :meth:`extend` call order, for tests and tracing.
@@ -115,6 +113,18 @@ class DriftDetector:
                 for measurement, prediction in zip(measurements, predicted)]
 
     # ------------------------------------------------------------- lifecycle
+    def _restart_window(self) -> None:
+        self._window = SufficientStats(Dataset(
+            self.objectives, np.empty((0, len(self.objectives)))))
+        #: row count of every batch folded into the window, in order: a
+        #: restored window refolds the same blocks, so its sums (and every
+        #: later score) equal the live window's bit for bit.
+        self._window_blocks: list[int] = []
+
+    def _fold(self, rows: Sequence[dict]) -> None:
+        self._window = self._window.extended(rows)
+        self._window_blocks.append(len(rows))
+
     def rebaseline(self, engine,
                    measurements: Sequence[Measurement]) -> None:
         """Re-anchor the baseline to the current model and its training data.
@@ -138,17 +148,15 @@ class DriftDetector:
         self._baseline_mean = stats.means()
         self._baseline_var = np.maximum(np.diag(covariance).copy(), _VAR_EPS)
         self._baseline_n = stats.n_rows
-        self._window_data = None
-        self._window = None
+        self._restart_window()
         self.last_score = 0.0
 
     def extend(self, engine, measurements: Sequence[Measurement]) -> float:
         """Fold a new observation batch into the window and return the score.
 
-        Residuals are computed against the *current* engine at fold time,
-        appended in place to the window dataset (bumping its data epoch so
-        the window's :class:`SufficientStats` folds exactly the new rows),
-        and the updated drift score is returned.
+        Residuals are computed against the *current* engine at fold time
+        and folded into the window as one block, and the updated drift
+        score is returned.
 
         Parameters
         ----------
@@ -168,16 +176,10 @@ class DriftDetector:
         if self.window_size >= self.max_window:
             # Tumble: restart the window rather than let a long stationary
             # prefix dilute (and outgrow) whatever shift comes next.
-            self._window_data = None
-            self._window = None
+            self._restart_window()
         rows = self._residual_rows(engine, measurements)
         if rows:
-            if self._window_data is None:
-                self._window_data = Dataset.from_rows(
-                    rows, columns=self.objectives)
-                self._window = SufficientStats(self._window_data)
-            else:
-                self._window_data.append_rows_inplace(rows)
+            self._fold(rows)
         self.last_score = self.score()
         self.score_history.append(self.last_score)
         return self.last_score
@@ -186,7 +188,7 @@ class DriftDetector:
     @property
     def window_size(self) -> int:
         """Observations currently held in the live window."""
-        return self._window.n_rows if self._window is not None else 0
+        return self._window.n_rows
 
     def score(self) -> float:
         """Current drift score: the max standardized shift over objectives.
@@ -194,7 +196,7 @@ class DriftDetector:
         Returns 0.0 while the window is smaller than ``min_window`` (not
         enough evidence to act on either way).
         """
-        if self._window is None or self._baseline_mean is None:
+        if self._baseline_mean is None:
             return 0.0
         n = self._window.n_rows
         if n < self.min_window:
@@ -232,13 +234,13 @@ class DriftDetector:
         model store snapshots entries at refresh boundaries — right after
         :meth:`rebaseline`, when the live window is empty — so the window
         normally serializes as ``None``; a non-empty window is captured as
-        its residual rows and rebuilt on load.
+        its residual rows and the sizes of the batches they were folded in.
         """
         from repro.stats.codec import array_to_doc
 
         window = None
-        if self._window_data is not None and self._window_data.n_rows:
-            window = array_to_doc(self._window_data.values)
+        if self.window_size:
+            window = array_to_doc(self._window.data.values)
         return {
             "objectives": list(self.objectives),
             "threshold": self.threshold,
@@ -250,6 +252,7 @@ class DriftDetector:
                              else array_to_doc(self._baseline_var)),
             "baseline_n": int(self._baseline_n),
             "window": window,
+            "window_blocks": list(self._window_blocks),
             "last_score": float(self.last_score),
         }
 
@@ -260,7 +263,9 @@ class DriftDetector:
         The refresh schedule downstream of the reload is byte-identical to
         the schedule a continuously running detector would have produced,
         because scoring is pure floating-point arithmetic over the
-        restored baseline and the (normally empty) restored window.
+        restored baseline and the (normally empty) restored window, whose
+        rows are refolded in the batches they arrived in.  A document
+        without ``window_blocks`` refolds its window as one batch.
         """
         from repro.stats.codec import array_from_doc
 
@@ -273,8 +278,11 @@ class DriftDetector:
             detector._baseline_var = array_from_doc(payload["baseline_var"])
             detector._baseline_n = int(payload["baseline_n"])
         if payload.get("window") is not None:
-            detector._window_data = Dataset(detector.objectives,
-                                            array_from_doc(payload["window"]))
-            detector._window = SufficientStats(detector._window_data)
+            rows = Dataset(detector.objectives,
+                           array_from_doc(payload["window"])).rows()
+            start = 0
+            for size in payload.get("window_blocks") or [len(rows)]:
+                detector._fold(rows[start:start + size])
+                start += size
         detector.last_score = float(payload.get("last_score", 0.0))
         return detector

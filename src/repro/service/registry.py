@@ -13,8 +13,8 @@ performance model.  :class:`ModelRegistry` keeps those models:
   uses), so equal specs resolve to the same entry and never fit twice.
 * **Incrementally refreshed** — :meth:`ModelRegistry.observe` appends new
   measurements and routes through :meth:`repro.core.unicorn.Unicorn.learn`,
-  whose incremental path (PR 1) updates the learner's structure in place
-  and refreshes the existing engine instead of rebuilding it; every refresh
+  whose incremental path returns a new model over the grown data and
+  refreshes the existing engine instead of rebuilding it; every refresh
   bumps the entry's ``version`` so in-flight batches never mix model states.
 * **Drift-aware** — with a ``drift_threshold`` set, :meth:`observe` no
   longer relearns on every batch: observations buffer per entry while a
@@ -757,9 +757,9 @@ class ModelRegistry:
         With the default ``drift_threshold=None`` this is the eager PR 4
         path: the measurements append to the entry's loop state and the
         model re-learns immediately through :meth:`Unicorn.learn`'s
-        incremental route (the dataset grows in place as a new data epoch,
-        discovery re-runs on the grown data, and the existing engine is
-        refreshed rather than rebuilt).
+        incremental route (a new model over the old rows plus the new
+        ones, discovery re-run on them, and the existing engine refreshed
+        onto it rather than rebuilt).
 
         With a ``drift_threshold`` set, the measurements instead buffer in
         ``entry.pending`` while their prediction residuals feed the

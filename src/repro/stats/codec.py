@@ -46,6 +46,6 @@ def array_from_doc(doc: dict) -> np.ndarray:
     shape = tuple(int(n) for n in doc["shape"])
     raw = base64.b64decode(doc["data"].encode("ascii"), validate=True)
     array = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    # frombuffer yields a read-only view over the decoded bytes; consumers
-    # (growable datasets, in-place refits) expect writable storage.
+    # frombuffer yields a read-only view over the decoded bytes; hand back
+    # an owned, writable, native-order array like any other.
     return array.astype(dtype.newbyteorder("="), copy=True)

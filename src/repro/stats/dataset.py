@@ -5,11 +5,10 @@ carried in a small ``Dataset`` wrapper: a 2-D float array with named columns
 and per-column metadata about whether a column is discrete.  All discovery,
 inference and baseline code operates on ``Dataset`` instances.
 
-The active-learning loop appends one measured configuration per iteration, so
-the backing array is growable: :meth:`append_rows_inplace` writes into spare
-capacity (doubling it when exhausted) instead of reallocating, and bumps a
-``data_epoch`` counter that lets derived caches (sufficient statistics,
-discretization codes, CI decisions) detect that the data changed.
+A dataset is a value: its array is read-only, and adding rows
+(:meth:`Dataset.append_rows`) returns a new dataset.  Whatever is derived
+from a dataset — sufficient statistics, discretization codes, fitted
+equations, column means — stays valid for as long as it is held.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ class Dataset:
     columns:
         Column names, in order.
     values:
-        Array of shape ``(n_rows, n_columns)``.  Copied and cast to float.
+        Array of shape ``(n_rows, n_columns)``.  Copied, cast to float and
+        made read-only.
     discrete:
         Optional set of column names whose values should be treated as
         discrete (categorical / integer-coded) by statistical tests.
@@ -45,9 +45,8 @@ class Dataset:
             raise ValueError("duplicate column names")
         self._columns = list(columns)
         self._index = {name: i for i, name in enumerate(self._columns)}
-        self._storage = values.copy()
-        self._n_rows = values.shape[0]
-        self._epoch = 0
+        self._values = values.copy()
+        self._values.setflags(write=False)
         self._discrete = {c for c in discrete if c in self._index}
 
     # ------------------------------------------------------------ properties
@@ -57,18 +56,8 @@ class Dataset:
 
     @property
     def values(self) -> np.ndarray:
-        """The measurement matrix (a view into the growable storage).
-
-        The view is only valid until the next :meth:`append_rows_inplace`
-        that forces a reallocation; consumers that cache it should re-read
-        when :attr:`data_epoch` changes.
-        """
-        return self._storage[:self._n_rows]
-
-    @property
-    def data_epoch(self) -> int:
-        """Counter bumped by every in-place mutation of the data."""
-        return self._epoch
+        """The measurement matrix (read-only)."""
+        return self._values
 
     @property
     def discrete_columns(self) -> set[str]:
@@ -76,11 +65,11 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
-        return self._n_rows
+        return self._values.shape[0]
 
     @property
     def n_columns(self) -> int:
-        return self._storage.shape[1]
+        return self._values.shape[1]
 
     def __len__(self) -> int:
         return self.n_rows
@@ -104,9 +93,9 @@ class Dataset:
 
     def row(self, i: int) -> dict[str, float]:
         """Row ``i`` as a ``{column: value}`` mapping."""
-        if not 0 <= i < self._n_rows:
+        if not 0 <= i < self.n_rows:
             raise IndexError(i)
-        return {c: float(self._storage[i, j])
+        return {c: float(self._values[i, j])
                 for j, c in enumerate(self._columns)}
 
     def rows(self) -> list[dict[str, float]]:
@@ -131,39 +120,9 @@ class Dataset:
         values = np.vstack([self.values, extra]) if len(rows) else self.values
         return Dataset(self._columns, values, discrete=self._discrete)
 
-    def append_rows_inplace(self, rows: Sequence[Mapping[str, float]]) -> None:
-        """Append ``rows`` to this dataset, growing the backing storage.
-
-        Spare capacity is doubled when exhausted, so a sequence of
-        single-row appends (one per active-loop iteration) costs amortised
-        O(row) instead of reallocating the full matrix each time.  Bumps
-        :attr:`data_epoch` so epoch-keyed caches know to resynchronise.
-        """
-        if not rows:
-            return
-        extra = np.array([[float(r[c]) for c in self._columns] for r in rows],
-                         dtype=float)
-        needed = self._n_rows + len(rows)
-        if needed > self._storage.shape[0]:
-            capacity = max(needed, 2 * self._storage.shape[0], 16)
-            storage = np.empty((capacity, self._storage.shape[1]), dtype=float)
-            storage[:self._n_rows] = self._storage[:self._n_rows]
-            self._storage = storage
-        self._storage[self._n_rows:needed] = extra
-        self._n_rows = needed
-        self._epoch += 1
-
-    def copy(self) -> "Dataset":
-        """Independent copy of this dataset (rows, columns, discrete flags)."""
-        return Dataset(self._columns, self.values, discrete=self._discrete)
-
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict:
-        """JSON-safe snapshot of the dataset (values bitwise, via base64).
-
-        Only the live rows are captured — spare growth capacity and the
-        ``data_epoch`` counter are reconstruction details, not data.
-        """
+        """JSON-safe snapshot of the dataset (values bitwise, via base64)."""
         from repro.stats.codec import array_to_doc
 
         return {

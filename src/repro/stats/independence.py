@@ -13,9 +13,10 @@ All tests expose the same interface: ``test(x, y, conditioning)`` returns a
 significance level.  Tests additionally expose ``test_batch`` for scoring
 many pairs that share one conditioning set in a single sufficient-statistics
 pass.  :class:`CachedCITest` memoises, through a :class:`CIDecisionCache`,
-the decisions with two or more conditioning columns within one data epoch;
-no decision outlives the epoch it was made in, so a relearn on grown data
-decides exactly as a cold learn over the same rows.
+the decisions with two or more conditioning columns within one *epoch* —
+a number the owner gives each dataset it tests on; no decision outlives
+the epoch it was made in, so a relearn on grown data decides exactly as a
+cold learn over the same rows.
 
 :class:`FisherZTest`, :class:`MixedCITest` and :class:`CachedCITest` also
 have an *index-space* form, ``test_index(i, j, Z)``, over the dataset's
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 from scipy import special as scipy_special
@@ -310,9 +311,9 @@ class FisherZTest:
                         third: np.ndarray) -> Bands:
         """The :class:`Bands` of testing ``first[e]`` and ``second[e]``
         given ``third[e]``, from
-        :meth:`SufficientStats.singleton_partial_correlations` (which
-        folds appended rows in first); an element whose scalar form raises is
-        :data:`_GUARD`, for :meth:`test_index` to tell."""
+        :meth:`SufficientStats.singleton_partial_correlations`; an element
+        whose scalar form raises is :data:`_GUARD`, for :meth:`test_index`
+        to tell."""
         corr, raises = self._stats.singleton_partial_correlations(
             first, second, third)
         bands = self._bands(corr, 1)
@@ -360,7 +361,7 @@ class GSquareTest:
     """G-test on a :class:`Dataset`, discretizing continuous columns.
 
     Discretization codes live in the shared :class:`SufficientStats`, so they
-    are computed once per column per data epoch no matter how many tests (or
+    are computed once per column per dataset no matter how many tests (or
     how many cooperating test objects) touch the column.
     """
 
@@ -402,10 +403,9 @@ class MixedCITest:
     avoids the data fragmentation a fully stratified test would suffer at the
     low sample sizes Unicorn operates with).
 
-    One :class:`SufficientStats` instance backs both member tests, so the
-    dispatcher can stay alive across active-loop iterations: appended rows
-    are folded into the running sums and the per-epoch caches refresh
-    themselves.
+    One :class:`SufficientStats` instance backs both member tests, so
+    codes, cardinalities and the covariance matrix are derived once per
+    dataset however many tests read them.
     """
 
     def __init__(self, data: Dataset, alpha: float = 0.05,
@@ -442,7 +442,7 @@ class MixedCITest:
         """G-test eligibility of one index-space test.
 
         The discreteness flags are fixed per dataset and the cardinalities
-        are cached per data epoch by the shared :class:`SufficientStats`, so
+        are cached per dataset by the shared :class:`SufficientStats`, so
         the common mixed case (a continuous event on either side) costs two
         list reads.
         """
@@ -524,13 +524,13 @@ class MixedCITest:
 
 
 # --------------------------------------------------------------------------
-# CI-decision caching within a data epoch
+# CI-decision caching within an epoch
 # --------------------------------------------------------------------------
 @dataclass
 class CICacheCounters:
     """Observability counters for one :class:`CIDecisionCache`.
 
-    ``retests`` counts lookups of an entry stored at another data epoch,
+    ``retests`` counts lookups of an entry stored at another epoch,
     which is dropped and tested again.  ``stale_reused`` always reads 0:
     no decision is served across epochs.
     """
@@ -557,17 +557,20 @@ CIKey = tuple[int, int, tuple[int, ...]]
 
 
 class CIDecisionCache:
-    """CI decisions keyed by :data:`CIKey`, served within one data epoch.
+    """CI decisions keyed by :data:`CIKey`, served within one epoch.
 
     Keys come from :meth:`key`: the tested pair is unordered and the
     conditioning set is order-free, so ``test(y, x, [v, u])`` replays the
     decision ``test(x, y, [u, v])`` stored.  A lookup at the entry's own
     epoch is a hit; an entry from any other epoch is dropped and the
     caller tests again, so every decision served is a function of the
-    data as it is now.  :class:`CachedCITest` stores here the decisions
-    with two or more conditioning columns, which a search may meet more
-    than once in one pass (the skeleton's later levels and Possible-D-Sep
-    pruning); entries are LRU-evicted beyond ``max_entries``.
+    data the caller tests on.  The owner numbers the epochs and gives
+    every dataset its own: the learner uses its generation counter, which
+    rises on every learn and update.  :class:`CachedCITest` stores here
+    the decisions with two or more conditioning columns, which a search
+    may meet more than once in one pass (the skeleton's later levels and
+    Possible-D-Sep pruning); entries are LRU-evicted beyond
+    ``max_entries``.
     """
 
     def __init__(self, alpha: float = 0.05,
@@ -621,21 +624,21 @@ class CachedCITest:
 
     ``inner`` is a :class:`FisherZTest` or :class:`MixedCITest` (anything
     with ``alpha``, ``column_index``, ``test_index``, ``marginal_bands``
-    and ``singleton_bands``), with the cache's ``alpha``.  ``epoch_fn``
-    supplies the current data epoch (normally the backing dataset's
-    ``data_epoch``).  A test with two or more conditioning columns is
+    and ``singleton_bands``), with the cache's ``alpha``.  ``epoch``
+    numbers the dataset ``inner`` tests on (see :class:`CIDecisionCache`).
+    A test with two or more conditioning columns is
     looked up in the cache and, on a miss, tested and stored; every other
     call goes straight to ``inner``, whose array forms decide a whole
     skeleton level at once and cost less than a lookup per element.
     """
 
     def __init__(self, inner, cache: CIDecisionCache,
-                 epoch_fn: Callable[[], int]) -> None:
+                 epoch: int) -> None:
         if inner.alpha != cache.alpha:
             raise ValueError("the inner test and the cache must share alpha")
         self._inner = inner
         self._cache = cache
-        self._epoch_fn = epoch_fn
+        self._epoch = epoch
 
     @property
     def alpha(self) -> float:
@@ -663,11 +666,10 @@ class CachedCITest:
         if len(conditioning) < 2:
             return self._inner.test_index(i, j, conditioning)
         key = CIDecisionCache.key(i, j, conditioning)
-        epoch = self._epoch_fn()
-        result = self._cache.lookup(key, epoch)
+        result = self._cache.lookup(key, self._epoch)
         if result is None:
             result = self._inner.test_index(i, j, conditioning)
-            self._cache.store(key, epoch, result)
+            self._cache.store(key, self._epoch, result)
         return result
 
     def marginal_bands(self, first: np.ndarray, second: np.ndarray

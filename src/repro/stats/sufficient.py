@@ -3,9 +3,9 @@
 The active loop of Unicorn appends one measured configuration per iteration
 and then re-estimates the causal model.  Re-running every CI test from the
 raw data repeats the same O(n) reductions thousands of times per iteration;
-:class:`SufficientStats` instead maintains the quantities the tests actually
+:class:`SufficientStats` instead holds the quantities the tests actually
 need — per-column sums, the cross-product matrix ``X^T X``, discretization
-codes and cardinalities — and updates them incrementally as rows arrive.
+codes and cardinalities — over one dataset.
 
 From the cross-product matrix every (partial) correlation follows by a Schur
 complement, so a Fisher z test costs one small ``k x k`` solve instead of two
@@ -13,16 +13,16 @@ least-squares fits over the raw rows, and a *batch* of tests sharing one
 conditioning set costs a single solve for all pairs at once
 (:meth:`partial_correlations`).
 
-Synchronisation is epoch-based: the backing :class:`~repro.stats.dataset.Dataset`
-bumps ``data_epoch`` on every in-place append, and every accessor here calls
-:meth:`refresh` first, which folds only the newly appended rows into the sums
-and drops the per-epoch code caches.
+Statistics are values, like the :class:`~repro.stats.dataset.Dataset` they
+summarise: :meth:`SufficientStats.extended` returns new statistics over the
+dataset with rows appended, folding only the new rows into a copy of the
+running sums, and leaves the statistics it was called on unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -102,79 +102,74 @@ def _singleton_terms(cov: np.ndarray) -> tuple:
 
 
 class SufficientStats:
-    """Incrementally maintained sufficient statistics over a dataset."""
+    """Sufficient statistics over one dataset.
+
+    The constructor folds every row of ``data`` as one block;
+    :meth:`extended` continues the running sums over appended rows.
+    Everything else (covariance, codes, cardinalities) is derived lazily
+    from the sums or the data and cached for the life of the instance.
+    """
 
     def __init__(self, data: Dataset) -> None:
-        self._data = data
         p = data.n_columns
-        self._n = 0
-        self._sum = np.zeros(p)
-        self._cross = np.zeros((p, p))
-        # Per-column shift (the first observed row) applied before
-        # accumulating: covariance is shift-invariant, and centering near the
-        # data keeps ``cross/n - mean*mean`` from catastrophically cancelling
-        # for columns with large magnitudes (timestamps, byte counts).
-        self._shift: np.ndarray | None = None
-        self._epoch = -1
+        self._start(data, 0, np.zeros(p), np.zeros((p, p)), None)
+        self._fold(data.values)
+
+    def _start(self, data: Dataset, n: int, total: np.ndarray,
+               cross: np.ndarray, shift: np.ndarray | None) -> None:
+        self._data = data
+        self._n = n
+        self._sum = total
+        self._cross = cross
+        self._shift = shift
         self._codes: dict[str, np.ndarray] = {}
         self._cardinality: dict[str, int] = {}
         self._cov: np.ndarray | None = None
         self._cov_rows: list[list[float]] | None = None
         self._singleton_terms: tuple | None = None
-        self.refresh()
 
-    # --------------------------------------------------------------- syncing
+    def _fold(self, block: np.ndarray) -> None:
+        """Add ``block``'s rows to the running sums, as one block."""
+        if not len(block):
+            return
+        # Per-column shift (the first observed row) applied before
+        # accumulating: covariance is shift-invariant, and centering near the
+        # data keeps ``cross/n - mean*mean`` from catastrophically cancelling
+        # for columns with large magnitudes (timestamps, byte counts).
+        if self._shift is None:
+            self._shift = block[0].copy()
+        shifted = block - self._shift
+        self._sum = self._sum + shifted.sum(axis=0)
+        self._cross = self._cross + shifted.T @ shifted
+        self._n += len(block)
+
+    def extended(self, rows: Sequence[Mapping[str, float]]
+                 ) -> "SufficientStats":
+        """Statistics over ``self.data.append_rows(rows)``.
+
+        The running sums and the shift carry over and the new rows are
+        folded as one block, so the sums equal those of statistics that
+        had folded the same blocks in turn, bit for bit (summing every row
+        from scratch would round differently).  ``self`` is unchanged.
+        """
+        stats = SufficientStats.__new__(SufficientStats)
+        # Sharing the sum arrays is safe: ``_fold`` rebinds them, never
+        # writes into them.
+        stats._start(self._data.append_rows(rows), self._n, self._sum,
+                     self._cross, self._shift)
+        stats._fold(stats._data.values[self._n:])
+        return stats
+
     @property
     def data(self) -> Dataset:
         return self._data
 
     @property
     def n_rows(self) -> int:
-        self.refresh()
         return self._n
-
-    @property
-    def epoch(self) -> int:
-        """Data epoch these statistics are synchronised with."""
-        self.refresh()
-        return self._epoch
-
-    def _synced(self) -> bool:
-        return (self._epoch == self._data.data_epoch
-                and self._n == self._data.n_rows)
-
-    def refresh(self) -> None:
-        """Fold rows appended since the last sync into the running sums."""
-        if self._synced():
-            return
-        if self._data.n_rows < self._n:
-            # Rows can only be appended in place; anything else means the
-            # dataset was rebuilt underneath us — start over.
-            self._n, self._shift = 0, None
-            self._sum = np.zeros_like(self._sum)
-            self._cross = np.zeros_like(self._cross)
-        new = self._data.values[self._n:]
-        if len(new):
-            if self._shift is None:
-                self._shift = new[0].copy()
-            shifted = new - self._shift
-            self._sum = self._sum + shifted.sum(axis=0)
-            self._cross = self._cross + shifted.T @ shifted
-            self._n = self._data.n_rows
-        self._epoch = self._data.data_epoch
-        # Quantile bin edges move with the data, so codes cannot be updated
-        # incrementally; they are recomputed lazily, once per epoch.  The
-        # covariance matrix is likewise re-derived (cheaply, from the sums)
-        # on first use after an epoch bump.
-        self._codes.clear()
-        self._cardinality.clear()
-        self._cov = None
-        self._cov_rows = None
-        self._singleton_terms = None
 
     # ------------------------------------------------------------- moments
     def means(self) -> np.ndarray:
-        self.refresh()
         means = self._sum / max(self._n, 1)
         if self._shift is not None:
             means = means + self._shift
@@ -183,21 +178,19 @@ class SufficientStats:
     def covariance(self) -> np.ndarray:
         """Population covariance matrix derived from the running sums.
 
-        Cached per data epoch: within one discovery pass thousands of CI
-        tests share the same matrix.
+        Cached: within one discovery pass thousands of CI tests share the
+        same matrix.
         """
-        self.refresh()
         if self._cov is None:
             self._cov = _covariance(self._n, self._sum, self._cross)
         return self._cov
 
     def _covariance_rows(self) -> list[list[float]]:
-        """:meth:`covariance` as nested Python floats, cached per epoch.
+        """:meth:`covariance` as nested Python floats, cached.
 
         Scalar arithmetic on Python floats is several times cheaper than on
         numpy scalars and rounds identically (both are IEEE doubles).
         """
-        self.refresh()
         if self._cov_rows is None:
             self._cov_rows = self.covariance().tolist()
         return self._cov_rows
@@ -263,14 +256,13 @@ class SufficientStats:
         The scalar form squares a covariance with Python's ``**``, which
         calls libm ``pow`` and can differ from ``x * x`` in the last bit;
         ``np.float_power`` calls the same ``pow``.  The squares divided by
-        the conditioning variance are one matrix per data epoch, so an
+        the conditioning variance are one cached matrix, so an
         element costs gathers and a few IEEE operations, each rounding as
         its scalar counterpart.  Returns the correlations and the mask of
         elements whose scalar form raises ``OverflowError`` (a finite
         covariance whose square overflows), or ``None`` when there are
         none; those elements' correlations are meaningless.
         """
-        self.refresh()
         if self._singleton_terms is None:
             self._singleton_terms = _singleton_terms(self.covariance())
         flat, diag, scaled, overflow = self._singleton_terms
@@ -304,13 +296,12 @@ class SufficientStats:
 
     # ----------------------------------------------------- discrete summaries
     def codes(self, column: str, bins: int = 8) -> np.ndarray:
-        """Discretization codes for one column, cached per data epoch."""
+        """Discretization codes for one column, cached."""
         return self.column_codes([column], bins=bins)[0]
 
     def column_codes(self, columns: Sequence[str],
                      bins: int = 8) -> list[np.ndarray]:
         """Codes for several columns; the uncached ones in one column pass."""
-        self.refresh()
         missing = [c for c in columns if f"{c}#{bins}" not in self._codes]
         if missing:
             index = [self._data.column_index(c) for c in missing]
@@ -321,8 +312,7 @@ class SufficientStats:
         return [self._codes[f"{c}#{bins}"] for c in columns]
 
     def cardinality(self, column: str) -> int:
-        """Number of distinct values in a column, cached per data epoch."""
-        self.refresh()
+        """Number of distinct values in a column, cached."""
         if column not in self._cardinality:
             self._cardinality[column] = int(
                 np.unique(self._data.column(column)).size)

@@ -5,12 +5,12 @@ blocks of ``singleton_bands`` and walks them in visiting order, and
 Possible-D-Sep pruning decides all its ``|Z| = 1`` tests in one block and
 walks that.  Both must perform exactly the tests, in the order, and make
 exactly the removals of the search that runs one scalar test at a time.
-Whole skeleton searches and FCI runs over several data epochs are compared
-against that search, reached through a name-based test (which takes the
-one-test-at-a-time path), over the uncached :class:`MixedCITest` and over
-a :class:`CachedCITest` around it.  The datasets mix continuous columns
-with small-cardinality discrete ones, so tests take both the Fisher z and
-the G-test path.
+Whole skeleton searches and FCI runs over a dataset and each extension of
+its statistics are compared against that search, reached through a
+name-based test (which takes the one-test-at-a-time path), over the
+uncached :class:`MixedCITest` and over a :class:`CachedCITest` around it.
+The datasets mix continuous columns with small-cardinality discrete ones,
+so tests take both the Fisher z and the G-test path.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.stats.independence import (
     GSquareTest,
     MixedCITest,
 )
+from repro.stats.sufficient import SufficientStats
 
 COLUMNS = ["c0", "c1", "c2", "d0", "d1", "d2"]
 DISCRETE = ["d0", "d1", "d2"]
@@ -68,7 +69,7 @@ def test_gsquare_marginal_pairs_in_a_batch_match_scalar():
     assert MixedCITest(data).test_batch_index(pairs, ()) == single
     # A cached test hands the level-0 array form straight to its inner test.
     cache = CIDecisionCache(alpha=0.05)
-    cached = CachedCITest(MixedCITest(data), cache, lambda: data.data_epoch)
+    cached = CachedCITest(MixedCITest(data), cache, epoch=0)
     first, second = np.array(pairs).T
     assert cached.marginal_bands(first, second).results(0, 0.05) == single
     assert cache.counters.total_lookups == 0
@@ -129,16 +130,19 @@ def test_searches_match_the_one_test_at_a_time_search(
         objectives=["t0", "t1"], required_edges={("e1", "t0")}) \
         if constrained else None
     space = SkeletonSpace(SEARCH_COLUMNS, constraints)
-    subjects = (MixedCITest(data),
-                CachedCITest(MixedCITest(data), CIDecisionCache(alpha=0.05),
-                             lambda: data.data_epoch))
-    reference = _NamedReference(MixedCITest(data), data)
+    cache = CIDecisionCache(alpha=0.05)
+    stats = SufficientStats(data)
     used = n_initial
-    for count in [0, *appends]:
+    for epoch, count in enumerate([0, *appends]):
         if count:
-            data.append_rows_inplace([dict(zip(SEARCH_COLUMNS, row))
-                                      for row in pool[used:used + count]])
+            stats = stats.extended([dict(zip(SEARCH_COLUMNS, row))
+                                    for row in pool[used:used + count]])
         used += count
+        data = stats.data
+        subjects = (MixedCITest(data, stats=stats),
+                    CachedCITest(MixedCITest(data, stats=stats), cache,
+                                 epoch))
+        reference = _NamedReference(MixedCITest(data, stats=stats), data)
         for subject in subjects:
             if run_fci:
                 got = fci(SEARCH_COLUMNS, subject, constraints=constraints,
@@ -218,15 +222,19 @@ def test_pdsep_prune_matches_the_one_test_at_a_time_prune(
         objectives=["t0", "t1"], required_edges={("e1", "t0")},
         forbid_option_option_edges=False) if constrained else None
     space = SkeletonSpace(SEARCH_COLUMNS, constraints)
-    blocked, sequential = MixedCITest(data), MixedCITest(data)
-    named = [_NamedReference(MixedCITest(data), data) for _ in range(2)]
     column = {name: data.column_index(name) for name in SEARCH_COLUMNS}
+    stats = SufficientStats(data)
     used = n_initial
     for count in [0, *appends]:
         if count:
-            data.append_rows_inplace([dict(zip(SEARCH_COLUMNS, row))
-                                      for row in pool[used:used + count]])
+            stats = stats.extended([dict(zip(SEARCH_COLUMNS, row))
+                                    for row in pool[used:used + count]])
         used += count
+        data = stats.data
+        blocked, sequential = (MixedCITest(data, stats=stats)
+                               for _ in range(2))
+        named = [_NamedReference(MixedCITest(data, stats=stats), data)
+                 for _ in range(2)]
         outcomes = []
         for side, test in enumerate((blocked, *named)):
             skeleton = learn_skeleton(

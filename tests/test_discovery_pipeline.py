@@ -51,9 +51,10 @@ def test_incremental_update_appends_history(cache_system, cache_model):
     updated = learner.update(base, new_rows)
     assert updated.n_samples == base_samples + 10
     assert updated.incremental
-    # The incremental path grows the dataset in place, so the previous
-    # model handle shares the appended data.
-    assert updated.data is base.data
+    # The update returns a model over new data; the previous model handle
+    # keeps its rows.
+    assert updated.data is not base.data
+    assert base.n_samples == base_samples
     assert len(updated.history) == len(base.history) + 1
     assert updated.history[-1]["incremental"] == 1.0
 

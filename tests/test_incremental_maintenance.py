@@ -1,7 +1,7 @@
 """Tests for the incremental model-maintenance layer.
 
 Covers the CI-decision cache's epoch policy (a decision is served only
-within the data epoch it was made in), the property that the incremental
+within the epoch it was made in), the property that the incremental
 `update` path and a cold `learn` over the same data produce identical graphs
 on seeded synthetic systems, and the engine refresh.
 """
@@ -118,8 +118,7 @@ def test_cached_ci_test_counts_and_replays():
     system = make_cache_example()
     _, data = system.random_dataset(120, np.random.default_rng(2))
     cache = CIDecisionCache(alpha=0.05)
-    cached = CachedCITest(MixedCITest(data), cache,
-                          lambda: data.data_epoch)
+    cached = CachedCITest(MixedCITest(data), cache, epoch=0)
     given = ["CacheMisses", "WorkingSetSize"]
     first = cached.test("CachePolicy", "Throughput", given)
     again = cached.test("Throughput", "CachePolicy", given[::-1])
@@ -186,8 +185,8 @@ def test_incremental_update_equals_cold_learn(make_system, n0, n_updates,
 
 def test_update_reports_cache_effectiveness():
     """The counters report what the cache served across updates: hits
-    within a data epoch, retests of entries from an earlier one, and no
-    stale reuse."""
+    within one learner generation, retests of entries from an earlier one,
+    and no stale reuse."""
     system = make_case_study()
     rng = np.random.default_rng(11)
     _, data = system.random_dataset(150, rng)

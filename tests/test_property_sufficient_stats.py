@@ -2,8 +2,10 @@
 
 :class:`~repro.stats.sufficient.SufficientStats` folds appended rows into
 running sums and serves (partial) correlations via Schur complements; these
-tests grow datasets through randomly sized in-place append batches (each
-bumping the data epoch) and require the incremental answers to match a naive
+tests grow statistics through randomly sized append batches (each one
+:meth:`~repro.stats.sufficient.SufficientStats.extended` call, which
+returns new statistics over a new dataset) and require the incremental
+answers to match a naive
 from-scratch recomputation over the raw rows to 1e-9 — means, covariances,
 partial correlations, and the batch Fisher-z results the skeleton search
 consumes.
@@ -24,7 +26,7 @@ ATOL = 1e-9
 
 @st.composite
 def growth_plans(draw):
-    """A dataset shape plus a plan of in-place append batches."""
+    """A dataset shape plus a plan of append batches."""
     n_cols = draw(st.integers(min_value=2, max_value=5))
     n_initial = draw(st.integers(min_value=10, max_value=40))
     batches = draw(st.lists(st.integers(min_value=1, max_value=10),
@@ -60,10 +62,10 @@ def _naive_partial_correlation(values: np.ndarray, i: int, j: int,
 
 
 def _grown_dataset_and_stats(plan):
-    """Build (dataset, stats, epochs-touched) following a growth plan.
+    """Build (dataset, stats, row counts) following a growth plan.
 
-    The stats object is created *before* any append and queried between
-    batches, so every epoch transition exercises the incremental fold.
+    The stats are created over the initial rows and extended batch by
+    batch, so every batch exercises the incremental fold.
     """
     n_cols, n_initial, batches, seed, scale, offset = plan
     rng = np.random.default_rng(seed)
@@ -73,19 +75,17 @@ def _grown_dataset_and_stats(plan):
     stats = SufficientStats(data)
     checkpoints = []
     for batch in batches:
-        data.append_rows_inplace(_draw_rows(rng, columns, batch, scale,
-                                            offset))
-        # Touch the stats at every epoch so sums are folded incrementally,
-        # batch by batch, rather than in one final catch-up pass.
-        checkpoints.append((data.data_epoch, stats.n_rows))
-    return data, stats, checkpoints
+        stats = stats.extended(_draw_rows(rng, columns, batch, scale,
+                                          offset))
+        checkpoints.append(stats.n_rows)
+    return stats.data, stats, checkpoints
 
 
 @given(growth_plans())
 @settings(max_examples=40, deadline=None)
 def test_moments_match_naive_recomputation_across_epochs(plan):
     data, stats, checkpoints = _grown_dataset_and_stats(plan)
-    for epoch, n_rows in checkpoints:
+    for n_rows in checkpoints:
         assert n_rows <= data.n_rows
     values = data.values
     n = data.n_rows
@@ -159,7 +159,7 @@ def test_batch_fisher_z_matches_raw_data_tests(plan):
 @given(growth_plans())
 @settings(max_examples=30, deadline=None)
 def test_grown_stats_match_fresh_stats_over_final_data(plan):
-    """Stats grown epoch by epoch equal stats built from the final matrix."""
+    """Stats grown batch by batch equal stats built from the final matrix."""
     data, stats, _ = _grown_dataset_and_stats(plan)
     fresh = SufficientStats(Dataset(data.columns, data.values))
     np.testing.assert_allclose(stats.means(), fresh.means(),

@@ -6,8 +6,8 @@ Covers the four contracts ISSUE 4 demands of `repro.service`:
   byte-identical (canonical JSON) to serial one-at-a-time dispatch, on the
   batched engine and on the scalar-oracle engine;
 * **registry** — content-hash reuse, LRU eviction, and incremental refresh
-  (new data epochs route through the PR 1 ``update()`` path and bump the
-  entry version without rebuilding the engine);
+  (new observations route through the incremental ``update()`` path and
+  bump the entry version without rebuilding the engine);
 * **admission control** — the bounded in-flight queue rejects overload
   with :class:`AdmissionError` and recovers once drained, and the drain
   loop round-robins across subjects (per-subject fairness);
@@ -158,7 +158,7 @@ def test_registry_incremental_refresh_on_new_epochs():
     registry, entry = _build_registry()
     system = entry.unicorn.system
     engine_before = entry.engine
-    epoch_before = engine_before.learned_model.data.data_epoch
+    data_before = engine_before.learned_model.data
     rows_before = entry.n_measurements
     assert entry.version == 0
 
@@ -169,11 +169,13 @@ def test_registry_incremental_refresh_on_new_epochs():
 
     assert version == 1 and entry.version == 1
     assert entry.n_measurements == rows_before + 8
-    # The PR 1 incremental path ran: same engine object, refreshed in
-    # place, on a grown data epoch.
+    # The incremental path ran: same engine object, refreshed in place,
+    # onto new data; the data it answered from before is unchanged.
     assert entry.engine is engine_before
     assert entry.engine.model_version == 1
-    assert entry.engine.learned_model.data.data_epoch > epoch_before
+    assert entry.engine.learned_model.data is not data_before
+    assert entry.engine.learned_model.n_samples == data_before.n_rows + 8
+    assert data_before.n_rows == rows_before
     assert entry.state.learned.history[-1]["incremental"] == 1.0
 
     # Responses now carry the new version.
@@ -393,8 +395,8 @@ def test_observe_rejects_non_finite_measurements_without_state_change(
                             seed=5)
     batcher = RequestBatcher()
     before = canonical_answers(batcher.dispatch(entry, probes))
-    rows, epoch = entry.n_measurements, \
-        entry.engine.learned_model.data.data_epoch
+    rows, data_before = entry.n_measurements, \
+        entry.engine.learned_model.data
     publishes, versions = registry.store_publishes, store.versions(entry.key)
 
     rng = np.random.default_rng(5)
@@ -414,7 +416,7 @@ def test_observe_rejects_non_finite_measurements_without_state_change(
 
     assert entry.version == 0 and entry.applied_op_id == 0
     assert entry.n_measurements == rows
-    assert entry.engine.learned_model.data.data_epoch == epoch
+    assert entry.engine.learned_model.data is data_before
     assert registry.store_publishes == publishes
     assert store.versions(entry.key) == versions
     assert canonical_answers(batcher.dispatch(entry, probes)) == before

@@ -190,20 +190,29 @@ def test_all_discrete_triples_are_left_to_the_g_test():
 
 
 def test_reading_a_block_folds_the_new_rows_first():
-    """Reading a block folds the rows appended since the last sync first,
-    as every other accessor does.  Sums folded in other chunks round
-    differently, so a test that decided a block between two appends then
-    answers as one that performed a scalar test there, bit for bit."""
+    """A test over extended statistics reads the sums with the new rows
+    folded in, whichever accessor it reads first.  Sums folded in other
+    chunks round differently, so a test that decided a block between two
+    extensions then answers as one that performed a scalar test there, bit
+    for bit."""
     columns = [f"c{k}" for k in range(8)]
     rng = np.random.default_rng(4)
     rows = (rng.normal(size=(27, 8)) * rng.uniform(0.1, 1000, 8)
             + rng.uniform(-1e4, 1e4, 8))
+
+    def extended(test, block):
+        stats = test.sufficient_stats.extended(
+            [dict(zip(columns, row)) for row in block])
+        return FisherZTest(stats.data, stats=stats)
+
     data = Dataset(columns, rows[:20])
     blocked, performed = FisherZTest(data), FisherZTest(data)
     first, second, third = _triples(8)
-    data.append_rows_inplace([dict(zip(columns, row)) for row in rows[20:23]])
+    blocked, performed = (extended(test, rows[20:23])
+                          for test in (blocked, performed))
     blocked.singleton_bands(first, second, third)
     performed.test_index(0, 1, [2])
-    data.append_rows_inplace([dict(zip(columns, row)) for row in rows[23:]])
+    blocked, performed = (extended(test, rows[23:])
+                          for test in (blocked, performed))
     for i, j, k in zip(first.tolist(), second.tolist(), third.tolist()):
         assert blocked.test_index(i, j, [k]) == performed.test_index(i, j, [k])

@@ -46,28 +46,32 @@ def test_batch_partial_correlations_match_singles(data):
 
 def test_incremental_append_matches_fresh_stats(data):
     stats = SufficientStats(data)
-    stats.covariance()  # force a sync at the initial epoch
+    stats.covariance()  # derive the matrix before extending
     rng = np.random.default_rng(9)
     rows = [{"x": float(rng.normal()), "y": float(rng.normal()),
              "z": float(rng.normal()), "w": float(rng.normal())}
             for _ in range(25)]
-    data.append_rows_inplace(rows)
-    fresh = SufficientStats(data)
-    np.testing.assert_allclose(stats.covariance(), fresh.covariance(),
+    grown = stats.extended(rows)
+    fresh = SufficientStats(data.append_rows(rows))
+    np.testing.assert_allclose(grown.covariance(), fresh.covariance(),
                                atol=1e-10)
-    assert stats.n_rows == fresh.n_rows == 225
+    assert grown.n_rows == fresh.n_rows == 225
+    assert stats.n_rows == data.n_rows == 200
 
 
-def test_codes_and_cardinality_refresh_on_epoch_bump(data):
+def test_codes_and_cardinality_follow_extended_data(data):
     stats = SufficientStats(data)
     before = stats.codes("x", bins=4)
-    assert stats.codes("x", bins=4) is before  # cached within the epoch
+    assert stats.codes("x", bins=4) is before  # cached
     card = stats.cardinality("x")
-    data.append_rows_inplace([{"x": 99.0, "y": 0.0, "z": 0.0, "w": 0.0}])
-    after = stats.codes("x", bins=4)
+    grown = stats.extended([{"x": 99.0, "y": 0.0, "z": 0.0, "w": 0.0}])
+    after = grown.codes("x", bins=4)
     assert after is not before
     assert len(after) == len(before) + 1
-    assert stats.cardinality("x") == card + 1
+    assert grown.cardinality("x") == card + 1
+    # The statistics extended from are unchanged.
+    assert stats.codes("x", bins=4) is before
+    assert stats.cardinality("x") == card
 
 
 def test_constant_column_yields_zero_correlation():
@@ -90,7 +94,7 @@ def test_large_magnitude_columns_keep_precision():
     assert abs(stats.correlation(0, 1)) > 0.5
 
 
-def test_fisher_test_tracks_inplace_appends():
+def test_fisher_test_sees_the_rows_of_extended_stats():
     rng = np.random.default_rng(0)
     n = 150
     x = rng.normal(size=n)
@@ -98,10 +102,13 @@ def test_fisher_test_tracks_inplace_appends():
     data = Dataset(["x", "y"], np.column_stack([x, y]))
     test = FisherZTest(data)
     assert test.test("x", "y").independent
-    # Append strongly coupled rows; the same test object must see them.
+    # Append strongly coupled rows; a test over the extended stats sees
+    # them, and the original test still answers over its own rows.
     t = rng.normal(size=300)
-    data.append_rows_inplace([{"x": float(v), "y": float(v)} for v in t])
-    assert not test.test("x", "y").independent
+    grown = test.sufficient_stats.extended(
+        [{"x": float(v), "y": float(v)} for v in t])
+    assert not FisherZTest(grown.data, stats=grown).test("x", "y").independent
+    assert test.test("x", "y").independent
 
 
 # ---------------------------------------------------------------------------
