@@ -99,9 +99,9 @@ class RequestBatcher:
         traces:
             Optional list of :class:`~repro.service.tracing.TraceContext`
             aligned with ``requests`` — position ``i`` holds the context
-            request ``i``'s answer settles (see
-            :meth:`~repro.service.tracing.Tracer.claim_round`), or
-            ``None`` where a request is untraced.  When present the
+            request ``i`` carries from admission (see
+            :meth:`~repro.service.tracing.Tracer.open`), or ``None``
+            where a request is untraced.  When present the
             batcher fills each context's engine / cache segments,
             cache-hit flag and coalesce group size by list index — no
             per-request lookups.  ``None`` (the default) keeps the hot

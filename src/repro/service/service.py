@@ -49,6 +49,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Sequence
 
 from repro.service.batcher import RequestBatcher
@@ -121,11 +122,13 @@ class QueryServiceStats(ServiceStats):
 
 @dataclass
 class _Pending:
-    """An admitted request with its future and enqueue timestamp."""
+    """An admitted request with its future, enqueue timestamp and trace
+    context (``None`` when tracing is off)."""
 
     request: QueryRequest
     future: Future
     enqueued_at: float
+    trace: TraceContext | None
 
 
 class ServingCore:
@@ -252,11 +255,19 @@ class ServingCore:
                 for future in self._admit(list(requests))]
 
     def _admit(self, requests: list[QueryRequest]) -> list[Future]:
-        """Admit ``requests`` all-or-nothing and hand them to the tier."""
-        routes = [self._route(request) for request in requests]
-        now = time.perf_counter()
-        pendings = [_Pending(request, Future(), now) for request in requests]
+        """Admit ``requests`` all-or-nothing and hand them to the tier.
+
+        Trace contexts open first — outside the core lock, and before
+        routing so a refused request still consumes its gateway
+        annotations; a refusal retires them with the exception's name.
+        """
+        traces = self.tracer.open(requests)
         try:
+            routes = [self._route(request) for request in requests]
+            now = time.perf_counter()
+            pendings = [_Pending(request, Future(), now, trace)
+                        for request, trace
+                        in zip(requests, traces or repeat(None))]
             with self._lock:
                 if self._closed:
                     raise ServiceClosedError("service is closed")
@@ -268,16 +279,12 @@ class ServingCore:
                         f"more requests ({stats.unsettled}/"
                         f"{self.max_pending} used); back off and retry")
                 stats.submitted += len(pendings)
-                # One bulk begin: the contexts exist (as deferred debt)
-                # before the tier can possibly see the requests.
-                self.tracer.begin_many(requests)
                 self._enqueue(pendings, routes)
-        except (AdmissionError, ServiceClosedError) as exc:
-            if self.tracer.enabled:
-                for request in requests:
-                    trace = self.tracer.begin(request)
+        except Exception as exc:
+            if traces is not None:
+                for trace in traces:
                     trace.error = type(exc).__name__
-                    self.tracer.finish(request, trace)
+                self.tracer.retire(traces)
             raise
         return [pending.future for pending in pendings]
 
@@ -293,7 +300,6 @@ class ServingCore:
                 synthesized: bool = False,
                 closed: str = "service closed before the request was "
                               "dispatched",
-                traces: "list[TraceContext | None] | None" = None,
                 tally: Callable[[ServiceStats, int], None] | None = None,
                 ) -> None:
         """Resolve one round of requests, each exactly once.
@@ -303,16 +309,14 @@ class ServingCore:
         tier built itself; ``responses=None`` fails the round with
         :class:`ServiceClosedError` (message ``closed``), counted as
         ``closed_errors``.  A future its client cancelled counts as
-        ``cancelled`` whatever the round's outcome.  Latency and traces
-        are stamped first, then one stats-lock pass counts the round and
-        runs the tier's ``tally(stats, n_answered)`` for answered rounds,
-        and only then do the futures resolve — a client whose future
-        completed never reads a snapshot that has not counted it.
-        ``traces`` are the round's claimed contexts (claimed here when
-        omitted).
+        ``cancelled`` whatever the round's outcome.  Latency and each
+        request's trace context are stamped first and the contexts
+        retired, then one stats-lock pass counts the round and runs the
+        tier's ``tally(stats, n_answered)`` for answered rounds, and only
+        then do the futures resolve — a client whose future completed
+        never reads a snapshot (or a finished-trace log) that has not
+        counted it.
         """
-        if traces is None and self.tracer.enabled:
-            traces = self.tracer.claim_round([p.request for p in pendings])
         live = [p.future.set_running_or_notify_cancel() for p in pendings]
         if responses is not None:
             now = time.perf_counter()
@@ -321,8 +325,10 @@ class ServingCore:
                 response.latency_seconds = now - pending.enqueued_at
                 latencies.append(response.latency_seconds)
             self.metrics.observe_dispatch(len(pendings), latencies)
-        if traces is not None:
-            for i, trace in enumerate(traces):
+        if self.tracer.enabled:
+            retired = []
+            for i, pending in enumerate(pendings):
+                trace = pending.trace
                 if trace is None:
                     continue
                 if not live[i]:
@@ -333,6 +339,8 @@ class ServingCore:
                     trace.total_seconds = responses[i].latency_seconds
                     if responses[i].error:
                         trace.error = responses[i].error
+                retired.append(trace)
+            self.tracer.retire(retired)
         n_live = sum(live)
         with self._lock:
             stats = self.stats
@@ -603,14 +611,9 @@ class QueryService(ServingCore):
         calls, hits, misses = (batcher.calls, batcher.cache_hits,
                                batcher.cache_misses)
         requests = [p.request for p in pendings]
-        traces = None
+        traces = ([p.trace for p in pendings] if self.tracer.enabled
+                  else None)
         try:
-            # claim_round() retires each request's oldest live context —
-            # exactly the occurrence its response settles — and the one
-            # aligned list serves the batcher's annotations and the
-            # settlement step: one tracer-lock pass per round.
-            if self.tracer.enabled:
-                traces = self.tracer.claim_round(requests)
             dispatch_start = time.perf_counter()
             responses = batcher.answer(self.registry, subject, requests,
                                        self._dispatch_index, traces=traces)
@@ -621,7 +624,7 @@ class QueryService(ServingCore):
             self._settle(pendings, [QueryResponse(
                 request=p.request, subject=subject, model_version=-1,
                 value=None, error=error) for p in pendings],
-                synthesized=True, traces=traces)
+                synthesized=True)
             return
         if traces is not None:
             for pending, trace in zip(pendings, traces):
@@ -644,4 +647,4 @@ class QueryService(ServingCore):
             stats.per_subject[subject] = \
                 stats.per_subject.get(subject, 0) + answered
 
-        self._settle(pendings, responses, traces=traces, tally=tally)
+        self._settle(pendings, responses, tally=tally)

@@ -250,8 +250,7 @@ class ShardedQueryService(ServingCore):
         otherwise).  ``False`` runs the identical worker loop on daemon
         threads in this process — the mode single-core test environments
         use; messages still cross the same pickled-queue transport.
-    use_batched, drift_threshold, drift_min_window, refresh_async,
-    result_cache_size:
+    drift_threshold, drift_min_window, refresh_async, result_cache_size:
         Forwarded to each worker's private :class:`ModelRegistry`
         (``result_cache_size=0`` disables cross-request memoization).
     batch_window:
@@ -295,7 +294,7 @@ class ShardedQueryService(ServingCore):
     submit = ServingCore.submit
 
     def __init__(self, specs: Mapping[str, Mapping], shards: int = 2,
-                 use_processes: bool = True, use_batched: bool = True,
+                 use_processes: bool = True,
                  drift_threshold: float | None = None,
                  drift_min_window: int = 4, refresh_async: bool = True,
                  batch_window: float = 0.001, max_pending: int = 4096,
@@ -316,7 +315,6 @@ class ShardedQueryService(ServingCore):
         self.max_requeues = int(max_requeues)
         self.start_timeout = float(start_timeout)
         self._registry_options = {
-            "use_batched": bool(use_batched),
             "drift_threshold": drift_threshold,
             "drift_min_window": int(drift_min_window),
             "refresh_async": bool(refresh_async),
@@ -454,6 +452,10 @@ class ShardedQueryService(ServingCore):
 
     def _enqueue(self, pendings: list[_Pending],
                  shards: list[_Shard]) -> None:
+        if self.tracer.enabled:
+            for pending, shard in zip(pendings, shards):
+                if pending.trace is not None:
+                    pending.trace.shard = shard.index
         for shard in dict.fromkeys(shards):  # one outbox append per shard
             with shard.cv:
                 shard.outbox.extend(pending for pending, target
@@ -685,17 +687,6 @@ class ShardedQueryService(ServingCore):
                 item.future.set_exception(ServiceClosedError(message))
         return pendings
 
-    def _traces(self, shard: _Shard,
-                pendings: list[_Pending]) -> list | None:
-        """Claim a round's trace contexts, stamped with the shard."""
-        if not self.tracer.enabled:
-            return None
-        traces = self.tracer.claim_round([p.request for p in pendings])
-        for trace in traces:
-            if trace is not None:
-                trace.shard = shard.index
-        return traces
-
     # ----------------------------------------------------------------- sender
     def _sender_loop(self, shard: _Shard) -> None:
         """Per-shard sender: wait, window, drain the outbox, send batches."""
@@ -878,8 +869,7 @@ class ShardedQueryService(ServingCore):
             per_shard = stats.per_shard_answered
             per_shard[shard.index] = per_shard.get(shard.index, 0) + answered
 
-        self._settle(pendings, responses,
-                     traces=self._traces(shard, pendings), tally=tally)
+        self._settle(pendings, responses, tally=tally)
 
     def _resolve_control(self, shard: _Shard, op_id: int, value,
                          watermarks: Mapping[str, int],
@@ -987,7 +977,7 @@ class ShardedQueryService(ServingCore):
                 request=p.request, subject=p.request.subject,
                 model_version=-1, value=None, error=error)
                 for p in pendings],
-                synthesized=True, traces=self._traces(shard, pendings))
+                synthesized=True)
 
     # -------------------------------------------------------- rolling refresh
     def rolling_refresh(self, new_specs: Mapping[str, Mapping],

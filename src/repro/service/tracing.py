@@ -12,7 +12,7 @@ optionally a shard worker → optionally the gateway's wire framing).
 
 Design rules:
 
-* **Zero overhead when disabled.**  :meth:`Tracer.begin` returns
+* **Zero overhead when disabled.**  :meth:`Tracer.open` returns
   ``None`` when tracing is off — no allocation, no dict update, nothing
   on the hot path.  Every call site guards with ``if trace is not
   None``.  The :attr:`Tracer.contexts_created` counter exists precisely
@@ -24,10 +24,16 @@ Design rules:
   twice produces the same ids in the same order.
   :meth:`TraceRecorder.render` can strip wall-clock duration fields,
   leaving a byte-stable JSONL artifact keyed by the root seed.
+* **Contexts ride on the request.**  Admission opens one context per
+  request (:meth:`Tracer.open`) and stores it on the admitted request;
+  every tier stamps that object directly, and the settlement step hands
+  the round's contexts back (:meth:`Tracer.retire`) before any future
+  resolves.  A refused submission is retired at once with its
+  exception name in ``error``.
 * **No signature churn.**  The gateway attaches wire-level facts
   (tenant, frame bytes) via :meth:`Tracer.annotate` *before* submitting,
-  keyed by request identity; ``begin()`` folds pending annotations into
-  the new context.  ``QueryService.submit*`` signatures stay unchanged.
+  keyed by request identity; ``open()`` pops them into the new context.
+  ``QueryService.submit*`` signatures stay unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class TraceContext:
     The request id is stored as its parts (``item_key`` tuple plus an
     occurrence index) and rendered on demand: formatting a nested tuple
     into a string costs microseconds, which belongs on the cold render
-    path, not in :meth:`Tracer.begin` on the serving hot path.
+    path, not in :meth:`Tracer.open` on the serving hot path.
     """
 
     __slots__ = (
@@ -133,13 +139,17 @@ def _blank_context(subject: str, kind: str, item_key: tuple,
 
 
 class Tracer:
-    """Creates, annotates and collects :class:`TraceContext` objects.
+    """Opens, annotates and collects :class:`TraceContext` objects.
 
     One tracer is shared by every tier of one serving stack.  When
-    ``enabled`` is False (the default), every method is a cheap no-op
-    and :meth:`begin` returns ``None`` without allocating — call sites
+    ``enabled`` is False (the default), :meth:`open` returns ``None``
+    without allocating and :meth:`annotate` is a no-op — call sites
     guard all trace work behind ``if trace is not None``, so a disabled
     tracer adds only that ``None`` check to the hot path.
+
+    The tracer keeps no table of live contexts: each admitted request
+    carries its own (``_Pending.trace`` in the serving core) from
+    :meth:`open` to :meth:`retire`.
 
     ``contexts_created`` counts every context ever built; the
     zero-overhead-when-disabled test drives a full workload with tracing
@@ -150,249 +160,74 @@ class Tracer:
         self.enabled = bool(enabled)
         self.contexts_created = 0
         self._lock = threading.Lock()
-        #: live contexts per request identity.  Workload generators may
-        #: submit the *same* (frozen) request object more than once, so
-        #: each identity holds a FIFO of contexts: ``begin`` appends,
-        #: ``lookup`` reads the oldest unfinished, ``finish`` pops it.
-        self._live: dict[int, list[TraceContext]] = {}
+        #: wire-level facts posted by :meth:`annotate`, keyed by request
+        #: identity, until the request's next :meth:`open` folds them in.
         self._annotations: dict[int, dict] = {}
         self._finished: list[TraceContext] = []
         self._occurrences: dict[tuple, int] = {}
-        #: requests begun in bulk whose contexts have not been built yet
-        #: (``id`` → ``[request, count]``).  ``begin_many`` only records
-        #: the debt — the dispatcher materialises it on first touch — so
-        #: 64 client threads pay one dict write per request instead of
-        #: contending over context construction.
-        self._deferred: dict[int, list] = {}
 
     # -- hot-path API -------------------------------------------------
 
-    def _materialize_locked(self, rid: int) -> None:
-        """Build the deferred contexts of one request (lock held).
+    def open(self, requests: Sequence[QueryRequest],
+             ) -> "list[TraceContext] | None":
+        """One new context per request, aligned with ``requests``.
 
-        Occurrence indices are assigned here, in materialisation order;
-        per identity that matches begin order because equal requests ride
-        the same FIFO subject queue.  Pending pre-begin annotations fold
-        into the first context, exactly as eager sequential begins would
-        have folded them.
-        """
-        slot = self._deferred.pop(rid, None)
-        if slot is None:
-            return
-        request, count = slot
-        item_key = request.item_key_cached()
-        # Every request kind leads its item key with ``kind.value``, so
-        # the key alone identifies the answer; reading kind out of it
-        # skips a property + enum hop per materialisation.
-        kind = item_key[0]
-        identity = (request.subject, item_key)
-        occurrence = self._occurrences.get(identity, 0)
-        self._occurrences[identity] = occurrence + count
-        pending = self._annotations.pop(rid, None)
-        stack = self._live.get(rid)
-        if stack is None:
-            stack = self._live[rid] = []
-        for k in range(count):
-            trace = _blank_context(request.subject, kind, item_key,
-                                   occurrence + k)
-            if pending is not None:
-                trace.tenant = pending.get("tenant", trace.tenant)
-                trace.frame_bytes = pending.get("frame_bytes",
-                                                trace.frame_bytes)
-                pending = None
-            stack.append(trace)
-
-    def begin(self, request: QueryRequest) -> TraceContext | None:
-        """Open a context for ``request`` (``None`` when disabled).
-
-        The request id is derived deterministically from the request's
-        identity — ``(subject, kind, item_key)`` plus an occurrence
-        index for repeats — never from wall-clock or memory addresses,
-        so seeded replays yield identical ids.
+        ``None`` when disabled.  The request id is derived
+        deterministically from the request's identity — ``(subject,
+        kind, item_key)`` plus an occurrence index counted in open order
+        — never from wall-clock or memory addresses, so seeded replays
+        yield identical ids.  Annotations the gateway posted for a
+        request are popped and folded into its context.  The contexts
+        are built outside the tracer lock; one lock pass numbers them.
         """
         if not self.enabled:
             return None
-        item_key = request.item_key_cached()
-        kind = item_key[0]  # every item key leads with ``kind.value``
-        identity = (request.subject, item_key)
-        trace = _blank_context(request.subject, kind, item_key, 0)
+        traces = []
+        for request in requests:
+            item_key = request.item_key_cached()
+            # Every request kind leads its item key with ``kind.value``.
+            traces.append(_blank_context(request.subject, item_key[0],
+                                         item_key, 0))
         with self._lock:
-            self._materialize_locked(id(request))
-            occurrence = self._occurrences.get(identity, 0)
-            self._occurrences[identity] = occurrence + 1
-            trace.occurrence = occurrence
-            self.contexts_created += 1
-            pending = self._annotations.pop(id(request), None)
-            self._live.setdefault(id(request), []).append(trace)
-        if pending:
-            trace.tenant = pending.get("tenant", trace.tenant)
-            trace.frame_bytes = pending.get("frame_bytes",
-                                            trace.frame_bytes)
-        return trace
-
-    def begin_many(self, requests: Sequence[QueryRequest]) -> None:
-        """Begin a slice of requests for the price of a dict write each.
-
-        ``submit_many`` admits a client's whole slice at once; rather
-        than building every context on the submitting thread (64 clients
-        contending over one lock), this records how many contexts each
-        request owes and lets the dispatcher materialise them on first
-        touch (:meth:`claim_round`, :meth:`lookup`, …) — off the
-        clients' critical path, under a single lock acquisition.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            deferred = self._deferred
-            for request in requests:
-                slot = deferred.get(id(request))
-                if slot is None:
-                    deferred[id(request)] = [request, 1]
-                else:
-                    slot[1] += 1
-            self.contexts_created += len(requests)
-
-    def lookup(self, request: QueryRequest) -> TraceContext | None:
-        """The oldest live context for ``request``, if tracing it."""
-        if not self.enabled:
-            return None
-        with self._lock:
-            self._materialize_locked(id(request))
-            stack = self._live.get(id(request))
-            return stack[0] if stack else None
-
-    def lookup_all(self, request: QueryRequest) -> tuple[TraceContext, ...]:
-        """All live contexts for ``request``, oldest first.
-
-        Workloads reuse hot request objects, so one identity can have
-        several contexts in flight at once (one per occurrence); dispatch
-        stages that annotate by occurrence index use this to address the
-        right one.
-        """
-        if not self.enabled:
-            return ()
-        with self._lock:
-            self._materialize_locked(id(request))
-            return tuple(self._live.get(id(request), ()))
-
-    def claim_round(self, requests: Sequence[QueryRequest],
-                    ) -> "list[TraceContext | None]":
-        """Claim the context each position of a dispatch round settles.
-
-        One lock acquisition serves the whole round.  Each request's
-        oldest outstanding context — popped from the eager live stack,
-        or built here straight from its deferred :meth:`begin_many`
-        debt — is retired to the finished log and returned aligned with
-        ``requests``; the *k*-th appearance of a hot request object
-        claims its *k*-th occurrence.  The dispatcher keeps stamping the
-        returned contexts through the engine round, so a concurrent
-        :meth:`drain` may briefly observe a claimed context whose
-        segments are still being filled.  All ``None`` when disabled.
-        """
-        if not self.enabled:
-            return [None] * len(requests)
-        out: list[TraceContext | None] = []
-        with self._lock:
-            live = self._live
-            deferred = self._deferred
-            annotations = self._annotations
             occurrences = self._occurrences
-            finished = self._finished
-            for request in requests:
-                rid = id(request)
-                stack = live.get(rid)
-                if stack:
-                    # Eager ``begin`` contexts are always older than any
-                    # deferred debt (``begin`` materialises first), so
-                    # popping live-first keeps oldest-first order.
-                    trace = stack.pop(0)
-                    if not stack:
-                        del live[rid]
-                        annotations.pop(rid, None)
-                    finished.append(trace)
-                    out.append(trace)
-                    continue
-                slot = deferred.get(rid)
-                if slot is None:
-                    out.append(None)
-                    continue
-                item_key = request.item_key_cached()
-                identity = (request.subject, item_key)
+            annotations = self._annotations
+            for request, trace in zip(requests, traces):
+                identity = (trace.subject, trace.item_key)
                 occurrence = occurrences.get(identity, 0)
                 occurrences[identity] = occurrence + 1
-                trace = _blank_context(request.subject, item_key[0],
-                                       item_key, occurrence)
-                if slot[1] <= 1:
-                    del deferred[rid]
-                else:
-                    slot[1] -= 1
-                pending = annotations.pop(rid, None)
-                if pending is not None:
-                    trace.tenant = pending.get("tenant", trace.tenant)
-                    trace.frame_bytes = pending.get("frame_bytes",
-                                                    trace.frame_bytes)
-                finished.append(trace)
-                out.append(trace)
-        return out
+                trace.occurrence = occurrence
+                if annotations:
+                    pending = annotations.pop(id(request), None)
+                    if pending is not None:
+                        trace.tenant = pending.get("tenant", "")
+                        trace.frame_bytes = pending.get("frame_bytes", 0)
+            self.contexts_created += len(traces)
+        return traces
 
     def annotate(self, request: QueryRequest, *, tenant: str | None = None,
                  frame_bytes: int | None = None) -> None:
-        """Attach wire-level facts before (or after) ``begin``.
+        """Post wire-level facts for ``request``'s next :meth:`open`.
 
         Lets the gateway record tenant and frame size without changing
-        any ``submit`` signature: annotations posted before ``begin``
-        are folded into the new context; posted after, they update the
-        live context directly.  No-op when disabled.
+        any ``submit`` signature: the service opens the request's
+        context before routing or admission, so every submission —
+        refused ones included — consumes what was posted for it.
+        Frame bytes posted twice add up.  No-op when disabled.
         """
         if not self.enabled:
             return
         with self._lock:
-            self._materialize_locked(id(request))
-            stack = self._live.get(id(request))
-            trace = stack[0] if stack else None
-            if trace is None:
-                slot = self._annotations.setdefault(id(request), {})
-                if tenant is not None:
-                    slot["tenant"] = tenant
-                if frame_bytes is not None:
-                    slot["frame_bytes"] = slot.get("frame_bytes",
-                                                   0) + frame_bytes
-                return
-        if tenant is not None:
-            trace.tenant = tenant
-        if frame_bytes is not None:
-            trace.frame_bytes += frame_bytes
+            slot = self._annotations.setdefault(id(request), {})
+            if tenant is not None:
+                slot["tenant"] = tenant
+            if frame_bytes is not None:
+                slot["frame_bytes"] = slot.get("frame_bytes",
+                                               0) + frame_bytes
 
-    def finish(self, request: QueryRequest,
-               trace: TraceContext | None = None) -> TraceContext | None:
-        """Close ``request``'s context and move it to the finished log.
-
-        Pops the oldest live context by default — the occurrence the
-        caller is settling.  Error paths that still hold the exact
-        context they began pass it as ``trace`` to close that one
-        specifically (matched by identity).
-        """
-        if not self.enabled:
-            return None
+    def retire(self, traces: Iterable[TraceContext]) -> None:
+        """Append settled contexts to the finished log, in order."""
         with self._lock:
-            self._materialize_locked(id(request))
-            stack = self._live.get(id(request))
-            if not stack:
-                return None
-            if trace is None:
-                trace = stack.pop(0)
-            else:
-                for i, live in enumerate(stack):
-                    if live is trace:
-                        del stack[i]
-                        break
-                else:
-                    return None
-            if not stack:
-                self._live.pop(id(request), None)
-                self._annotations.pop(id(request), None)
-            self._finished.append(trace)
-        return trace
+            self._finished.extend(traces)
 
     # -- cold-path API ------------------------------------------------
 
@@ -409,13 +244,12 @@ class Tracer:
             return out
 
     def reset(self) -> None:
-        """Forget all live and finished contexts and occurrence counts."""
+        """Forget pending annotations, finished contexts and occurrence
+        counts."""
         with self._lock:
-            self._live.clear()
             self._annotations.clear()
             self._finished.clear()
             self._occurrences.clear()
-            self._deferred.clear()
 
 
 class TraceRecorder:

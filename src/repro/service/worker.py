@@ -93,10 +93,10 @@ class ShardServer:
         passes ``multiprocessing`` queues.
     registry_options:
         Keyword arguments for this worker's private
-        :class:`ModelRegistry` (``capacity``, ``use_batched``,
+        :class:`ModelRegistry` (the sharded service forwards
         ``drift_threshold``, ``drift_min_window``, ``refresh_async``,
-        ``store`` — passed as a path string so it pickles across the
-        process boundary — and ``snapshot_every``).
+        ``result_cache_size``, ``store`` — passed as a path string so it
+        pickles across the process boundary — and ``snapshot_every``).
     """
 
     def __init__(self, shard_index: int, commands, results,

@@ -22,11 +22,14 @@ Covers the contracts ISSUE 10 demands of ``repro.service.tracing`` and
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.unicorn import Unicorn, UnicornConfig
 from repro.service import (
     BatchSizeHistogram,
+    EffectRequest,
     GatewayClient,
     GatewayServer,
     LatencyReservoir,
@@ -34,12 +37,15 @@ from repro.service import (
     ModelRegistry,
     QueryService,
     RequestBatcher,
+    ShardedQueryService,
     Tenant,
     TraceRecorder,
     Tracer,
     canonical_answers,
     mixed_workload,
+    UnknownSubjectError,
     serve_concurrently,
+    shard_of,
     trace_summary,
 )
 from repro.systems.cache_example import make_cache_example
@@ -122,9 +128,9 @@ def _deterministic_trace_jsonl(seed: int) -> str:
                               N_REQUESTS, seed=seed, max_repairs=24)
     tracer = Tracer(enabled=True)
     batcher = RequestBatcher()
-    tracer.begin_many(requests)
-    traces = tracer.claim_round(requests)
+    traces = tracer.open(requests)
     responses = batcher.dispatch(entry, requests, traces=traces)
+    tracer.retire(traces)
     assert all(r.ok for r in responses)
     return TraceRecorder(root_seed=seed).render(tracer.drain())
 
@@ -143,9 +149,9 @@ def test_trace_record_write_and_load_round_trip(tmp_path):
     requests = mixed_workload(SUBJECT, entry.engine, system.objectives,
                               16, seed=5, max_repairs=24)
     tracer = Tracer(enabled=True)
-    tracer.begin_many(requests)
-    RequestBatcher().dispatch(entry, requests,
-                              traces=tracer.claim_round(requests))
+    traces = tracer.open(requests)
+    RequestBatcher().dispatch(entry, requests, traces=traces)
+    tracer.retire(traces)
 
     path = TraceRecorder(root_seed=5).write(tmp_path / "trace.jsonl",
                                             tracer.drain())
@@ -167,8 +173,9 @@ def test_disabled_tracer_allocates_nothing(served):
     assert all(r.ok for r in responses)
     assert tracer.contexts_created == 0
     assert tracer.finished() == []
-    assert tracer.begin(requests[0]) is None
-    assert tracer.lookup(requests[0]) is None
+    assert tracer.open(requests[:1]) is None
+    tracer.annotate(requests[0], tenant="t")
+    assert tracer.open(requests[:1]) is None
     assert tracer.contexts_created == 0
 
 
@@ -244,10 +251,14 @@ def test_gateway_metrics_verb_and_trace_annotations(served):
     registry, entry, requests = served
     tracer = Tracer(enabled=True)
     tenants = {"key-a": Tenant("tenant-a")}
+    unknown = EffectRequest.of("no-such-subject", "Throughput",
+                               {"CachePolicy": 0.0})
     with QueryService(registry, batch_window=0.002,
                       tracer=tracer) as service:
         with GatewayServer(service, tenants=tenants) as gateway:
             with GatewayClient(gateway.address, api_key="key-a") as client:
+                with pytest.raises(UnknownSubjectError):
+                    client.submit(unknown)
                 for request in requests[:4]:
                     assert client.submit(request).ok
                 metrics = client.metrics()
@@ -258,9 +269,12 @@ def test_gateway_metrics_verb_and_trace_annotations(served):
     assert MetricsSnapshot.from_dict(metrics).submitted == \
         metrics["submitted"]
 
-    traces = tracer.drain()
+    # The refused query is traced too, and its annotation is consumed.
+    assert tracer._annotations == {}
+    refused, *traces = tracer.drain()
+    assert refused.error == "UnknownSubjectError"
     assert len(traces) == 4
-    for trace in traces:
+    for trace in [refused, *traces]:
         assert trace.tenant == "tenant-a"
         assert trace.frame_bytes > 0
 
@@ -282,91 +296,101 @@ def test_item_keys_lead_with_kind(served):
 
 
 def test_tracer_annotate_before_and_after_begin(served):
+    """Annotations posted before a request's context opens fold into it;
+    posted after, they wait for that request object's next open."""
     registry, entry, requests = served
-    request = requests[0]
+    request, other = requests[0], requests[1]
     tracer = Tracer(enabled=True)
     tracer.annotate(request, tenant="early", frame_bytes=10)
-    trace = tracer.begin(request)
-    assert trace.tenant == "early"
-    assert trace.frame_bytes == 10
     tracer.annotate(request, frame_bytes=5)
+    (trace,) = tracer.open([request])
+    assert trace.tenant == "early"
     assert trace.frame_bytes == 15
-    assert tracer.finish(request) is trace
-
-
-# ------------------------------------------------- deferred-begin mechanics
-def test_deferred_begin_materializes_on_first_touch(served):
-    """``begin_many`` only records a debt; readers build the contexts."""
-    registry, entry, requests = served
-    request = requests[0]
-    tracer = Tracer(enabled=True)
-    tracer.annotate(request, tenant="wire", frame_bytes=7)
-    tracer.begin_many([request, request])
-    assert tracer.contexts_created == 2
-    # lookup materialises both deferred contexts; annotations folded
-    # into the first, occurrences assigned in begin order.
-    first = tracer.lookup(request)
-    assert first is not None and first.tenant == "wire"
-    assert first.frame_bytes == 7
-    stack = tracer.lookup_all(request)
-    assert len(stack) == 2 and stack[0] is first
-    assert (stack[0].occurrence, stack[1].occurrence) == (0, 1)
-    assert stack[0].request_id != stack[1].request_id
-    assert tracer.finish(request) is first
-    assert tracer.finish(request) is stack[1]
-    assert tracer.lookup(request) is None
-
-
-def test_claim_round_mixes_eager_and_deferred(served):
-    """One claim pass serves eager ``begin`` and deferred ``begin_many``.
-
-    The k-th appearance of a hot request object must claim its k-th
-    occurrence, and every claimed context lands in the finished log
-    without a separate finish call.
-    """
-    registry, entry, requests = served
-    hot, cold = requests[0], requests[1]
-    tracer = Tracer(enabled=True)
-    eager = tracer.begin(hot)          # occurrence 0, eager
-    tracer.begin_many([hot, cold])     # hot occurrence 1 deferred
-    claimed = tracer.claim_round([hot, hot, cold, requests[2]])
-    assert claimed[0] is eager                      # oldest first
-    assert claimed[1] is not eager
-    assert claimed[1].occurrence == 1
-    assert claimed[2].subject == cold.subject
-    assert claimed[3] is None                       # never begun
-    assert tracer.lookup(hot) is None               # all retired
-    assert [t.occurrence for t in tracer.drain()
-            if t.item_key == hot.item_key()] == [0, 1]
-
-
-def test_finish_by_identity_closes_that_context(served):
-    """Error paths pass the exact context they began; finish must pop
-    that one, not the oldest."""
-    registry, entry, requests = served
-    request = requests[0]
-    tracer = Tracer(enabled=True)
-    first = tracer.begin(request)
-    second = tracer.begin(request)
-    assert tracer.finish(request, second) is second
-    assert tracer.lookup(request) is first
-    foreign = Tracer(enabled=True).begin(request)
-    assert tracer.finish(request, foreign) is None  # not in the stack
-    assert tracer.finish(request) is first
+    tracer.annotate(request, tenant="late")
+    second, unrelated = tracer.open([request, other])
+    assert (trace.tenant, second.tenant) == ("early", "late")
+    assert second.frame_bytes == 0 and unrelated.tenant == ""
+    assert (trace.occurrence, second.occurrence) == (0, 1)
+    assert tracer.finished() == []  # nothing retired yet
+    tracer.retire([second, trace])
+    assert tracer.drain() == [second, trace]
 
 
 def test_tracer_reset_forgets_everything(served):
     registry, entry, requests = served
     tracer = Tracer(enabled=True)
-    tracer.begin(requests[0])
-    tracer.begin_many(requests[:4])
+    tracer.retire(tracer.open(requests[:4]))
     tracer.annotate(requests[5], tenant="t")
-    tracer.finish(requests[0])
     tracer.reset()
     assert tracer.finished() == []
-    assert tracer.lookup(requests[0]) is None
-    # Occurrence counters restart: a fresh begin is occurrence 0 again.
-    assert tracer.begin(requests[0]).occurrence == 0
+    # Occurrence counters restart and the annotation is gone.
+    (trace,) = tracer.open([requests[5]])
+    assert trace.occurrence == 0 and trace.tenant == ""
+    assert tracer.open(requests[:1])[0].occurrence == 0
+
+
+# ------------------------------------------------------- refused submissions
+def test_refused_request_consumes_its_annotation(served):
+    """A request refused at routing retires its context and takes its
+    gateway annotation with it — nothing is left behind for a later
+    request that happens to reuse the refused object's ``id()``."""
+    registry, entry, requests = served
+    tracer = Tracer(enabled=True)
+    with QueryService(registry, batch_window=0.0,
+                      tracer=tracer) as service:
+        for i in range(50):
+            refused = EffectRequest.of("no-such-subject", "Throughput",
+                                       {"CachePolicy": float(i)})
+            tracer.annotate(refused, tenant=f"refused-{i}", frame_bytes=9)
+            with pytest.raises(UnknownSubjectError):
+                service.submit_async(refused)
+            del refused
+            good = dataclasses.replace(requests[i % len(requests)])
+            assert service.submit(good).ok
+    assert tracer._annotations == {}
+    traces = tracer.drain()
+    assert len(traces) == 100 == tracer.contexts_created
+    refusals = [t for t in traces if t.error]
+    answered = [t for t in traces if not t.error]
+    assert [t.tenant for t in refusals] == [f"refused-{i}"
+                                            for i in range(50)]
+    assert {t.error for t in refusals} == {"UnknownSubjectError"}
+    assert all(t.frame_bytes == 9 for t in refusals)
+    assert [t.tenant for t in answered] == [""] * 50
+
+
+# ------------------------------------------------------------ sharded tier
+def test_sharded_traces_survive_worker_crash_and_requeue():
+    """Thread-mode sharded tier with a worker crash: every request
+    retires exactly one context, stamped with the shard that owns its
+    subject, including the batches requeued to the respawned worker."""
+    specs = {f"cache-{i}": {"system": "cache_example", "n_samples": 40,
+                            "max_condition_size": 2, "seed": i}
+             for i in range(3)}
+    shards = 2
+    requests = [EffectRequest.of(subject, "Throughput",
+                                 {"CachePolicy": float(k)})
+                for subject in specs for k in range(4)]
+    tracer = Tracer(enabled=True)
+    with ShardedQueryService(specs, shards=shards, use_processes=False,
+                             tracer=tracer) as service:
+        assert all(r.ok for r in service.submit_many(requests))
+        service._inject_crash(shard_of("cache-0", shards))
+        futures = [service.submit_async(r) for r in requests]
+        assert all(f.result(timeout=120).ok for f in futures)
+        assert service.stats.respawns == 1
+        assert service.stats.requeues >= 1
+    traces = tracer.drain()
+    submitted = 2 * len(requests)
+    assert tracer.contexts_created == submitted == len(traces)
+    ids = [t.request_id for t in traces]
+    assert len(set(ids)) == len(ids)
+    assert sorted(ids) == sorted(
+        f"{r.subject}/{r.kind.value}/{r.item_key()}#{n}"
+        for r in requests for n in (0, 1))
+    for trace in traces:
+        assert trace.error == ""
+        assert trace.shard == shard_of(trace.subject, shards)
 
 
 def test_trace_summary_of_nothing_is_zeroes():
